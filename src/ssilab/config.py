@@ -15,11 +15,10 @@ import numpy as np
 
 from .errors import ConfigError
 from .flow import Method
-from .oracles import (PerturbedScoreOracle, PointCloudScore,
-                      SubspaceGaussianScore, circle_point_cloud,
-                      gaussian_on_axis, random_subspace, toy_image_subspace)
-from .schedules import (Family, NoiseSchedule, TimeGrid, VE_KARRAS,
-                        VP_LINEAR_BETA, ddim_kappa_grid, karras_grid)
+from .oracles import (PerturbedScoreOracle, circle_point_cloud, gaussian_on_axis,
+                      random_subspace, toy_image_subspace)
+from .schedules import (NoiseSchedule, TimeGrid, VE_KARRAS, VP_LINEAR_BETA,
+                        ddim_kappa_grid, karras_grid)
 
 COMMANDS = ("verify-singularity", "verify-projection", "invert", "sweep-tssi",
             "interpolate", "reconstruct")
@@ -249,7 +248,3 @@ def build_method(cfg: dict) -> Method:
 def config_hash(cfg: dict) -> str:
     canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()
-
-
-def schedule_family(cfg: dict) -> Family:
-    return build_schedule(cfg).family

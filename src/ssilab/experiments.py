@@ -6,13 +6,11 @@ ledger, per-trial records, aggregates, and a PASS/FAIL verdict where the
 command defines one.  All randomness flows through per-trial seed tuples
 derived from the base seed, so re-running a report's echoed config
 reproduces aggregates bit-identically.  Trials are reduced sequentially in
-trial order regardless of the SSILAB_DETERMINISTIC toggle, which is echoed
-for provenance.
+trial order.
 """
 
 from __future__ import annotations
 
-import os
 import time
 
 import numpy as np
@@ -26,10 +24,9 @@ from .diagnostics import (chi_square_bound, correlation_metrics, mse,
                           trace_rms)
 from .errors import ConfigError
 from .flow import Formulation, IntegratorSpec, Method, sample
-from .interp import SlerpPair, slerp
-from .inversion import (InversionConfig, InversionMethod, InversionResult,
-                        ddim_invert_baseline, reconstruct, ssi_invert_ve,
-                        ssi_invert_vp)
+from .interp import interpolate_and_decode
+from .inversion import (InversionConfig, InversionMethod, ddim_invert_baseline,
+                        reconstruct, ssi_invert_ve, ssi_invert_vp)
 from .schedules import Family, TimeGrid
 
 _TAG_DATA = 0xD0
@@ -69,7 +66,6 @@ def _new_report(cfg: dict) -> dict:
         "command": cfg["command"],
         "config": dict(cfg),
         "config_sha256": config_hash(cfg),
-        "deterministic_mode": os.environ.get("SSILAB_DETERMINISTIC") == "1",
         "seed_ledger": [],
         "trials": [],
         "aggregates": {},
@@ -98,11 +94,9 @@ def _ssi_grid(cfg: dict, t_ssi: float = None, steps: int = None) -> TimeGrid:
 def _ssi_invert_batch(oracle, schedule, cfg, grid, x0, noise):
     inv_cfg = InversionConfig(t_ssi=float(grid.times[0]), grid=grid,
                               noise_seed=None, method=InversionMethod.SSI)
-    if schedule.family is Family.VE_KARRAS:
-        return ssi_invert_ve(oracle, schedule, x0, inv_cfg,
-                             injected_noise=noise, keep_trajectory=True)
-    return ssi_invert_vp(oracle, schedule, x0, inv_cfg,
-                         injected_noise=noise, keep_trajectory=True)
+    invert = ssi_invert_ve if schedule.family is Family.VE_KARRAS else ssi_invert_vp
+    return invert(oracle, schedule, x0, inv_cfg, injected_noise=noise,
+                  keep_trajectory=True)
 
 
 # -- commands ----------------------------------------------------------------
@@ -402,15 +396,12 @@ def cmd_interpolate(cfg: dict) -> dict:
         x0 = oracle.sample_data(seed, 1)[0]
         noise = _rng(noise_seed).standard_normal(oracle.dim)
         endpoints.append(_ssi_invert_batch(oracle, schedule, cfg, grid, x0, noise))
-    pair = SlerpPair(endpoints[0].noise, endpoints[1].noise)
+    decoded = interpolate_and_decode(oracle, schedule, endpoints[0], endpoints[1],
+                                     cfg["lambdas"], grid_down,
+                                     method=build_method(cfg))
     sqrt_d = np.sqrt(oracle.dim)
     frames = []
-    for lam in cfg["lambdas"]:
-        mixed = slerp(pair, float(lam))
-        res = InversionResult(noise=mixed, final_time=endpoints[0].final_time,
-                              config=endpoints[0].config)
-        x_hat = reconstruct(oracle, schedule, res, grid_down,
-                            method=build_method(cfg))
+    for lam, x_hat in zip(cfg["lambdas"], decoded):
         dist = float(np.linalg.norm(
             x_hat - oracle.nearest_manifold_point(x_hat)) / sqrt_d)
         frame = {"lambda": float(lam), "manifold_dist": dist}

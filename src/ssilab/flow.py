@@ -1,14 +1,24 @@
 """Probability-flow ODE integration for VE and VP formulations.
 
-One signed-step integrator serves both directions: descending grids sample
-(high noise to low), ascending grids invert.  The VP formulation works in
-scaled coordinates with the score evaluated on the unscaled state.
+Every explicit scheme in the package is one step kernel,
+``x_{i+1} = a_i x_i + b_i score(c_i x_i, sigma_hat_i)``, run on a plan of
+per-step arrays built once per grid from the drift ``p x + q score(r x, sigma)``:
+
+    VE:         p = 0,        q = -sigma_dot sigma,    r = 1
+    VP scaled:  p = s_dot/s,  q = -s sigma_dot sigma,  r = 1/s
+    Euler:      (a, b, c, sigma_hat) = (1 + h p_i, h q_i, r_i, sigma_i)
+    Heun:       Euler, then (x, pred) -> x/2 + a pred + b score(c pred, sigma_hat)
+                with (1/2 + h p_{i+1}/2, h q_{i+1}/2, r_{i+1}, sigma_{i+1})
+
+Steps are signed: descending grids sample, ascending grids invert.  VP states
+are scaled, ``s(t) u``, and the score sees the unscaled ``u``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 
 import numpy as np
 
@@ -58,51 +68,75 @@ class Trajectory:
         return np.asarray(self.schedule.sigma(self.grid.times))
 
 
+def _drift_coefficients(schedule: NoiseSchedule, formulation: Formulation, times):
+    """``(p, q, r, sigma)`` at each time, the drift being ``p x + q score(r x, sigma)``."""
+    sigma = np.asarray(schedule.sigma(times))
+    if np.any(sigma <= 0.0):
+        raise InvalidArgumentError("drift undefined where sigma(t) = 0")
+    sigma_dot = np.asarray(schedule.sigma_dot(times))
+    if formulation is Formulation.VE:
+        return np.zeros_like(sigma), -sigma_dot * sigma, np.ones_like(sigma), sigma
+    s = np.asarray(schedule.scale(times))
+    s_dot = np.asarray(schedule.scale_dot(times))
+    return s_dot / s, -s * sigma_dot * sigma, 1.0 / s, sigma
+
+
 def ode_drift(schedule: NoiseSchedule, oracle, x, t: float,
               formulation: Formulation = Formulation.VE):
-    """Right-hand side of the flow ODE at ``(x, t)``.
+    """Right-hand side ``p x + q score(r x, sigma)`` of the flow ODE at ``(x, t)``."""
+    p, q, r, sigma = (float(v) for v in _drift_coefficients(schedule, formulation, t))
+    x = np.asarray(x, dtype=float)
+    return p * x + q * oracle.score(r * x, sigma)
 
-    VE: ``-sigma_dot * sigma * score(x, sigma)``.  VP (scaled coordinates):
-    ``(s_dot/s) x - s * sigma_dot * sigma * score(x / s, sigma)`` with the
-    score evaluated on the unscaled state.
+
+def _rows(plan):
+    """Per-step ``(a, b, c, sigma_hat)`` floats; scalar entries broadcast."""
+    return zip(*(v.tolist() for v in np.broadcast_arrays(*plan)))
+
+
+def _run_plan(oracle, x, plan, corrector=None, out=None):
+    """Step ``x`` through ``plan`` and, for Heun, ``corrector``; return the end state.
+
+    Fills ``out`` with every state when given.  Raises
+    :class:`IntegrationDivergedError` at the first non-finite state or prediction.
     """
-    sigma = float(schedule.sigma(t))
-    if sigma <= 0.0:
-        raise InvalidArgumentError("drift undefined where sigma(t) = 0")
-    sigma_dot = float(schedule.sigma_dot(t))
-    if formulation is Formulation.VE:
-        return -sigma_dot * sigma * oracle.score(x, sigma)
-    s = float(schedule.scale(t))
-    s_dot = float(schedule.scale_dot(t))
-    return (s_dot / s) * x - s * sigma_dot * sigma * oracle.score(x / s, sigma)
+    if out is not None:
+        out[0] = x
+    score = oracle.score
+    fixes = _rows(corrector) if corrector is not None else repeat(None)
+    for i, ((a, b, c, sigma), fix) in enumerate(zip(_rows(plan), fixes)):
+        x_next = a * x + b * score(c * x, sigma)
+        if fix is not None and np.all(np.isfinite(x_next)):
+            a, b, c, sigma = fix
+            x_next = 0.5 * x + a * x_next + b * score(c * x_next, sigma)
+        if not np.all(np.isfinite(x_next)):
+            raise IntegrationDivergedError(i)
+        x = x_next
+        if out is not None:
+            out[i + 1] = x
+    return x
 
 
 def integrate(schedule: NoiseSchedule, oracle, spec: IntegratorSpec,
               x_start, grid: TimeGrid) -> Trajectory:
     """March ``x_start`` across ``grid`` with Euler or Heun steps.
 
-    Steps are signed, so ascending and descending grids use identical code.
     Heun is the trapezoidal predictor-corrector with a single correction pass.
     Raises :class:`IntegrationDivergedError` with the failing step index if a
     state goes non-finite.
     """
     times = grid.times
-    x = np.asarray(x_start, dtype=float)
-    out = np.empty((times.size,) + x.shape)
-    out[0] = x
-    for i in range(times.size - 1):
-        t0, t1 = float(times[i]), float(times[i + 1])
-        h = t1 - t0
-        d0 = ode_drift(schedule, oracle, x, t0, spec.formulation)
-        if spec.method is Method.EULER:
-            x = x + h * d0
-        else:
-            pred = x + h * d0
-            d1 = ode_drift(schedule, oracle, pred, t1, spec.formulation)
-            x = x + 0.5 * h * (d0 + d1)
-        if not np.all(np.isfinite(x)):
-            raise IntegrationDivergedError(i)
-        out[i + 1] = x
+    n = times.size - 1
+    heun = spec.method is Method.HEUN
+    # Euler never evaluates the drift at the grid's last time
+    p, q, r, sigma = _drift_coefficients(schedule, spec.formulation,
+                                         times if heun else times[:n])
+    h = np.diff(times)
+    plan = (1.0 + h * p[:n], h * q[:n], r[:n], sigma[:n])
+    corrector = ((0.5 + 0.5 * h * p[1:], 0.5 * h * q[1:], r[1:], sigma[1:])
+                 if heun else None)
+    out = np.empty((times.size,) + np.shape(x_start))
+    _run_plan(oracle, np.asarray(x_start, dtype=float), plan, corrector, out)
     return Trajectory(states=out, grid=grid, schedule=schedule)
 
 
@@ -152,17 +186,12 @@ def sample(schedule: NoiseSchedule, oracle, spec: IntegratorSpec,
     if grid_descending.times[0] <= grid_descending.times[-1]:
         raise InvalidArgumentError("sampling needs a descending grid")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    t_max = float(grid_descending.times[0])
-    sigma_max = float(schedule.sigma(t_max))
-    x_init = sigma_max * rng.standard_normal((count, oracle.dim))
-    if spec.formulation is Formulation.VP_SCALED:
-        x_init = float(schedule.scale(t_max)) * x_init
+    # r maps the formulation's state to the unscaled state the score sees
+    _, _, r, sigma = _drift_coefficients(schedule, spec.formulation,
+                                         grid_descending.times[[0, -1]])
+    x_init = sigma[0] * rng.standard_normal((count, oracle.dim)) / r[0]
     traj = integrate(schedule, oracle, spec, x_init, grid_descending)
-    x_end = traj.states[-1]
-    t_end = float(grid_descending.times[-1])
-    if spec.formulation is Formulation.VP_SCALED:
-        x_end = x_end / float(schedule.scale(t_end))
-    x0 = denoise_to_mean(oracle, x_end, float(schedule.sigma(t_end)))
+    x0 = denoise_to_mean(oracle, traj.states[-1] * r[1], float(sigma[1]))
     return (x0, traj) if return_trajectory else x0
 
 

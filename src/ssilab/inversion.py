@@ -6,9 +6,21 @@ time; the singular region near zero noise is never visited.  The baseline is
 the classical explicit DDIM inversion that lags the denoiser input by one
 step and starts at the smallest positive grid time.
 
+Every scheme here runs on the step kernel of :mod:`ssilab.flow`: SSI and ODE
+reconstruction through :func:`~ssilab.flow.integrate`, the two discrete DDIM
+maps as plans of their own (``sig``, ``s``: noise level and scale per time):
+
+    DDIM sampler:     a = 1,  b = -sig_a (sig_b - sig_a),  c = 1,  sigma_hat = sig_a
+    lagged baseline:  a = (1 - psi_i/s_i)/phi_i,  b = -psi_i sig_{i+1}^2/phi_i,
+                      c = 1/s_i,  sigma_hat = sig_{i+1}
+
+The baseline row is ``x <- (x - psi_i D(x/s_i, sig_{i+1}))/phi_i`` with the
+Tweedie denoiser ``D(y, sigma) = y + sigma^2 score(y, sigma)``.
+
 Conventions: ``InversionResult.noise`` is always stored in unscaled
 coordinates (divide the scaled VP state by ``s(T)``); times ascend for
-inversion and descend for sampling.
+inversion and descend for sampling.  VE has ``s = 1`` exactly, so scaling
+by ``s`` leaves VE states bit-identical.
 """
 
 from __future__ import annotations
@@ -19,7 +31,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .flow import (Formulation, IntegratorSpec, Method, Trajectory,
+from .flow import (Formulation, IntegratorSpec, Method, Trajectory, _run_plan,
                    denoise_to_mean, integrate)
 from .schedules import (Family, NoiseSchedule, TimeGrid, alpha_bar_discrete)
 
@@ -27,7 +39,6 @@ from .schedules import (Family, NoiseSchedule, TimeGrid, alpha_bar_discrete)
 class InversionMethod(str, Enum):
     SSI = "ssi"
     BASELINE_DDIM = "baseline_ddim"
-    BASELINE_ODE = "baseline_ode"
 
 
 class AlphaMode(str, Enum):
@@ -65,9 +76,8 @@ class InversionResult:
             raise InvalidArgumentError("inverted noise must be finite")
 
 
-def _standard_normal_like(seed, x0: np.ndarray) -> np.ndarray:
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    return rng.standard_normal(x0.shape)
+_FORMULATION = {Family.VE_KARRAS: Formulation.VE,
+                Family.VP_LINEAR_BETA: Formulation.VP_SCALED}
 
 
 def ssi_invert_ve(oracle, schedule: NoiseSchedule, x0, cfg: InversionConfig,
@@ -80,21 +90,7 @@ def ssi_invert_ve(oracle, schedule: NoiseSchedule, x0, cfg: InversionConfig,
     """
     if schedule.family is not Family.VE_KARRAS:
         raise InvalidArgumentError("VE inversion needs a VE schedule")
-    if cfg.method is not InversionMethod.SSI:
-        raise InvalidArgumentError("config method must be SSI")
-    x0 = np.asarray(x0, dtype=float)
-    n = (np.asarray(injected_noise, dtype=float) if injected_noise is not None
-         else _standard_normal_like(cfg.noise_seed, x0))
-    if n.shape != x0.shape:
-        raise InvalidArgumentError("injected noise must match the data shape")
-    x_start = x0 + float(schedule.sigma(cfg.t_ssi)) * n
-    spec = IntegratorSpec(Method.EULER, Formulation.VE)
-    traj = integrate(schedule, oracle, spec, x_start, cfg.grid)
-    return InversionResult(
-        noise=traj.states[-1], final_time=float(cfg.grid.times[-1]),
-        config=cfg, trajectory=traj if keep_trajectory else None,
-        injected_noise=n,
-    )
+    return _ssi_invert(oracle, schedule, x0, cfg, keep_trajectory, injected_noise)
 
 
 def ssi_invert_vp(oracle, schedule: NoiseSchedule, x0, cfg: InversionConfig,
@@ -103,19 +99,24 @@ def ssi_invert_vp(oracle, schedule: NoiseSchedule, x0, cfg: InversionConfig,
     """SSI in scaled VP coordinates; returns the unscaled final state."""
     if schedule.family is not Family.VP_LINEAR_BETA:
         raise InvalidArgumentError("VP inversion needs a VP schedule")
+    return _ssi_invert(oracle, schedule, x0, cfg, keep_trajectory, injected_noise)
+
+
+def _ssi_invert(oracle, schedule, x0, cfg, keep_trajectory, injected_noise):
+    """Shared SSI body: start at ``s (x0 + sigma n)`` and Euler-integrate."""
     if cfg.method is not InversionMethod.SSI:
         raise InvalidArgumentError("config method must be SSI")
-    if cfg.grid.times[-1] > 1.0:
-        raise InvalidArgumentError("VP times live in [0, 1]")
     x0 = np.asarray(x0, dtype=float)
-    n = (np.asarray(injected_noise, dtype=float) if injected_noise is not None
-         else _standard_normal_like(cfg.noise_seed, x0))
+    if injected_noise is None:
+        rng = np.random.default_rng(np.random.SeedSequence(cfg.noise_seed))
+        injected_noise = rng.standard_normal(x0.shape)
+    n = np.asarray(injected_noise, dtype=float)
     if n.shape != x0.shape:
         raise InvalidArgumentError("injected noise must match the data shape")
     s0 = float(schedule.scale(cfg.t_ssi))
     sig0 = float(schedule.sigma(cfg.t_ssi))
     x_start = s0 * x0 + s0 * sig0 * n
-    spec = IntegratorSpec(Method.EULER, Formulation.VP_SCALED)
+    spec = IntegratorSpec(Method.EULER, _FORMULATION[schedule.family])
     traj = integrate(schedule, oracle, spec, x_start, cfg.grid)
     t_final = float(cfg.grid.times[-1])
     noise = traj.states[-1] / float(schedule.scale(t_final))
@@ -188,27 +189,19 @@ def ddim_sample(oracle, schedule: NoiseSchedule, x_start, grid_descending: TimeG
     """Iterate the explicit DDIM update down the grid.
 
     ``x_start`` is the unscaled state at the grid's first (largest) time.
-    The noise prediction is exact: ``eps = (x - E[x0 | x]) / sigma``.
-    Returns the unscaled state at the last (smallest) grid time.
+    The noise prediction is exact, ``eps = -sigma * score(x, sigma)``, so
+    each step is ``u - sig_a (sig_b - sig_a) score(u, sig_a)``.  Returns the
+    unscaled state at the last (smallest) grid time.
     """
     times = grid_descending.times
     if times[0] <= times[-1]:
         raise InvalidArgumentError("sampling grid must descend")
-    s, sig = _vp_levels(schedule, times, alpha_mode, full_steps)
+    _, sig = _vp_levels(schedule, times, alpha_mode, full_steps)
+    plan = (1.0, -sig[:-1] * np.diff(sig), 1.0, sig[:-1])
     u = np.asarray(x_start, dtype=float)
-    states = [u]
-    for i in range(times.size - 1):
-        sig_a, sig_b = float(sig[i]), float(sig[i + 1])
-        eps = (u - oracle.posterior_mean(u, sig_a)) / sig_a
-        # scaled-coordinate form of the update; the s ratios cancel exactly
-        # back to unscaled coordinates and cross-check the alpha plumbing
-        x_tilde_b = s[i + 1] * (u + (sig_b - sig_a) * eps)
-        u = x_tilde_b / s[i + 1]
-        if keep_states:
-            states.append(u)
-    if keep_states:
-        return u, np.stack(states)
-    return u
+    states = np.empty((times.size,) + u.shape) if keep_states else None
+    u = _run_plan(oracle, u, plan, out=states)
+    return (u, states) if keep_states else u
 
 
 def pf_ode_sigma_euler_step(oracle, u, sigma_a: float, sigma_b: float):
@@ -240,24 +233,20 @@ def ddim_invert_baseline(oracle, schedule: NoiseSchedule, x0, grid_ascending: Ti
         raise InvalidArgumentError("baseline grid must start at a positive time")
     coeffs = coefficients if coefficients is not None else ddim_coefficients(
         schedule, grid_ascending, alpha_mode, full_steps)
-    s, sig = coeffs.scales, coeffs.sigmas
+    s, sig, phi, psi = coeffs.scales, coeffs.sigmas, coeffs.phi, coeffs.psi
+    plan = ((1.0 - psi / s[:-1]) / phi, -psi * sig[1:] ** 2 / phi, 1.0 / s[:-1],
+            sig[1:])
     x0 = np.asarray(x0, dtype=float)
     x_tilde = s[0] * x0
-    states = [x_tilde / s[0]]
-    for i in range(times.size - 1):
-        lagged = oracle.denoise(x_tilde / s[i], float(sig[i + 1]))
-        x_tilde = (x_tilde - coeffs.psi[i] * lagged) / coeffs.phi[i]
-        if not np.all(np.isfinite(x_tilde)):
-            raise InvalidArgumentError("baseline inversion produced non-finite state")
-        if keep_states:
-            states.append(x_tilde / s[i + 1])
+    scaled = np.empty((times.size,) + x0.shape) if keep_states else None
+    x_tilde = _run_plan(oracle, x_tilde, plan, out=scaled)
     cfg = InversionConfig(
         t_ssi=float(times[0]), grid=grid_ascending, noise_seed=None,
         method=InversionMethod.BASELINE_DDIM)
     noise = x_tilde / s[-1]
     result = InversionResult(noise=noise, final_time=float(times[-1]), config=cfg)
     if keep_states:
-        return result, np.stack(states)
+        return result, scaled / s.reshape((-1,) + (1,) * x0.ndim)
     return result
 
 
@@ -278,15 +267,10 @@ def reconstruct(oracle, schedule: NoiseSchedule, result: InversionResult,
         u = ddim_sample(oracle, schedule, result.noise, grid_descending,
                         alpha_mode, full_steps)
     elif sampler == "ode":
-        if schedule.family is Family.VE_KARRAS:
-            spec = IntegratorSpec(method, Formulation.VE)
-            traj = integrate(schedule, oracle, spec, result.noise, grid_descending)
-            u = traj.states[-1]
-        else:
-            spec = IntegratorSpec(method, Formulation.VP_SCALED)
-            start = float(schedule.scale(times[0])) * result.noise
-            traj = integrate(schedule, oracle, spec, start, grid_descending)
-            u = traj.states[-1] / float(schedule.scale(t_end))
+        spec = IntegratorSpec(method, _FORMULATION[schedule.family])
+        start = float(schedule.scale(times[0])) * result.noise
+        traj = integrate(schedule, oracle, spec, start, grid_descending)
+        u = traj.states[-1] / float(schedule.scale(t_end))
     else:
         raise InvalidArgumentError(f"unknown sampler {sampler!r}")
     return denoise_to_mean(oracle, u, sigma_end)
