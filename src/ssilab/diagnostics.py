@@ -129,15 +129,18 @@ def singularity_trace(oracle, trajectory: Trajectory):
     """Per-point ratio ``||E[x0|x_t] - x_t|| / sigma_t`` along a trajectory.
 
     Returns ``(sigmas, ratios)``; for batched trajectories the ratio array is
-    ``(n_times, batch)``.  Equal to ``sigma_t * ||score||`` pointwise.
+    ``(n_times, batch)``.  Equal to ``sigma_t * ||score||`` pointwise.  States
+    on a VP schedule are scaled, ``s(t) u``, as the integrator keeps them;
+    each is divided by ``s(t)`` so the oracle sees ``u`` (VE has ``s = 1``).
     """
     times = trajectory.grid.times
     sigmas = np.asarray(trajectory.schedule.sigma(times))
     if np.any(sigmas <= 0):
         raise InvalidArgumentError("trace needs sigma > 0 on every grid point")
+    scales = np.asarray(trajectory.schedule.scale(times))
     ratios = np.empty(trajectory.states.shape[:-1])
     for i in range(times.size):
-        x = trajectory.states[i]
+        x = trajectory.states[i] / scales[i]
         pm = oracle.posterior_mean(x, float(sigmas[i]))
         ratios[i] = np.linalg.norm(pm - x, axis=-1) / sigmas[i]
     return sigmas, ratios

@@ -91,7 +91,7 @@ def _ssi_grid(cfg: dict, t_ssi: float = None, steps: int = None) -> TimeGrid:
     return build_grid(cfg, t_min=t_ssi, steps=steps)
 
 
-def _ssi_invert_batch(oracle, schedule, cfg, grid, x0, noise):
+def _ssi_invert_batch(oracle, schedule, grid, x0, noise):
     inv_cfg = InversionConfig(t_ssi=float(grid.times[0]), grid=grid,
                               noise_seed=None, method=InversionMethod.SSI)
     invert = ssi_invert_ve if schedule.family is Family.VE_KARRAS else ssi_invert_vp
@@ -239,23 +239,21 @@ def cmd_invert(cfg: dict) -> dict:
                               for i, s in enumerate(noise_seeds)]
 
     aggregates = {}
-    z_ssi = None
     if run_ssi:
         grid = _ssi_grid(cfg)
         noise = _trial_noise(noise_seeds, (oracle.dim,))
-        res = _ssi_invert_batch(oracle, schedule, cfg, grid, x0, noise)
+        res = _ssi_invert_batch(oracle, schedule, grid, x0, noise)
         sigma_T = float(schedule.sigma(res.final_time))
-        z_ssi = res.noise / sigma_T
-        aggregates["ssi_metrics"] = _metric_row(_gaussianity(z_ssi, oracle))
+        ssi_rep = _gaussianity(res.noise / sigma_T, oracle)
+        aggregates["ssi_metrics"] = _metric_row(ssi_rep)
         aggregates["ssi_mean_abs_cosine"] = _pairwise_abs_cosine(res.noise)
 
-    z_base = None
     if run_base:
         grid = build_grid(cfg)
         res_b = ddim_invert_baseline(oracle, schedule, x0, grid)
         sigma_T = float(schedule.sigma(res_b.final_time))
-        z_base = res_b.noise / sigma_T
-        aggregates["baseline_metrics"] = _metric_row(_gaussianity(z_base, oracle))
+        base_rep = _gaussianity(res_b.noise / sigma_T, oracle)
+        aggregates["baseline_metrics"] = _metric_row(base_rep)
         aggregates["baseline_mean_abs_cosine"] = _pairwise_abs_cosine(res_b.noise)
 
     ref_seed = (cfg["seed"], _TAG_REFERENCE)
@@ -274,14 +272,12 @@ def cmd_invert(cfg: dict) -> dict:
                 diff = getattr(rep, name + "_corr") - getattr(ref, name + "_corr")
                 out[name] = diff / se if se > 0 else np.inf
             return out
-        if z_ssi is not None:
-            ssi_rep = _gaussianity(z_ssi, oracle)
+        if run_ssi:
             aggregates["ssi_excess_se"] = _excess(ssi_rep)
             ssi_ok = all(abs(v) <= 2.0
                          for v in aggregates["ssi_excess_se"].values())
             verdict = "PASS" if ssi_ok else "FAIL"
-        if z_base is not None:
-            base_rep = _gaussianity(z_base, oracle)
+        if run_base:
             aggregates["baseline_excess_se"] = _excess(base_rep)
             base_fails = max(aggregates["baseline_excess_se"].values()) > 5.0
             if cfg["method"] == "both":
@@ -314,7 +310,7 @@ def _roundtrip_batch(oracle, schedule, cfg, t_ssi, steps, cell_tag):
     x0 = oracle.sample_data(data_seed, trials)
     noise = _trial_noise(noise_seeds, (oracle.dim,))
     grid = _ssi_grid(cfg, t_ssi=t_ssi, steps=steps)
-    res = _ssi_invert_batch(oracle, schedule, cfg, grid, x0, noise)
+    res = _ssi_invert_batch(oracle, schedule, grid, x0, noise)
     _, ratios = singularity_trace(oracle, res.trajectory)
     grid_down = TimeGrid(grid.times[::-1])
     x_hat = reconstruct(oracle, schedule, res, grid_down,
@@ -395,7 +391,7 @@ def cmd_interpolate(cfg: dict) -> dict:
             {"role": f"noise_{which}", "seed": list(noise_seed)}]
         x0 = oracle.sample_data(seed, 1)[0]
         noise = _rng(noise_seed).standard_normal(oracle.dim)
-        endpoints.append(_ssi_invert_batch(oracle, schedule, cfg, grid, x0, noise))
+        endpoints.append(_ssi_invert_batch(oracle, schedule, grid, x0, noise))
     decoded = interpolate_and_decode(oracle, schedule, endpoints[0], endpoints[1],
                                      cfg["lambdas"], grid_down,
                                      method=build_method(cfg))

@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .flow import Method
-from .inversion import AlphaMode, InversionResult, reconstruct
+from .inversion import InversionResult, reconstruct
 from .schedules import TimeGrid
 
 _PARALLEL_THETA = 1e-6
@@ -61,11 +61,9 @@ def slerp(pair: SlerpPair, lam: float) -> np.ndarray:
 
 def interpolate_and_decode(oracle, schedule, result_a: InversionResult,
                            result_b: InversionResult, lambdas,
-                           grid_descending: TimeGrid, sampler: str = "ode",
-                           method: Method = Method.EULER,
-                           alpha_mode: AlphaMode = AlphaMode.CONTINUOUS,
-                           full_steps: int = 1000) -> list[np.ndarray]:
-    """SLERP the two inverted noises at each lambda and decode each one."""
+                           grid_descending: TimeGrid,
+                           method: Method = Method.EULER) -> list[np.ndarray]:
+    """SLERP the two inverted noises at each lambda and ODE-decode each one."""
     if abs(result_a.final_time - result_b.final_time) > 1e-12:
         raise InvalidArgumentError("inversion results end at different times")
     pair = SlerpPair(result_a.noise, result_b.noise)
@@ -75,6 +73,5 @@ def interpolate_and_decode(oracle, schedule, result_a: InversionResult,
         mixed = InversionResult(noise=noise, final_time=result_a.final_time,
                                 config=result_a.config)
         frames.append(reconstruct(oracle, schedule, mixed, grid_descending,
-                                  sampler=sampler, method=method,
-                                  alpha_mode=alpha_mode, full_steps=full_steps))
+                                  method=method))
     return frames

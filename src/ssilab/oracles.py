@@ -13,6 +13,12 @@ Every oracle exposes the same surface:
 
 States are plain numpy arrays of shape ``(..., d)``; all operations are
 vectorised over leading batch axes.
+
+Each public method validates its inputs once, on entry (finite states with
+last axis ``d``, finite ``sigma > 0``; else ``InvalidArgumentError``).  One
+built on another public method (``posterior_mean`` on ``score``, the perturbed
+``score`` on its base oracle's) calls it first and lets it check; private
+helpers take checked arguments and check nothing.
 """
 
 from __future__ import annotations
@@ -51,9 +57,9 @@ class _OracleBase:
     """Shared Tweedie-identity plumbing for concrete oracles."""
 
     def posterior_mean(self, x, sigma):
-        x = _check_state(x, self.dim)
-        sigma = _check_sigma(sigma)
-        return x + sigma * sigma * self.score(x, sigma)
+        score = self.score(x, sigma)  # checks x and sigma
+        sigma = float(sigma)
+        return x + sigma * sigma * score
 
     def denoise(self, x, sigma):
         # Definitionally the posterior mean: (D(x, sigma) - x)/sigma^2 == score.
@@ -105,36 +111,36 @@ class PointCloudScore(_OracleBase):
         dist = np.linalg.norm(diff, axis=-1)
         return float(dist[~np.eye(len(dist), dtype=bool)].min())
 
-    def _log_responsibilities(self, x, sigma):
-        x = _check_state(x, self.dim)
-        sigma = _check_sigma(sigma)
-        sq = np.sum((x[..., None, :] - self.points) ** 2, axis=-1)  # (..., K)
+    def _sq_dist(self, x):
+        """Unchecked squared distance from each state to each atom, ``(..., K)``."""
+        return np.sum((x[..., None, :] - self.points) ** 2, axis=-1)
+
+    def _logits(self, x, sigma):
+        """Unchecked ``log w_k - ||x - p_k||^2 / (2 sigma^2)``, ``(..., K)``."""
         with np.errstate(divide="ignore"):
-            logits = np.log(self.weights) - sq / (2.0 * sigma * sigma)
-        return logits - logsumexp(logits, axis=-1, keepdims=True)
+            return np.log(self.weights) - self._sq_dist(x) / (2.0 * sigma * sigma)
+
+    def _responsibilities(self, x, sigma):
+        logits = self._logits(x, sigma)
+        return np.exp(logits - logsumexp(logits, axis=-1, keepdims=True))
 
     def softmax_weights(self, x, sigma):
         """Posterior responsibilities over atoms, log-sum-exp stabilised."""
-        return np.exp(self._log_responsibilities(x, sigma))
+        return self._responsibilities(_check_state(x, self.dim), _check_sigma(sigma))
 
     def score(self, x, sigma):
-        x = _check_state(x, self.dim)
-        sigma = _check_sigma(sigma)
-        w = self.softmax_weights(x, sigma)  # (..., K)
+        x, sigma = _check_state(x, self.dim), _check_sigma(sigma)
+        w = self._responsibilities(x, sigma)  # (..., K)
         diff = self.points - x[..., None, :]  # (..., K, d)
         return np.einsum("...k,...kd->...d", w, diff) / (sigma * sigma)
 
     def log_density(self, x, sigma):
-        x = _check_state(x, self.dim)
-        sigma = _check_sigma(sigma)
-        sq = np.sum((x[..., None, :] - self.points) ** 2, axis=-1)
-        with np.errstate(divide="ignore"):
-            logits = np.log(self.weights) - sq / (2.0 * sigma * sigma)
-        return logsumexp(logits, axis=-1) - 0.5 * self.dim * (_LOG_2PI + 2.0 * np.log(sigma))
+        x, sigma = _check_state(x, self.dim), _check_sigma(sigma)
+        log_norm = 0.5 * self.dim * (_LOG_2PI + 2.0 * np.log(sigma))
+        return logsumexp(self._logits(x, sigma), axis=-1) - log_norm
 
     def nearest_manifold_point(self, x):
-        x = _check_state(x, self.dim)
-        dist = np.sum((x[..., None, :] - self.points) ** 2, axis=-1)
+        dist = self._sq_dist(_check_state(x, self.dim))
         idx = np.argmin(dist, axis=-1)  # first occurrence wins on ties
         return self.points[idx]
 
@@ -203,15 +209,13 @@ class SubspaceGaussianScore(_OracleBase):
         return coef, normal
 
     def score(self, x, sigma):
-        x = _check_state(x, self.dim)
-        sigma = _check_sigma(sigma)
+        x, sigma = _check_state(x, self.dim), _check_sigma(sigma)
         coef, normal = self._split(x)
         tang = (coef / (self.latent_stddevs**2 + sigma * sigma)) @ self.basis.T
         return -(tang + normal / (sigma * sigma))
 
     def log_density(self, x, sigma):
-        x = _check_state(x, self.dim)
-        sigma = _check_sigma(sigma)
+        x, sigma = _check_state(x, self.dim), _check_sigma(sigma)
         coef, normal = self._split(x)
         var_t = self.latent_stddevs**2 + sigma * sigma
         d, n = self.dim, self.manifold_dim
@@ -387,11 +391,10 @@ class PerturbedScoreOracle(_OracleBase):
         return self.magnitude * (1.0 + self.sigma_floor / sigma)
 
     def score(self, x, sigma):
-        x = _check_state(x, self.dim)
-        sigma = _check_sigma(sigma)
-        exact = self.base.score(x, sigma)
+        exact = self.base.score(x, sigma)  # checks x and sigma
         if self.magnitude == 0.0:
             return exact
+        sigma = float(sigma)
         err = self.denoiser_error_scale(sigma) / (sigma * sigma)
         return exact + err * self._field(x, sigma)
 

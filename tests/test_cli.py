@@ -166,6 +166,25 @@ def test_shared_input_mode():
     assert rep["aggregates"]["ssi_mean_abs_cosine"] < 3 / np.sqrt(192)
 
 
+def test_invert_both_builds_each_gaussianity_report_once(monkeypatch):
+    import ssilab.experiments as experiments
+    calls = []
+    metrics = experiments.correlation_metrics
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return metrics(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "correlation_metrics", counting)
+    run_command(resolve_config("invert", {
+        "seed": 5, "trials": 8, "method": "both",
+        "schedule": "vp_linear_beta", "oracle": {"kind": "toy_image"},
+        "grid": {"kind": "uniform", "t_min": 0.1, "t_max": 0.999, "steps": 20},
+        "t_ssi": 0.1}))
+    # SSI noise, baseline noise and the Gaussian reference: one report each
+    assert len(calls) == 3
+
+
 def test_baseline_requires_vp():
     cfg = resolve_config("invert", {"seed": 5, "trials": 4,
                                     "method": "baseline_ddim"})

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ssilab import (IntegratorSpec, InvalidArgumentError, Method, TimeGrid,
-                    Trajectory, UndefinedCorrelationError, VE_KARRAS,
-                    chi_square_bound, circle_point_cloud, correlation_metrics,
-                    gaussian_on_axis, integrate, mse, projection_concentration,
-                    random_subspace, singularity_trace, ssim, trace_rms)
+from ssilab import (IntegratorSpec, InvalidArgumentError, InversionConfig,
+                    Method, TimeGrid, Trajectory, UndefinedCorrelationError,
+                    VE_KARRAS, VP_LINEAR_BETA, chi_square_bound,
+                    circle_point_cloud, correlation_metrics, gaussian_on_axis,
+                    integrate, mse, projection_concentration, random_subspace,
+                    singularity_trace, ssi_invert_vp, ssim, toy_image_subspace,
+                    trace_rms)
 
 
 class TestCorrelationMetrics:
@@ -113,6 +115,25 @@ class TestSingularityTrace:
         _, ratios = singularity_trace(oracle, traj)
         rms = trace_rms(ratios)
         assert rms[0] == pytest.approx(np.sqrt(8.0), rel=0.05)
+
+    def test_vp_trace_sees_unscaled_states(self):
+        # VP SSI keeps scaled states s(t) u; the trace must score u itself
+        oracle = toy_image_subspace()
+        grid = TimeGrid(np.linspace(0.1, 0.999, 200))
+        x0 = oracle.sample_data((4, 1), 16)
+        noise = np.random.default_rng(4).standard_normal(x0.shape)
+        res = ssi_invert_vp(oracle, VP_LINEAR_BETA, x0,
+                            InversionConfig(0.1, grid, noise_seed=None),
+                            keep_trajectory=True, injected_noise=noise)
+        sigmas, ratios = singularity_trace(oracle, res.trajectory)
+        for i, u in ((0, x0 + sigmas[0] * noise),
+                     (-1, res.trajectory.states[-1] / VP_LINEAR_BETA.scale(grid.times[-1]))):
+            pm = oracle.posterior_mean(u, float(sigmas[i]))
+            np.testing.assert_allclose(
+                ratios[i], np.linalg.norm(pm - u, axis=-1) / sigmas[i], rtol=1e-10)
+        # at t_ssi the unscaled state is x0 + sigma n: RMS ratio ~ sqrt(d - n)
+        target = np.sqrt(oracle.dim - oracle.manifold_dim)
+        assert trace_rms(ratios)[0] == pytest.approx(target, rel=0.03)
 
     def test_zero_sigma_grid_point_rejected(self):
         axis = gaussian_on_axis()

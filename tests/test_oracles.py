@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from ssilab import (InvalidArgumentError, PerturbedScoreOracle, PointCloudScore,
                     SubspaceGaussianScore, circle_point_cloud, gaussian_on_axis,
                     random_subspace)
+from ssilab import oracles
 
 
 def fd_gradient(f, x, h=1e-6):
@@ -99,12 +100,6 @@ class TestPointCloud:
         # every draw is an atom
         d = np.linalg.norm(a[:, None, :] - circle.points, axis=-1).min(axis=1)
         assert np.max(d) == 0.0
-
-    def test_sigma_zero_rejected(self, circle):
-        with pytest.raises(InvalidArgumentError):
-            circle.score(np.zeros(2), 0.0)
-        with pytest.raises(InvalidArgumentError):
-            circle.posterior_mean(np.zeros(2), -1.0)
 
     def test_bad_weights_rejected(self):
         with pytest.raises(InvalidArgumentError):
@@ -235,3 +230,55 @@ def test_score_gradient_property(sigma, xs):
     x = np.array(xs)
     fd = fd_gradient(lambda v: oracle.log_density(v, sigma), x)
     np.testing.assert_allclose(oracle.score(x, sigma), fd, rtol=2e-4, atol=2e-4)
+
+
+_ORACLES = {
+    "point_cloud": circle_point_cloud,
+    "subspace": gaussian_on_axis,
+    "perturbed": lambda: PerturbedScoreOracle(base=circle_point_cloud()),
+}
+_SIGMA_METHODS = ("score", "posterior_mean", "denoise", "log_density",
+                  "softmax_weights")
+_BAD_STATES = {"nan_state": [np.nan, 0.0], "inf_state": [0.0, np.inf],
+               "wrong_dim": [0.0, 0.0, 0.0]}
+_BAD_SIGMAS = {"sigma_zero": 0.0, "sigma_negative": -1.0, "sigma_nan": np.nan}
+
+
+def _invalid_calls():
+    for kind, make in _ORACLES.items():
+        oracle = make()
+        for method in _SIGMA_METHODS + ("nearest_manifold_point",):
+            if not hasattr(oracle, method):
+                continue
+            takes_sigma = method != "nearest_manifold_point"
+            for label, state in _BAD_STATES.items():
+                args = (np.array(state), 0.5) if takes_sigma else (np.array(state),)
+                yield pytest.param(kind, method, args, id=f"{kind}-{method}-{label}")
+            if takes_sigma:
+                for label, sigma in _BAD_SIGMAS.items():
+                    yield pytest.param(kind, method, (np.zeros(2), sigma),
+                                       id=f"{kind}-{method}-{label}")
+
+
+@pytest.mark.parametrize("kind,method,args", list(_invalid_calls()))
+def test_invalid_input_rejected(kind, method, args):
+    oracle = _ORACLES[kind]()
+    with pytest.raises(InvalidArgumentError):
+        getattr(oracle, method)(*args)
+
+
+def test_perturbed_oracle_checks_the_state_once(monkeypatch):
+    calls = []
+    check = oracles._check_state
+
+    def counting(x, d):
+        calls.append(d)
+        return check(x, d)
+
+    monkeypatch.setattr(oracles, "_check_state", counting)
+    p = PerturbedScoreOracle(base=circle_point_cloud(), magnitude=1e-2)
+    x = np.array([[1.0, 0.2], [-0.3, 0.8]])
+    for method in ("score", "posterior_mean"):
+        calls.clear()
+        getattr(p, method)(x, 0.4)
+        assert len(calls) == 1, method
