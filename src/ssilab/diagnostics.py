@@ -18,13 +18,14 @@ from .errors import InvalidArgumentError, UndefinedCorrelationError
 from .flow import Trajectory
 
 
-def _pearson(a: np.ndarray, b: np.ndarray) -> float:
-    a = a.ravel()
-    b = b.ravel()
-    sa, sb = a.std(), b.std()
-    if sa == 0.0 or sb == 0.0:
+def _abs_pearson_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|Pearson r| between matching rows of two ``(B, n)`` arrays."""
+    sa, sb = a.std(axis=1), b.std(axis=1)
+    if np.any(sa == 0.0) or np.any(sb == 0.0):
         raise UndefinedCorrelationError("correlation of a constant signal is undefined")
-    return float(np.mean((a - a.mean()) * (b - b.mean())) / (sa * sb))
+    cov = np.mean((a - a.mean(axis=1, keepdims=True))
+                  * (b - b.mean(axis=1, keepdims=True)), axis=1)
+    return np.abs(cov / (sa * sb))
 
 
 @dataclass(frozen=True)
@@ -64,15 +65,15 @@ def correlation_metrics(noises: np.ndarray, grid_shape=None) -> GaussianityRepor
     b, c, h, w = noises.shape
     if c < 2 or h < 2 or w < 2:
         raise InvalidArgumentError("need C >= 2 and H, W >= 2")
-    chan = np.empty(b)
-    hori = np.empty(b)
-    vert = np.empty(b)
-    pairs = [(i, j) for i in range(c) for j in range(i + 1, c)]
-    for k in range(b):
-        img = noises[k]
-        chan[k] = np.mean([abs(_pearson(img[i], img[j])) for i, j in pairs])
-        hori[k] = abs(_pearson(img[:, :, :-1], img[:, :, 1:]))
-        vert[k] = abs(_pearson(img[:, :-1, :], img[:, 1:, :]))
+    # one row per image with contiguous rows, so each row reduction sums in
+    # the same order as on the image alone and matches a per-image loop
+    channels = noises.reshape(b, c, h * w)
+    chan = np.stack([_abs_pearson_rows(channels[:, i], channels[:, j])
+                     for i in range(c) for j in range(i + 1, c)], axis=1).mean(axis=1)
+    hori = _abs_pearson_rows(noises[..., :-1].reshape(b, -1),
+                             noises[..., 1:].reshape(b, -1))
+    vert = _abs_pearson_rows(noises[:, :, :-1].reshape(b, -1),
+                             noises[:, :, 1:].reshape(b, -1))
     def _se(v):
         return float(v.std(ddof=1) / np.sqrt(b)) if b > 1 else 0.0
     return GaussianityReport(
@@ -130,8 +131,9 @@ def singularity_trace(oracle, trajectory: Trajectory):
 
     Returns ``(sigmas, ratios)``; for batched trajectories the ratio array is
     ``(n_times, batch)``.  Equal to ``sigma_t * ||score||`` pointwise.  States
-    on a VP schedule are scaled, ``s(t) u``, as the integrator keeps them;
-    each is divided by ``s(t)`` so the oracle sees ``u`` (VE has ``s = 1``).
+    on a VP schedule are scaled, ``s(t) u``, the only formulation the
+    integrator accepts there; each is divided by ``s(t)`` so the oracle sees
+    ``u`` (VE has ``s = 1``).
     """
     times = trajectory.grid.times
     sigmas = np.asarray(trajectory.schedule.sigma(times))

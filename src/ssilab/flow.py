@@ -37,6 +37,11 @@ class Formulation(str, Enum):
     VP_SCALED = "vp_scaled"
 
 
+# the one formulation each schedule family integrates in; VP states are scaled
+_FORMULATION = {Family.VE_KARRAS: Formulation.VE,
+                Family.VP_LINEAR_BETA: Formulation.VP_SCALED}
+
+
 @dataclass(frozen=True)
 class IntegratorSpec:
     method: Method = Method.EULER
@@ -69,12 +74,20 @@ class Trajectory:
 
 
 def _drift_coefficients(schedule: NoiseSchedule, formulation: Formulation, times):
-    """``(p, q, r, sigma)`` at each time, the drift being ``p x + q score(r x, sigma)``."""
+    """``(p, q, r, sigma)`` at each time, the drift being ``p x + q score(r x, sigma)``.
+
+    Raises :class:`InvalidArgumentError` unless ``formulation`` is the one of
+    the schedule's family (VE on ``VE_KARRAS``, VP_SCALED on ``VP_LINEAR_BETA``).
+    """
+    expected = _FORMULATION[schedule.family]
+    if formulation != expected:
+        raise InvalidArgumentError(
+            f"the {schedule.family.value} schedule needs the {expected.value} formulation")
     sigma = np.asarray(schedule.sigma(times))
     if np.any(sigma <= 0.0):
         raise InvalidArgumentError("drift undefined where sigma(t) = 0")
     sigma_dot = np.asarray(schedule.sigma_dot(times))
-    if formulation is Formulation.VE:
+    if expected is Formulation.VE:
         return np.zeros_like(sigma), -sigma_dot * sigma, np.ones_like(sigma), sigma
     s = np.asarray(schedule.scale(times))
     s_dot = np.asarray(schedule.scale_dot(times))

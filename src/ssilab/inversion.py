@@ -31,7 +31,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .flow import (Formulation, IntegratorSpec, Method, Trajectory, _run_plan,
+from .flow import (_FORMULATION, IntegratorSpec, Method, Trajectory, _run_plan,
                    denoise_to_mean, integrate)
 from .schedules import (Family, NoiseSchedule, TimeGrid, alpha_bar_discrete)
 
@@ -74,10 +74,6 @@ class InversionResult:
     def __post_init__(self):
         if not np.all(np.isfinite(self.noise)):
             raise InvalidArgumentError("inverted noise must be finite")
-
-
-_FORMULATION = {Family.VE_KARRAS: Formulation.VE,
-                Family.VP_LINEAR_BETA: Formulation.VP_SCALED}
 
 
 def ssi_invert_ve(oracle, schedule: NoiseSchedule, x0, cfg: InversionConfig,

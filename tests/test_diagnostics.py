@@ -11,6 +11,29 @@ from ssilab import (IntegratorSpec, InvalidArgumentError, InversionConfig,
                     trace_rms)
 
 
+def _pearson(a, b):
+    """Per-image Pearson r, as ``correlation_metrics`` computed it image by image."""
+    a = a.ravel()
+    b = b.ravel()
+    sa, sb = a.std(), b.std()
+    if sa == 0.0 or sb == 0.0:
+        raise UndefinedCorrelationError("correlation of a constant signal is undefined")
+    return float(np.mean((a - a.mean()) * (b - b.mean())) / (sa * sb))
+
+
+def reference_per_image(noises):
+    """The per-image loop that the batched metrics replaced."""
+    b, c = noises.shape[:2]
+    chan, hori, vert = np.empty(b), np.empty(b), np.empty(b)
+    pairs = [(i, j) for i in range(c) for j in range(i + 1, c)]
+    for k in range(b):
+        img = noises[k]
+        chan[k] = np.mean([abs(_pearson(img[i], img[j])) for i, j in pairs])
+        hori[k] = abs(_pearson(img[:, :, :-1], img[:, :, 1:]))
+        vert[k] = abs(_pearson(img[:, :-1, :], img[:, 1:, :]))
+    return {"chan": chan, "hori": hori, "vert": vert}
+
+
 class TestCorrelationMetrics:
     def test_gaussian_batch_is_small(self):
         rng = np.random.default_rng(0)
@@ -52,6 +75,32 @@ class TestCorrelationMetrics:
         img[0, 0] = 1.0
         with pytest.raises(UndefinedCorrelationError):
             correlation_metrics(img)
+
+    @pytest.mark.parametrize("shape", [(300, 3, 8, 8), (1, 3, 8, 8), (7, 4, 5, 9),
+                                       (2, 2, 2, 2), (6, 5, 3, 4), (4, 7, 2, 3)])
+    def test_batched_values_equal_the_per_image_loop(self, shape):
+        # 5 and 7 channels give 10 and 21 channel pairs, past numpy's
+        # 8-element blocks in pairwise summation
+        noises = np.random.default_rng(sum(shape)).standard_normal(shape)
+        rep = correlation_metrics(noises)
+        want = reference_per_image(noises)
+        for key in ("chan", "hori", "vert"):
+            np.testing.assert_array_equal(rep.per_image[key], want[key])
+        b = shape[0]
+
+        def se(v):
+            return float(v.std(ddof=1) / np.sqrt(b)) if b > 1 else 0.0
+        assert rep.to_dict() == {
+            "chan_corr": float(want["chan"].mean()), "hori_corr": float(want["hori"].mean()),
+            "vert_corr": float(want["vert"].mean()), "sample_count": b,
+            "chan_se": se(want["chan"]), "hori_se": se(want["hori"]),
+            "vert_se": se(want["vert"])}
+
+    def test_one_constant_channel_in_a_batch_raises(self):
+        noises = np.random.default_rng(9).standard_normal((6, 3, 4, 4))
+        noises[4, 1] = 2.0
+        with pytest.raises(UndefinedCorrelationError):
+            correlation_metrics(noises)
 
     def test_bad_shapes(self):
         with pytest.raises(InvalidArgumentError):

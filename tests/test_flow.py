@@ -218,3 +218,18 @@ def test_vp_convergence_order_euler():
         errs.append(np.linalg.norm(got_u - expect_u))
     rates = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert abs(rates.mean() - 1.0) < 0.25
+
+
+@pytest.mark.parametrize("schedule,formulation", [
+    (VP_LINEAR_BETA, Formulation.VE), (VE_KARRAS, Formulation.VP_SCALED)],
+    ids=["ve_on_vp", "vp_on_ve"])
+def test_formulation_must_match_the_schedule_family(axis, schedule, formulation):
+    # a VP-schedule trajectory is always in scaled coordinates, which is what
+    # singularity_trace assumes when it divides each state by s(t)
+    spec = IntegratorSpec(Method.EULER, formulation)
+    with pytest.raises(InvalidArgumentError, match="formulation"):
+        integrate(schedule, axis, spec, np.ones(2), uniform_grid(0.2, 0.9, 5))
+    with pytest.raises(InvalidArgumentError, match="formulation"):
+        sample(schedule, axis, spec, uniform_grid(0.9, 0.2, 5), seed=0, count=2)
+    with pytest.raises(InvalidArgumentError, match="formulation"):
+        ode_drift(schedule, axis, np.ones(2), 0.5, formulation)

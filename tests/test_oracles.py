@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ssilab import (InvalidArgumentError, PerturbedScoreOracle, PointCloudScore,
                     SubspaceGaussianScore, circle_point_cloud, gaussian_on_axis,
@@ -282,3 +282,98 @@ def test_perturbed_oracle_checks_the_state_once(monkeypatch):
         calls.clear()
         getattr(p, method)(x, 0.4)
         assert len(calls) == 1, method
+
+
+# -- point-cloud precision against the direct (B, K, d) formula -------------
+
+PRECISION = 1e-8  # relative row-norm error; the benchmark's score probe uses the same
+
+
+def direct_reference(points, weights, x, sigma):
+    """Score, weights, log-density, its normaliser and squared distances,
+    each by direct log-sum-exp over an explicit ``(B, K, d)`` difference."""
+    diff = points[None, :, :] - x[:, None, :]
+    sq = np.sum(diff * diff, axis=-1)
+    with np.errstate(divide="ignore"):
+        logits = np.log(weights) - sq / (2.0 * sigma * sigma)
+    top = logits.max(axis=-1, keepdims=True)
+    e = np.exp(logits - top)
+    total = e.sum(axis=-1, keepdims=True)
+    resp = e / total
+    score = np.einsum("bk,bkd->bd", resp, diff) / (sigma * sigma)
+    log_norm = 0.5 * x.shape[-1] * (np.log(2.0 * np.pi) + 2.0 * np.log(sigma))
+    return score, resp, (top + np.log(total))[:, 0] - log_norm, log_norm, sq
+
+
+def _unit(rng, shape):
+    u = rng.standard_normal(shape)
+    return u / np.linalg.norm(u, axis=-1, keepdims=True)
+
+
+@st.composite
+def clouds(draw):
+    """Atoms of norm 1e-2..1e4, sigma 0.002..80, optionally a near-duplicate
+    of atom 0 at 1e-3..1e-1 sigma, random weights; returns a seeded rng too."""
+    d = draw(st.integers(1, 16))
+    k = draw(st.integers(1, 12))
+    norm = 10.0 ** draw(st.floats(-2.0, 4.0))
+    sigma = 10.0 ** draw(st.floats(np.log10(0.002), np.log10(80.0)))
+    spacing = draw(st.none() | st.floats(-3.0, -1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    points = norm * _unit(rng, (k, d))
+    if spacing is not None:
+        points = np.vstack([points, points[0] + 10.0**spacing * sigma * _unit(rng, d)])
+    weights = rng.dirichlet(np.ones(len(points)))
+    return PointCloudScore(points=points, weights=weights), sigma, rng
+
+
+def _assert_matches_reference(oracle, x, sigma, compare_weights):
+    score, resp, log_density, log_norm, sq = direct_reference(
+        oracle.points, oracle.weights, x, sigma)
+
+    def rel(got, want):
+        return np.linalg.norm(got - want, axis=-1) / np.linalg.norm(want, axis=-1)
+
+    assert rel(oracle.score(x, sigma), score).max() <= PRECISION
+    # relative to the size of its two terms, log-sum-exp and normaliser
+    err = np.abs(oracle.log_density(x, sigma) - log_density)
+    assert np.all(err <= PRECISION * (np.abs(log_density) + abs(log_norm)))
+    w = oracle.softmax_weights(x, sigma)
+    np.testing.assert_allclose(w.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
+    if compare_weights:
+        assert rel(w, resp).max() <= PRECISION
+    nearest = oracle.nearest_manifold_point(x)
+    top2 = np.sort(sq, axis=-1)[:, :2]
+    clear = (top2[:, -1] - top2[:, 0] > 1e-12 * top2[:, -1]) | (sq.shape[1] == 1)
+    np.testing.assert_array_equal(nearest[clear],
+                                  oracle.points[np.argmin(sq, axis=-1)][clear])
+
+
+@settings(max_examples=200, deadline=None)
+@given(clouds())
+def test_point_cloud_matches_direct_formula_near_the_atoms(case):
+    # forward-process states x0 + sigma n lie about sigma sqrt(d) from their
+    # atom; the posterior mean w @ points - x rounds to eps max|p| absolute,
+    # so states within ~1e-7 max|p| of their posterior mean are out of scope
+    oracle, sigma, rng = case
+    d = oracle.dim
+    radius = sigma * np.sqrt(d) * rng.uniform(0.5, 2.0, (8, 1))
+    x = oracle.points[rng.integers(0, len(oracle.points), 8)] + radius * _unit(rng, (8, d))
+    _assert_matches_reference(oracle, x, sigma, compare_weights=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(clouds(), st.floats(1.0, np.log10(1.4e4)))
+def test_point_cloud_matches_direct_formula_far_from_the_atoms(case, log_ratio):
+    # |x| / sigma up to 1.4e4 puts logits near 1e8 or beyond; the weights of
+    # two near-tied atoms there move by eps |logit| ~ 1e-8 with the order in
+    # which any float64 code sums a squared distance, so the weights are only
+    # checked to sum to one; the score and log-density are checked in full
+    oracle, sigma, rng = case
+    d = oracle.dim
+    x = 10.0**log_ratio * sigma * _unit(rng, (8, d))
+    # keep the near family's scope: at least sigma sqrt(d) / 2 from every atom
+    dist = np.linalg.norm(x[:, None, :] - oracle.points, axis=-1).min(axis=1)
+    x = x[dist >= 0.5 * sigma * np.sqrt(d)]
+    assume(len(x) > 0)
+    _assert_matches_reference(oracle, x, sigma, compare_weights=False)
