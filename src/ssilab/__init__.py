@@ -4,15 +4,14 @@ __version__ = "0.1.0"
 
 from .errors import (ConfigError, IntegrationDivergedError, InvalidArgumentError,
                      UndefinedCorrelationError)
-from .schedules import (Direction, Family, NoiseSchedule, TimeGrid, VE_KARRAS,
+from .schedules import (Family, NoiseSchedule, TimeGrid, VE_KARRAS,
                         VP_LINEAR_BETA, alpha_bar_discrete, ddim_kappa_grid,
                         kappa_indices, karras_grid)
 from .oracles import (PerturbedScoreOracle, PointCloudScore, ScoreOracle,
                       SubspaceGaussianScore, circle_point_cloud,
                       gaussian_on_axis, random_subspace, toy_image_subspace)
-from .flow import (Formulation, IntegratorSpec, Method, Trajectory,
-                   denoise_to_mean, gaussian_exact, integrate, ode_drift,
-                   sample, trajectory_to_csv)
+from .flow import (Method, Trajectory, denoise_to_mean, gaussian_exact,
+                   integrate, ode_drift, sample, trajectory_to_csv)
 from .inversion import (AlphaMode, DDIMCoefficients, InversionConfig,
                         InversionMethod, InversionResult, ddim_coefficients,
                         ddim_invert_baseline, ddim_sample,

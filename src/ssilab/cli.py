@@ -84,7 +84,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except IntegrationDivergedError as exc:
-        print(f"integration diverged at step {exc.step_index}", file=sys.stderr)
+        print(exc, file=sys.stderr)
         return EXIT_DIVERGED
     except InvalidArgumentError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -130,10 +130,9 @@ def singularity_trace(oracle, trajectory: Trajectory):
     """Per-point ratio ``||E[x0|x_t] - x_t|| / sigma_t`` along a trajectory.
 
     Returns ``(sigmas, ratios)``; for batched trajectories the ratio array is
-    ``(n_times, batch)``.  Equal to ``sigma_t * ||score||`` pointwise.  States
-    on a VP schedule are scaled, ``s(t) u``, the only formulation the
-    integrator accepts there; each is divided by ``s(t)`` so the oracle sees
-    ``u`` (VE has ``s = 1``).
+    ``(n_times, batch)``.  Equal to ``sigma_t * ||score||`` pointwise.  The
+    states are the integrator's scaled ``s(t) u``; each is divided by
+    ``s(t)`` so the oracle sees ``u`` (VE has ``s = 1``).
     """
     times = trajectory.grid.times
     sigmas = np.asarray(trajectory.schedule.sigma(times))

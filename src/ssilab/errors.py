@@ -8,13 +8,16 @@ class InvalidArgumentError(ValueError):
 class IntegrationDivergedError(RuntimeError):
     """Raised when an ODE trajectory produces a non-finite state.
 
-    Carries the index of the failing step so the caller can report where
-    the blow-up happened instead of silently propagating NaNs.
+    Carries the index of the failing step and its noise level ``sigma`` (the
+    ``sigma_hat`` of the step's plan row) so the caller can report where the
+    blow-up happened instead of silently propagating NaNs.
     """
 
-    def __init__(self, step_index: int, message: str | None = None):
+    def __init__(self, step_index: int, sigma: float, message: str | None = None):
         self.step_index = step_index
-        super().__init__(message or f"integration diverged at step {step_index}")
+        self.sigma = sigma
+        super().__init__(
+            message or f"integration diverged at step {step_index}, sigma={sigma!r}")
 
 
 class UndefinedCorrelationError(ValueError):

@@ -23,7 +23,7 @@ from .diagnostics import (chi_square_bound, correlation_metrics, mse,
                           projection_concentration, singularity_trace,
                           trace_rms)
 from .errors import ConfigError
-from .flow import Formulation, IntegratorSpec, Method, sample
+from .flow import sample
 from .interp import interpolate_and_decode
 from .inversion import (InversionConfig, InversionMethod, ddim_invert_baseline,
                         reconstruct, ssi_invert_ve, ssi_invert_vp)
@@ -111,10 +111,9 @@ def cmd_verify_singularity(cfg: dict) -> dict:
     if schedule.family is not Family.VE_KARRAS:
         raise ConfigError("singularity verification runs on the VE schedule")
     grid_down = build_grid(cfg).reversed()
-    spec = IntegratorSpec(build_method(cfg), Formulation.VE)
     init_seed = (cfg["seed"], _TAG_INIT)
     report["seed_ledger"].append({"role": "init", "seed": list(init_seed)})
-    _, traj = sample(schedule, oracle, spec, grid_down, init_seed,
+    _, traj = sample(schedule, oracle, build_method(cfg), grid_down, init_seed,
                      cfg["trials"], return_trajectory=True)
     sigmas, ratios = singularity_trace(oracle, traj)
     rms = trace_rms(ratios)

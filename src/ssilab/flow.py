@@ -1,17 +1,18 @@
-"""Probability-flow ODE integration for VE and VP formulations.
+"""Probability-flow ODE integration for VE and VP schedules.
 
 Every explicit scheme in the package is one step kernel,
 ``x_{i+1} = a_i x_i + b_i score(c_i x_i, sigma_hat_i)``, run on a plan of
 per-step arrays built once per grid from the drift ``p x + q score(r x, sigma)``:
 
-    VE:         p = 0,        q = -sigma_dot sigma,    r = 1
-    VP scaled:  p = s_dot/s,  q = -s sigma_dot sigma,  r = 1/s
-    Euler:      (a, b, c, sigma_hat) = (1 + h p_i, h q_i, r_i, sigma_i)
-    Heun:       Euler, then (x, pred) -> x/2 + a pred + b score(c pred, sigma_hat)
-                with (1/2 + h p_{i+1}/2, h q_{i+1}/2, r_{i+1}, sigma_{i+1})
+    drift:  p = s_dot/s,  q = -s sigma_dot sigma,  r = 1/s
+    Euler:  (a, b, c, sigma_hat) = (1 + h p_i, h q_i, r_i, sigma_i)
+    Heun:   Euler, then (x, pred) -> x/2 + a pred + b score(c pred, sigma_hat)
+            with (1/2 + h p_{i+1}/2, h q_{i+1}/2, r_{i+1}, sigma_{i+1})
 
-Steps are signed: descending grids sample, ascending grids invert.  VP states
-are scaled, ``s(t) u``, and the score sees the unscaled ``u``.
+The drift is the flow ODE in the scaled state ``s(t) u``; the score sees the
+unscaled ``u``.  VE has ``s = 1`` and ``s_dot = 0`` exactly, so there the
+drift is ``(0, -sigma_dot sigma, 1)`` to the bit.  Steps are signed:
+descending grids sample, ascending grids invert.
 """
 
 from __future__ import annotations
@@ -24,28 +25,12 @@ import numpy as np
 
 from .errors import IntegrationDivergedError, InvalidArgumentError
 from .oracles import SubspaceGaussianScore
-from .schedules import Family, NoiseSchedule, TimeGrid
+from .schedules import NoiseSchedule, TimeGrid
 
 
 class Method(str, Enum):
     EULER = "euler"
     HEUN = "heun"
-
-
-class Formulation(str, Enum):
-    VE = "ve"
-    VP_SCALED = "vp_scaled"
-
-
-# the one formulation each schedule family integrates in; VP states are scaled
-_FORMULATION = {Family.VE_KARRAS: Formulation.VE,
-                Family.VP_LINEAR_BETA: Formulation.VP_SCALED}
-
-
-@dataclass(frozen=True)
-class IntegratorSpec:
-    method: Method = Method.EULER
-    formulation: Formulation = Formulation.VE
 
 
 @dataclass(frozen=True)
@@ -68,36 +53,21 @@ class Trajectory:
             raise InvalidArgumentError("trajectory contains non-finite states")
         object.__setattr__(self, "states", states)
 
-    @property
-    def sigmas(self) -> np.ndarray:
-        return np.asarray(self.schedule.sigma(self.grid.times))
 
-
-def _drift_coefficients(schedule: NoiseSchedule, formulation: Formulation, times):
-    """``(p, q, r, sigma)`` at each time, the drift being ``p x + q score(r x, sigma)``.
-
-    Raises :class:`InvalidArgumentError` unless ``formulation`` is the one of
-    the schedule's family (VE on ``VE_KARRAS``, VP_SCALED on ``VP_LINEAR_BETA``).
-    """
-    expected = _FORMULATION[schedule.family]
-    if formulation != expected:
-        raise InvalidArgumentError(
-            f"the {schedule.family.value} schedule needs the {expected.value} formulation")
+def _drift_coefficients(schedule: NoiseSchedule, times):
+    """``(p, q, r, sigma)`` at each time, the drift being ``p x + q score(r x, sigma)``."""
     sigma = np.asarray(schedule.sigma(times))
     if np.any(sigma <= 0.0):
         raise InvalidArgumentError("drift undefined where sigma(t) = 0")
     sigma_dot = np.asarray(schedule.sigma_dot(times))
-    if expected is Formulation.VE:
-        return np.zeros_like(sigma), -sigma_dot * sigma, np.ones_like(sigma), sigma
     s = np.asarray(schedule.scale(times))
     s_dot = np.asarray(schedule.scale_dot(times))
     return s_dot / s, -s * sigma_dot * sigma, 1.0 / s, sigma
 
 
-def ode_drift(schedule: NoiseSchedule, oracle, x, t: float,
-              formulation: Formulation = Formulation.VE):
+def ode_drift(schedule: NoiseSchedule, oracle, x, t: float):
     """Right-hand side ``p x + q score(r x, sigma)`` of the flow ODE at ``(x, t)``."""
-    p, q, r, sigma = (float(v) for v in _drift_coefficients(schedule, formulation, t))
+    p, q, r, sigma = (float(v) for v in _drift_coefficients(schedule, t))
     x = np.asarray(x, dtype=float)
     return p * x + q * oracle.score(r * x, sigma)
 
@@ -111,7 +81,8 @@ def _run_plan(oracle, x, plan, corrector=None, out=None):
     """Step ``x`` through ``plan`` and, for Heun, ``corrector``; return the end state.
 
     Fills ``out`` with every state when given.  Raises
-    :class:`IntegrationDivergedError` at the first non-finite state or prediction.
+    :class:`IntegrationDivergedError` at the first non-finite state or
+    prediction, with the step index and the ``sigma_hat`` of its plan row.
     """
     if out is not None:
         out[0] = x
@@ -120,17 +91,17 @@ def _run_plan(oracle, x, plan, corrector=None, out=None):
     for i, ((a, b, c, sigma), fix) in enumerate(zip(_rows(plan), fixes)):
         x_next = a * x + b * score(c * x, sigma)
         if fix is not None and np.all(np.isfinite(x_next)):
-            a, b, c, sigma = fix
-            x_next = 0.5 * x + a * x_next + b * score(c * x_next, sigma)
+            fa, fb, fc, fsigma = fix
+            x_next = 0.5 * x + fa * x_next + fb * score(fc * x_next, fsigma)
         if not np.all(np.isfinite(x_next)):
-            raise IntegrationDivergedError(i)
+            raise IntegrationDivergedError(i, sigma)
         x = x_next
         if out is not None:
             out[i + 1] = x
     return x
 
 
-def integrate(schedule: NoiseSchedule, oracle, spec: IntegratorSpec,
+def integrate(schedule: NoiseSchedule, oracle, method: Method,
               x_start, grid: TimeGrid) -> Trajectory:
     """March ``x_start`` across ``grid`` with Euler or Heun steps.
 
@@ -140,10 +111,9 @@ def integrate(schedule: NoiseSchedule, oracle, spec: IntegratorSpec,
     """
     times = grid.times
     n = times.size - 1
-    heun = spec.method is Method.HEUN
+    heun = method is Method.HEUN
     # Euler never evaluates the drift at the grid's last time
-    p, q, r, sigma = _drift_coefficients(schedule, spec.formulation,
-                                         times if heun else times[:n])
+    p, q, r, sigma = _drift_coefficients(schedule, times if heun else times[:n])
     h = np.diff(times)
     plan = (1.0 + h * p[:n], h * q[:n], r[:n], sigma[:n])
     corrector = ((0.5 + 0.5 * h * p[1:], 0.5 * h * q[1:], r[1:], sigma[1:])
@@ -154,7 +124,7 @@ def integrate(schedule: NoiseSchedule, oracle, spec: IntegratorSpec,
 
 
 def gaussian_exact(oracle: SubspaceGaussianScore, x_start, t_start: float,
-                   t_end: float, schedule: NoiseSchedule = None):
+                   t_end: float):
     """Closed-form VE flow map for the subspace-Gaussian oracle.
 
     With the linear score the flow decouples: the coefficient along basis
@@ -165,8 +135,6 @@ def gaussian_exact(oracle: SubspaceGaussianScore, x_start, t_start: float,
     """
     if not isinstance(oracle, SubspaceGaussianScore):
         raise InvalidArgumentError("exact flow map needs a subspace-Gaussian oracle")
-    if schedule is not None and schedule.family is not Family.VE_KARRAS:
-        raise InvalidArgumentError("exact flow map is for the VE schedule")
     x = np.asarray(x_start, dtype=float)
     y = x - oracle.offset
     coef = y @ oracle.basis
@@ -188,7 +156,7 @@ def denoise_to_mean(oracle, x, sigma: float):
     return oracle.posterior_mean(x, sigma)
 
 
-def sample(schedule: NoiseSchedule, oracle, spec: IntegratorSpec,
+def sample(schedule: NoiseSchedule, oracle, method: Method,
            grid_descending: TimeGrid, seed, count: int,
            return_trajectory: bool = False):
     """Draw ``count`` samples by integrating from pure noise down the grid.
@@ -199,11 +167,10 @@ def sample(schedule: NoiseSchedule, oracle, spec: IntegratorSpec,
     if grid_descending.times[0] <= grid_descending.times[-1]:
         raise InvalidArgumentError("sampling needs a descending grid")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    # r maps the formulation's state to the unscaled state the score sees
-    _, _, r, sigma = _drift_coefficients(schedule, spec.formulation,
-                                         grid_descending.times[[0, -1]])
+    # r maps the scaled state to the unscaled state the score sees
+    _, _, r, sigma = _drift_coefficients(schedule, grid_descending.times[[0, -1]])
     x_init = sigma[0] * rng.standard_normal((count, oracle.dim)) / r[0]
-    traj = integrate(schedule, oracle, spec, x_init, grid_descending)
+    traj = integrate(schedule, oracle, method, x_init, grid_descending)
     x0 = denoise_to_mean(oracle, traj.states[-1] * r[1], float(sigma[1]))
     return (x0, traj) if return_trajectory else x0
 

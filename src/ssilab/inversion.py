@@ -31,8 +31,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .flow import (_FORMULATION, IntegratorSpec, Method, Trajectory, _run_plan,
-                   denoise_to_mean, integrate)
+from .flow import Method, Trajectory, _run_plan, denoise_to_mean, integrate
 from .schedules import (Family, NoiseSchedule, TimeGrid, alpha_bar_discrete)
 
 
@@ -112,8 +111,7 @@ def _ssi_invert(oracle, schedule, x0, cfg, keep_trajectory, injected_noise):
     s0 = float(schedule.scale(cfg.t_ssi))
     sig0 = float(schedule.sigma(cfg.t_ssi))
     x_start = s0 * x0 + s0 * sig0 * n
-    spec = IntegratorSpec(Method.EULER, _FORMULATION[schedule.family])
-    traj = integrate(schedule, oracle, spec, x_start, cfg.grid)
+    traj = integrate(schedule, oracle, Method.EULER, x_start, cfg.grid)
     t_final = float(cfg.grid.times[-1])
     noise = traj.states[-1] / float(schedule.scale(t_final))
     return InversionResult(
@@ -247,26 +245,15 @@ def ddim_invert_baseline(oracle, schedule: NoiseSchedule, x0, grid_ascending: Ti
 
 
 def reconstruct(oracle, schedule: NoiseSchedule, result: InversionResult,
-                grid_descending: TimeGrid, sampler: str = "ode",
-                method: Method = Method.EULER,
-                alpha_mode: AlphaMode = AlphaMode.CONTINUOUS,
-                full_steps: int = 1000):
-    """Run the forward sampler from inverted noise and denoise to the mean."""
+                grid_descending: TimeGrid, method: Method = Method.EULER):
+    """ODE-decode inverted noise down the grid and denoise to the mean."""
     times = grid_descending.times
     if times[0] <= times[-1]:
         raise InvalidArgumentError("reconstruction grid must descend")
     if abs(float(times[0]) - result.final_time) > 1e-9:
         raise InvalidArgumentError("grid must start at the inversion's final time")
     t_end = float(times[-1])
-    sigma_end = float(schedule.sigma(t_end))
-    if sampler == "ddim":
-        u = ddim_sample(oracle, schedule, result.noise, grid_descending,
-                        alpha_mode, full_steps)
-    elif sampler == "ode":
-        spec = IntegratorSpec(method, _FORMULATION[schedule.family])
-        start = float(schedule.scale(times[0])) * result.noise
-        traj = integrate(schedule, oracle, spec, start, grid_descending)
-        u = traj.states[-1] / float(schedule.scale(t_end))
-    else:
-        raise InvalidArgumentError(f"unknown sampler {sampler!r}")
-    return denoise_to_mean(oracle, u, sigma_end)
+    start = float(schedule.scale(times[0])) * result.noise
+    traj = integrate(schedule, oracle, method, start, grid_descending)
+    u = traj.states[-1] / float(schedule.scale(t_end))
+    return denoise_to_mean(oracle, u, float(schedule.sigma(t_end)))

@@ -104,11 +104,6 @@ VE_KARRAS = NoiseSchedule(Family.VE_KARRAS)
 VP_LINEAR_BETA = NoiseSchedule(Family.VP_LINEAR_BETA)
 
 
-class Direction(str, Enum):
-    ASCENDING = "ascending"
-    DESCENDING = "descending"
-
-
 @dataclass(frozen=True)
 class TimeGrid:
     """Strictly monotone sequence of time values."""
@@ -128,18 +123,11 @@ class TimeGrid:
         times.flags.writeable = False
         object.__setattr__(self, "times", times)
 
-    @property
-    def direction(self) -> Direction:
-        return Direction.ASCENDING if self.times[1] > self.times[0] else Direction.DESCENDING
-
     def __len__(self) -> int:
         return self.times.size
 
     def reversed(self) -> "TimeGrid":
         return TimeGrid(self.times[::-1])
-
-    def drop_first(self) -> "TimeGrid":
-        return TimeGrid(self.times[1:])
 
 
 def karras_grid(t_min: float, t_max: float, rho: float, n_steps: int) -> TimeGrid:

@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ssilab import (Formulation, IntegratorSpec, InversionConfig,
-                    InversionMethod, Method, SlerpPair, TimeGrid, VE_KARRAS,
-                    VP_LINEAR_BETA, chi_square_bound, ddim_kappa_grid,
-                    ddim_sample, gaussian_exact, gaussian_on_axis, integrate,
+from ssilab import (InversionConfig, InversionMethod, Method, SlerpPair,
+                    TimeGrid, VE_KARRAS, VP_LINEAR_BETA, chi_square_bound,
+                    ddim_kappa_grid, ddim_sample, gaussian_exact,
+                    gaussian_on_axis, integrate,
                     karras_grid, pf_ode_sigma_euler_step,
                     projection_concentration, circle_point_cloud, reconstruct,
                     replay, resolve_config, run_command, singularity_trace,
@@ -43,8 +43,7 @@ def test_criterion_1_integrator_orders():
         errs = []
         for n in ns:
             grid = TimeGrid(np.linspace(t0, t1, n + 1))
-            spec = IntegratorSpec(method, Formulation.VE)
-            traj = integrate(VE_KARRAS, axis, spec, x0, grid)
+            traj = integrate(VE_KARRAS, axis, method, x0, grid)
             errs.append(np.linalg.norm(traj.states[-1] - exact))
         orders[method.value] = fitted_order(errs, ns)
     ok = (abs(orders["euler"] - 1.0) < 0.25 and abs(orders["heun"] - 2.0) < 0.25)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ssilab import (IntegratorSpec, InvalidArgumentError, InversionConfig,
-                    Method, TimeGrid, Trajectory, UndefinedCorrelationError,
+from ssilab import (InvalidArgumentError, InversionConfig, Method, TimeGrid,
+                    Trajectory, UndefinedCorrelationError,
                     VE_KARRAS, VP_LINEAR_BETA, chi_square_bound,
                     circle_point_cloud, correlation_metrics, gaussian_on_axis,
                     integrate, mse, projection_concentration, random_subspace,
@@ -142,8 +142,7 @@ class TestSingularityTrace:
         # the factor sigma^2/sigma^2 = 1, and shrinks the tangential part
         axis = gaussian_on_axis()
         grid = TimeGrid(np.linspace(0.01, 1.0, 30))
-        spec = IntegratorSpec(Method.EULER)
-        traj = integrate(VE_KARRAS, axis, spec, np.array([0.5, 0.3]), grid)
+        traj = integrate(VE_KARRAS, axis, Method.EULER, np.array([0.5, 0.3]), grid)
         sigmas, ratios = singularity_trace(axis, traj)
         np.testing.assert_array_equal(sigmas, grid.times)
         # check one point by hand

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from ssilab import (Formulation, IntegrationDivergedError, IntegratorSpec,
-                    InvalidArgumentError, Method, TimeGrid, Trajectory,
-                    VE_KARRAS, VP_LINEAR_BETA, denoise_to_mean, gaussian_exact,
-                    gaussian_on_axis, integrate, karras_grid, ode_drift,
-                    random_subspace, sample, trajectory_to_csv)
+from ssilab import (IntegrationDivergedError, InvalidArgumentError, Method,
+                    TimeGrid, Trajectory, VE_KARRAS, VP_LINEAR_BETA,
+                    denoise_to_mean, gaussian_exact, gaussian_on_axis,
+                    integrate, karras_grid, ode_drift, random_subspace, sample,
+                    trajectory_to_csv)
 
 
 @pytest.fixture
@@ -42,8 +42,7 @@ class TestDrift:
             return s * u
 
         fd = (scaled_state(t + h) - scaled_state(t - h)) / (2 * h)
-        drift = ode_drift(VP_LINEAR_BETA, axis, scaled_state(t), t,
-                          Formulation.VP_SCALED)
+        drift = ode_drift(VP_LINEAR_BETA, axis, scaled_state(t), t)
         np.testing.assert_allclose(drift, fd, rtol=1e-5, atol=1e-6)
 
 
@@ -76,16 +75,14 @@ class TestIntegrate:
     def test_euler_single_step_by_hand(self, axis):
         x0 = np.array([1.0, 0.5])
         grid = TimeGrid(np.array([1.0, 1.1]))
-        spec = IntegratorSpec(Method.EULER, Formulation.VE)
-        traj = integrate(VE_KARRAS, axis, spec, x0, grid)
+        traj = integrate(VE_KARRAS, axis, Method.EULER, x0, grid)
         expected = x0 + 0.1 * ode_drift(VE_KARRAS, axis, x0, 1.0)
         np.testing.assert_allclose(traj.states[1], expected, rtol=1e-14)
 
     def test_heun_single_step_by_hand(self, axis):
         x0 = np.array([1.0, 0.5])
         grid = TimeGrid(np.array([1.0, 1.1]))
-        spec = IntegratorSpec(Method.HEUN, Formulation.VE)
-        traj = integrate(VE_KARRAS, axis, spec, x0, grid)
+        traj = integrate(VE_KARRAS, axis, Method.HEUN, x0, grid)
         d0 = ode_drift(VE_KARRAS, axis, x0, 1.0)
         pred = x0 + 0.1 * d0
         d1 = ode_drift(VE_KARRAS, axis, pred, 1.1)
@@ -98,8 +95,7 @@ class TestIntegrate:
         errs = []
         ns = [20, 40, 80, 160]
         for n in ns:
-            spec = IntegratorSpec(method, Formulation.VE)
-            traj = integrate(VE_KARRAS, axis, spec, x0, uniform_grid(0.5, 3.0, n))
+            traj = integrate(VE_KARRAS, axis, method, x0, uniform_grid(0.5, 3.0, n))
             errs.append(np.linalg.norm(traj.states[-1] - exact))
         rates = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert abs(rates.mean() - order) < 0.25
@@ -107,9 +103,8 @@ class TestIntegrate:
     def test_time_reversibility_small_steps(self, axis):
         x0 = np.array([0.9, 0.2])
         up = uniform_grid(0.5, 2.0, 4000)
-        spec = IntegratorSpec(Method.HEUN, Formulation.VE)
-        fwd = integrate(VE_KARRAS, axis, spec, x0, up)
-        back = integrate(VE_KARRAS, axis, spec, fwd.states[-1], up.reversed())
+        fwd = integrate(VE_KARRAS, axis, Method.HEUN, x0, up)
+        back = integrate(VE_KARRAS, axis, Method.HEUN, fwd.states[-1], up.reversed())
         np.testing.assert_allclose(back.states[-1], x0, atol=1e-6)
 
     def test_vp_euler_matches_scaled_exact_flow(self, axis):
@@ -117,8 +112,8 @@ class TestIntegrate:
         t0, t1 = 0.3, 0.8
         u0 = np.array([0.6, -0.4])
         x0 = float(VP_LINEAR_BETA.scale(t0)) * u0
-        spec = IntegratorSpec(Method.EULER, Formulation.VP_SCALED)
-        traj = integrate(VP_LINEAR_BETA, axis, spec, x0, uniform_grid(t0, t1, 4000))
+        traj = integrate(VP_LINEAR_BETA, axis, Method.EULER, x0,
+                         uniform_grid(t0, t1, 4000))
         expect_u = gaussian_exact(axis, u0, float(VP_LINEAR_BETA.sigma(t0)),
                                   float(VP_LINEAR_BETA.sigma(t1)))
         got_u = traj.states[-1] / float(VP_LINEAR_BETA.scale(t1))
@@ -126,10 +121,10 @@ class TestIntegrate:
 
     def test_batched_states(self, axis):
         x0 = np.random.default_rng(0).normal(size=(5, 2))
-        spec = IntegratorSpec(Method.EULER, Formulation.VE)
-        traj = integrate(VE_KARRAS, axis, spec, x0, uniform_grid(0.5, 1.0, 10))
+        traj = integrate(VE_KARRAS, axis, Method.EULER, x0, uniform_grid(0.5, 1.0, 10))
         assert traj.states.shape == (11, 5, 2)
-        single = integrate(VE_KARRAS, axis, spec, x0[2], uniform_grid(0.5, 1.0, 10))
+        single = integrate(VE_KARRAS, axis, Method.EULER, x0[2],
+                           uniform_grid(0.5, 1.0, 10))
         np.testing.assert_allclose(traj.states[:, 2], single.states, rtol=1e-13)
 
     def test_divergence_reports_step_index(self, axis):
@@ -137,9 +132,9 @@ class TestIntegrate:
             dim = 2
             def score(self, x, sigma):
                 return np.full_like(x, np.inf)
-        spec = IntegratorSpec(Method.EULER, Formulation.VE)
         with pytest.raises(IntegrationDivergedError) as exc:
-            integrate(VE_KARRAS, Bad(), spec, np.ones(2), uniform_grid(0.5, 1.0, 10))
+            integrate(VE_KARRAS, Bad(), Method.EULER, np.ones(2),
+                      uniform_grid(0.5, 1.0, 10))
         assert exc.value.step_index == 0
 
 
@@ -147,8 +142,7 @@ class TestSampling:
     def test_sample_lands_near_manifold(self, axis):
         # descending grid from 80 down to 0.002 (drop the zero endpoint)
         grid = TimeGrid(karras_grid(0.002, 80.0, 7.0, 100).times[1:][::-1])
-        x0 = sample(VE_KARRAS, axis, IntegratorSpec(Method.HEUN, Formulation.VE),
-                    grid, seed=(0, 1), count=64)
+        x0 = sample(VE_KARRAS, axis, Method.HEUN, grid, seed=(0, 1), count=64)
         resid = x0 - axis.nearest_manifold_point(x0)
         assert np.max(np.abs(resid)) < 1e-3
         # tangential spread close to the latent unit variance
@@ -156,15 +150,14 @@ class TestSampling:
 
     def test_sample_deterministic(self, axis):
         grid = TimeGrid(karras_grid(0.002, 80.0, 7.0, 50).times[1:][::-1])
-        spec = IntegratorSpec(Method.EULER, Formulation.VE)
-        a = sample(VE_KARRAS, axis, spec, grid, seed=(3, 4), count=8)
-        b = sample(VE_KARRAS, axis, spec, grid, seed=(3, 4), count=8)
+        a = sample(VE_KARRAS, axis, Method.EULER, grid, seed=(3, 4), count=8)
+        b = sample(VE_KARRAS, axis, Method.EULER, grid, seed=(3, 4), count=8)
         assert np.array_equal(a, b)
 
     def test_ascending_grid_rejected(self, axis):
-        spec = IntegratorSpec(Method.EULER, Formulation.VE)
         with pytest.raises(InvalidArgumentError):
-            sample(VE_KARRAS, axis, spec, uniform_grid(0.5, 1.0, 4), seed=0, count=1)
+            sample(VE_KARRAS, axis, Method.EULER, uniform_grid(0.5, 1.0, 4),
+                   seed=0, count=1)
 
     def test_denoise_to_mean(self, axis):
         x = np.array([0.5, 0.3])
@@ -174,8 +167,7 @@ class TestSampling:
 
 class TestTrajectoryCsv:
     def test_csv_roundtrip(self, axis, tmp_path):
-        spec = IntegratorSpec(Method.EULER, Formulation.VE)
-        traj = integrate(VE_KARRAS, axis, spec, np.array([1.0, 0.5]),
+        traj = integrate(VE_KARRAS, axis, Method.EULER, np.array([1.0, 0.5]),
                          uniform_grid(0.5, 1.0, 5))
         path = tmp_path / "traj.csv"
         trajectory_to_csv(traj, path)
@@ -185,9 +177,8 @@ class TestTrajectoryCsv:
         np.testing.assert_allclose(rows[:, 3:], traj.states, rtol=1e-15)
 
     def test_summary_mode_for_batches(self, axis, tmp_path):
-        spec = IntegratorSpec(Method.EULER, Formulation.VE)
         x0 = np.ones((3, 2))
-        traj = integrate(VE_KARRAS, axis, spec, x0, uniform_grid(0.5, 1.0, 5))
+        traj = integrate(VE_KARRAS, axis, Method.EULER, x0, uniform_grid(0.5, 1.0, 5))
         path = tmp_path / "batch.csv"
         trajectory_to_csv(traj, path)
         rows = np.loadtxt(path, delimiter=",", skiprows=1)
@@ -211,25 +202,11 @@ def test_vp_convergence_order_euler():
                               float(VP_LINEAR_BETA.sigma(t1)))
     errs = []
     for n in [100, 200, 400, 800]:
-        spec = IntegratorSpec(Method.EULER, Formulation.VP_SCALED)
         x0 = float(VP_LINEAR_BETA.scale(t0)) * u0
-        traj = integrate(VP_LINEAR_BETA, axis, spec, x0, uniform_grid(t0, t1, n))
+        traj = integrate(VP_LINEAR_BETA, axis, Method.EULER, x0,
+                         uniform_grid(t0, t1, n))
         got_u = traj.states[-1] / float(VP_LINEAR_BETA.scale(t1))
         errs.append(np.linalg.norm(got_u - expect_u))
     rates = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert abs(rates.mean() - 1.0) < 0.25
 
-
-@pytest.mark.parametrize("schedule,formulation", [
-    (VP_LINEAR_BETA, Formulation.VE), (VE_KARRAS, Formulation.VP_SCALED)],
-    ids=["ve_on_vp", "vp_on_ve"])
-def test_formulation_must_match_the_schedule_family(axis, schedule, formulation):
-    # a VP-schedule trajectory is always in scaled coordinates, which is what
-    # singularity_trace assumes when it divides each state by s(t)
-    spec = IntegratorSpec(Method.EULER, formulation)
-    with pytest.raises(InvalidArgumentError, match="formulation"):
-        integrate(schedule, axis, spec, np.ones(2), uniform_grid(0.2, 0.9, 5))
-    with pytest.raises(InvalidArgumentError, match="formulation"):
-        sample(schedule, axis, spec, uniform_grid(0.9, 0.2, 5), seed=0, count=2)
-    with pytest.raises(InvalidArgumentError, match="formulation"):
-        ode_drift(schedule, axis, np.ones(2), 0.5, formulation)

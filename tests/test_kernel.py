@@ -8,15 +8,19 @@ arithmetic, so states agree to a relative tolerance fixed in advance from the
 dtype (1e-12 on each state row's norm), not bit for bit.
 """
 
+import json
+import re
+
 import numpy as np
 import pytest
 
-from ssilab import (Formulation, IntegrationDivergedError, IntegratorSpec,
-                    Method, PerturbedScoreOracle, TimeGrid, VE_KARRAS,
-                    VP_LINEAR_BETA, ddim_coefficients, ddim_invert_baseline,
-                    ddim_sample, gaussian_on_axis, integrate, karras_grid,
+from ssilab import (Family, IntegrationDivergedError, Method,
+                    PerturbedScoreOracle, TimeGrid, VE_KARRAS, VP_LINEAR_BETA,
+                    ddim_coefficients, ddim_invert_baseline, ddim_sample,
+                    gaussian_on_axis, integrate, karras_grid,
                     toy_image_subspace)
 from ssilab.cli import main
+from ssilab.flow import _drift_coefficients
 from ssilab.oracles import SubspaceGaussianScore, _OracleBase
 
 RTOL = 1e-12
@@ -28,26 +32,26 @@ def oracle():
     return PerturbedScoreOracle(base=toy_image_subspace(), magnitude=1e-3)
 
 
-def reference_drift(schedule, oracle, x, t, formulation):
+def reference_drift(schedule, oracle, x, t):
     sigma = float(schedule.sigma(t))
     sigma_dot = float(schedule.sigma_dot(t))
-    if formulation is Formulation.VE:
+    if schedule.family is Family.VE_KARRAS:
         return -sigma_dot * sigma * oracle.score(x, sigma)
     s = float(schedule.scale(t))
     s_dot = float(schedule.scale_dot(t))
     return (s_dot / s) * x - s * sigma_dot * sigma * oracle.score(x / s, sigma)
 
 
-def reference_integrate(schedule, oracle, spec, x, times):
+def reference_integrate(schedule, oracle, method, x, times):
     states = [x]
     for i in range(times.size - 1):
         t0, t1 = float(times[i]), float(times[i + 1])
         h = t1 - t0
-        d0 = reference_drift(schedule, oracle, x, t0, spec.formulation)
-        if spec.method is Method.EULER:
+        d0 = reference_drift(schedule, oracle, x, t0)
+        if method is Method.EULER:
             x = x + h * d0
         else:
-            d1 = reference_drift(schedule, oracle, x + h * d0, t1, spec.formulation)
+            d1 = reference_drift(schedule, oracle, x + h * d0, t1)
             x = x + 0.5 * h * (d0 + d1)
         states.append(x)
     return np.stack(states)
@@ -91,17 +95,26 @@ _VP_TIMES = np.linspace(0.1, 0.999, 41)
 
 
 @pytest.mark.parametrize("method", [Method.EULER, Method.HEUN])
-@pytest.mark.parametrize("formulation,schedule,times", [
-    (Formulation.VE, VE_KARRAS, _VE_TIMES),
-    (Formulation.VP_SCALED, VP_LINEAR_BETA, _VP_TIMES)], ids=["ve", "vp"])
+@pytest.mark.parametrize("schedule,times", [
+    (VE_KARRAS, _VE_TIMES), (VP_LINEAR_BETA, _VP_TIMES)], ids=["ve", "vp"])
 @pytest.mark.parametrize("descending", [False, True], ids=["up", "down"])
-def test_integrate_matches_reference_loop(oracle, method, formulation, schedule,
-                                          times, descending):
+def test_integrate_matches_reference_loop(oracle, method, schedule, times,
+                                          descending):
     times = times[::-1] if descending else times
-    spec = IntegratorSpec(method, formulation)
     x = _start(oracle, schedule, times[0], 7)
-    traj = integrate(schedule, oracle, spec, x, TimeGrid(times))
-    assert_rows_close(traj.states, reference_integrate(schedule, oracle, spec, x, times))
+    traj = integrate(schedule, oracle, method, x, TimeGrid(times))
+    assert_rows_close(traj.states,
+                      reference_integrate(schedule, oracle, method, x, times))
+
+
+@pytest.mark.parametrize("t", [_VE_TIMES, 0.5], ids=["array", "scalar"])
+def test_ve_drift_is_the_scaled_drift_with_unit_scale(t):
+    # the one drift formula gives VE exactly because s = 1 and s_dot = 0
+    sigma = np.asarray(VE_KARRAS.sigma(t))
+    want = (np.zeros_like(sigma), -np.asarray(VE_KARRAS.sigma_dot(t)) * sigma,
+            np.ones_like(sigma), sigma)
+    for got, expected in zip(_drift_coefficients(VE_KARRAS, t), want):
+        assert np.array_equal(got, expected)
 
 
 def test_ddim_sample_matches_reference_loop(oracle):
@@ -141,28 +154,50 @@ class InfAfter(_OracleBase):
 _UP = TimeGrid(np.linspace(0.1, 0.9, 11))
 
 
-@pytest.mark.parametrize("run,k,step", [
-    (lambda o: integrate(VE_KARRAS, o, IntegratorSpec(Method.EULER),
-                         np.ones(2), _UP), 3, 3),
+@pytest.mark.parametrize("run,k,step,sigma", [
+    (lambda o: integrate(VE_KARRAS, o, Method.EULER, np.ones(2), _UP),
+     3, 3, _UP.times[3]),
     # call 5 is step 2's predictor; its corrector must not see the inf state
-    (lambda o: integrate(VE_KARRAS, o, IntegratorSpec(Method.HEUN),
-                         np.ones(2), _UP), 4, 2),
-    (lambda o: ddim_sample(o, VP_LINEAR_BETA, np.ones(2), _UP.reversed()), 5, 5),
-    (lambda o: ddim_invert_baseline(o, VP_LINEAR_BETA, np.ones(2), _UP), 2, 2),
+    (lambda o: integrate(VE_KARRAS, o, Method.HEUN, np.ones(2), _UP),
+     4, 2, _UP.times[2]),
+    (lambda o: ddim_sample(o, VP_LINEAR_BETA, np.ones(2), _UP.reversed()),
+     5, 5, VP_LINEAR_BETA.sigma(_UP.reversed().times)[5]),
+    # the lagged baseline evaluates step i at the next time's sigma
+    (lambda o: ddim_invert_baseline(o, VP_LINEAR_BETA, np.ones(2), _UP),
+     2, 2, VP_LINEAR_BETA.sigma(_UP.times)[3]),
 ], ids=["euler", "heun-predictor", "ddim-sample", "ddim-baseline"])
-def test_divergence_raises_with_step_index(run, k, step):
+def test_divergence_raises_with_step_index(run, k, step, sigma):
     with pytest.raises(IntegrationDivergedError) as exc:
         run(InfAfter(k))
     assert exc.value.step_index == step
+    assert exc.value.sigma == sigma
 
 
-def test_cli_baseline_divergence_exits_3(tmp_path, monkeypatch):
+def test_cli_baseline_divergence_exits_3(tmp_path, monkeypatch, capsys):
+    # one command per integrate path; each diverges at its first step
     monkeypatch.setattr(SubspaceGaussianScore, "score",
                         lambda self, x, sigma: np.full(np.shape(x), np.inf))
-    cfg = tmp_path / "config.json"
-    cfg.write_text('{"seed": 1, "trials": 5, "method": "baseline_ddim", '
-                   '"schedule": "vp_linear_beta", '
-                   '"oracle": {"kind": "gaussian_on_axis"}, '
-                   '"grid": {"kind": "uniform", "t_min": 0.1, "t_max": 0.9, '
-                   '"steps": 10}}')
-    assert main(["invert", "--config", str(cfg), "--quiet"]) == 3
+    vp = {"schedule": "vp_linear_beta",
+          "grid": {"kind": "uniform", "t_min": 0.1, "t_max": 0.9, "steps": 10}}
+    ve = {"grid": {"kind": "karras", "t_min": 0.002, "t_max": 80.0, "rho": 7.0,
+                   "steps": 40}}
+    cases = [
+        ("invert", {"trials": 5, "method": "baseline_ddim", **vp},
+         VP_LINEAR_BETA.sigma(0.18)),
+        ("invert", {"trials": 5, "method": "ssi", "t_ssi": 0.1, **vp},
+         VP_LINEAR_BETA.sigma(0.1)),
+        ("reconstruct", {"trials": 5, **ve}, 0.1),
+        ("interpolate", {"integrator": "heun", **ve}, 0.1),
+        ("verify-singularity", {"trials": 5, **ve}, 80.0),
+        ("sweep-tssi", {"trials": 4, "t_ssi_ladder": [0.1],
+                        "steps_ladder": [20]}, 0.1),
+    ]
+    for command, raw, sigma in cases:
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(
+            {"seed": 1, "oracle": {"kind": "gaussian_on_axis"}, **raw}))
+        assert main([command, "--config", str(cfg), "--quiet"]) == 3, command
+        err = capsys.readouterr().err
+        match = re.search(r"step 0, sigma=(\S+)", err)
+        assert match is not None, (command, err)
+        assert float(match.group(1)) == pytest.approx(float(sigma), rel=1e-12), command
