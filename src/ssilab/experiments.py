@@ -91,12 +91,13 @@ def _ssi_grid(cfg: dict, t_ssi: float = None, steps: int = None) -> TimeGrid:
     return build_grid(cfg, t_min=t_ssi, steps=steps)
 
 
-def _ssi_invert_batch(oracle, schedule, grid, x0, noise):
+def _ssi_invert_batch(oracle, schedule, grid, x0, noise,
+                      keep_trajectory=False):
     inv_cfg = InversionConfig(t_ssi=float(grid.times[0]), grid=grid,
                               noise_seed=None, method=InversionMethod.SSI)
     invert = ssi_invert_ve if schedule.family is Family.VE_KARRAS else ssi_invert_vp
     return invert(oracle, schedule, x0, inv_cfg, injected_noise=noise,
-                  keep_trajectory=True)
+                  keep_trajectory=keep_trajectory)
 
 
 # -- commands ----------------------------------------------------------------
@@ -206,7 +207,15 @@ def _metric_row(rep):
 
 
 def _pairwise_abs_cosine(noises: np.ndarray) -> float:
-    unit = noises / np.linalg.norm(noises, axis=1, keepdims=True)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(noises, axis=1, keepdims=True)
+    unit = noises / norms
+    # a row whose norm overflows is scaled by its largest |entry| first
+    big = np.isinf(norms[:, 0])
+    if big.any():
+        rows = noises[big]
+        rows = rows / np.abs(rows).max(axis=1, keepdims=True)
+        unit[big] = rows / np.linalg.norm(rows, axis=1, keepdims=True)
     gram = np.abs(unit @ unit.T)
     b = noises.shape[0]
     off = gram[~np.eye(b, dtype=bool)]
@@ -309,7 +318,8 @@ def _roundtrip_batch(oracle, schedule, cfg, t_ssi, steps, cell_tag):
     x0 = oracle.sample_data(data_seed, trials)
     noise = _trial_noise(noise_seeds, (oracle.dim,))
     grid = _ssi_grid(cfg, t_ssi=t_ssi, steps=steps)
-    res = _ssi_invert_batch(oracle, schedule, grid, x0, noise)
+    res = _ssi_invert_batch(oracle, schedule, grid, x0, noise,
+                            keep_trajectory=True)
     _, ratios = singularity_trace(oracle, res.trajectory)
     grid_down = TimeGrid(grid.times[::-1])
     x_hat = reconstruct(oracle, schedule, res, grid_down,

@@ -13,6 +13,11 @@ The drift is the flow ODE in the scaled state ``s(t) u``; the score sees the
 unscaled ``u``.  VE has ``s = 1`` and ``s_dot = 0`` exactly, so there the
 drift is ``(0, -sigma_dot sigma, 1)`` to the bit.  Steps are signed:
 descending grids sample, ascending grids invert.
+
+Memory: the kernel holds two ``(B, d)`` state buffers plus each step's score
+inputs and results, so a run that keeps no states costs O(B d) whatever the
+grid length.  Keeping states (``integrate``'s default) adds the
+``(len(grid), B, d)`` trajectory.
 """
 
 from __future__ import annotations
@@ -83,31 +88,50 @@ def _run_plan(oracle, x, plan, corrector=None, out=None):
     Fills ``out`` with every state when given.  Raises
     :class:`IntegrationDivergedError` at the first non-finite state or
     prediction, with the step index and the ``sigma_hat`` of its plan row.
+    Floating-point warnings are silenced: that check is the whole contract.
+    The step arithmetic runs in two buffers of the kernel's own and in the
+    fresh arrays ``score`` returns; ``x`` and the arrays passed to ``score``
+    are never written.
     """
     if out is not None:
         out[0] = x
     score = oracle.score
     fixes = _rows(corrector) if corrector is not None else repeat(None)
-    for i, ((a, b, c, sigma), fix) in enumerate(zip(_rows(plan), fixes)):
-        x_next = a * x + b * score(c * x, sigma)
-        if fix is not None and np.all(np.isfinite(x_next)):
-            fa, fb, fc, fsigma = fix
-            x_next = 0.5 * x + fa * x_next + fb * score(fc * x_next, fsigma)
-        if not np.all(np.isfinite(x_next)):
-            raise IntegrationDivergedError(i, sigma)
-        x = x_next
-        if out is not None:
-            out[i + 1] = x
+    x_next = np.empty_like(x)
+    with np.errstate(all="ignore"):
+        for i, ((a, b, c, sigma), fix) in enumerate(zip(_rows(plan), fixes)):
+            # x_next = a x + b score(c x, sigma)
+            step = score(c * x, sigma)
+            step *= b
+            np.multiply(a, x, out=x_next)
+            x_next += step
+            if fix is not None and np.isfinite(x_next).all():
+                # x_next = x/2 + fa x_next + fb score(fc x_next, fsigma)
+                fa, fb, fc, fsigma = fix
+                fixed = score(fc * x_next, fsigma)
+                fixed *= fb
+                x_next *= fa
+                x_next += np.multiply(0.5, x, out=step)
+                x_next += fixed
+            if not np.isfinite(x_next).all():
+                raise IntegrationDivergedError(i, sigma)
+            # ping-pong between two buffers, the first step's input being x_start
+            x, x_next = x_next, (np.empty_like(x) if i == 0 else x)
+            if out is not None:
+                out[i + 1] = x
     return x
 
 
 def integrate(schedule: NoiseSchedule, oracle, method: Method,
-              x_start, grid: TimeGrid) -> Trajectory:
+              x_start, grid: TimeGrid, keep_states: bool = True):
     """March ``x_start`` across ``grid`` with Euler or Heun steps.
 
     Heun is the trapezoidal predictor-corrector with a single correction pass.
-    Raises :class:`IntegrationDivergedError` with the failing step index if a
-    state goes non-finite.
+    Returns the :class:`Trajectory` of every state, or with
+    ``keep_states=False`` only the end state, bit-identical to the
+    trajectory's last one and without the ``(len(grid), ..., d)`` array.
+    ``x_start`` is not modified.  Raises :class:`IntegrationDivergedError`
+    with the failing step index if a state goes non-finite.
     """
     times = grid.times
     n = times.size - 1
@@ -118,8 +142,11 @@ def integrate(schedule: NoiseSchedule, oracle, method: Method,
     plan = (1.0 + h * p[:n], h * q[:n], r[:n], sigma[:n])
     corrector = ((0.5 + 0.5 * h * p[1:], 0.5 * h * q[1:], r[1:], sigma[1:])
                  if heun else None)
-    out = np.empty((times.size,) + np.shape(x_start))
-    _run_plan(oracle, np.asarray(x_start, dtype=float), plan, corrector, out)
+    x_start = np.asarray(x_start, dtype=float)
+    if not keep_states:
+        return _run_plan(oracle, x_start, plan, corrector)
+    out = np.empty((times.size,) + x_start.shape)
+    _run_plan(oracle, x_start, plan, corrector, out)
     return Trajectory(states=out, grid=grid, schedule=schedule)
 
 
@@ -170,9 +197,11 @@ def sample(schedule: NoiseSchedule, oracle, method: Method,
     # r maps the scaled state to the unscaled state the score sees
     _, _, r, sigma = _drift_coefficients(schedule, grid_descending.times[[0, -1]])
     x_init = sigma[0] * rng.standard_normal((count, oracle.dim)) / r[0]
-    traj = integrate(schedule, oracle, method, x_init, grid_descending)
-    x0 = denoise_to_mean(oracle, traj.states[-1] * r[1], float(sigma[1]))
-    return (x0, traj) if return_trajectory else x0
+    run = integrate(schedule, oracle, method, x_init, grid_descending,
+                    keep_states=return_trajectory)
+    x_end = run.states[-1] if return_trajectory else run
+    x0 = denoise_to_mean(oracle, x_end * r[1], float(sigma[1]))
+    return (x0, run) if return_trajectory else x0
 
 
 def trajectory_to_csv(traj: Trajectory, path, summary_only: bool = False) -> None:

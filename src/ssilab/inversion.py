@@ -111,12 +111,14 @@ def _ssi_invert(oracle, schedule, x0, cfg, keep_trajectory, injected_noise):
     s0 = float(schedule.scale(cfg.t_ssi))
     sig0 = float(schedule.sigma(cfg.t_ssi))
     x_start = s0 * x0 + s0 * sig0 * n
-    traj = integrate(schedule, oracle, Method.EULER, x_start, cfg.grid)
+    run = integrate(schedule, oracle, Method.EULER, x_start, cfg.grid,
+                    keep_states=keep_trajectory)
+    traj, x_end = (run, run.states[-1]) if keep_trajectory else (None, run)
     t_final = float(cfg.grid.times[-1])
-    noise = traj.states[-1] / float(schedule.scale(t_final))
+    noise = x_end / float(schedule.scale(t_final))
     return InversionResult(
-        noise=noise, final_time=t_final, config=cfg,
-        trajectory=traj if keep_trajectory else None, injected_noise=n,
+        noise=noise, final_time=t_final, config=cfg, trajectory=traj,
+        injected_noise=n,
     )
 
 
@@ -254,6 +256,7 @@ def reconstruct(oracle, schedule: NoiseSchedule, result: InversionResult,
         raise InvalidArgumentError("grid must start at the inversion's final time")
     t_end = float(times[-1])
     start = float(schedule.scale(times[0])) * result.noise
-    traj = integrate(schedule, oracle, method, start, grid_descending)
-    u = traj.states[-1] / float(schedule.scale(t_end))
+    x_end = integrate(schedule, oracle, method, start, grid_descending,
+                      keep_states=False)
+    u = x_end / float(schedule.scale(t_end))
     return denoise_to_mean(oracle, u, float(schedule.sigma(t_end)))

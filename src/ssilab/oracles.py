@@ -19,6 +19,10 @@ last axis ``d``, finite ``sigma > 0``; else ``InvalidArgumentError``).  One
 built on another public method (``posterior_mean`` on ``score``, the perturbed
 ``score`` on its base oracle's) calls it first and lets it check; private
 helpers take checked arguments and check nothing.
+
+``score`` never writes into its input and returns a fresh array that the
+caller owns: the perturbed ``score`` adds its field into its base oracle's
+result, and the step kernel of :mod:`ssilab.flow` scales the result in place.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ def _check_state(x, d: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != d:
         raise InvalidArgumentError(f"state dimension {x.shape[-1]} != oracle dimension {d}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise InvalidArgumentError("state must be finite")
     return x
 
@@ -224,9 +228,16 @@ class SubspaceGaussianScore(_OracleBase):
 
     def score(self, x, sigma):
         x, sigma = _check_state(x, self.dim), _check_sigma(sigma)
-        coef, normal = self._split(x)
-        tang = (coef / (self.latent_stddevs**2 + sigma * sigma)) @ self.basis.T
-        return -(tang + normal / (sigma * sigma))
+        # -(tang + normal / sigma^2) of ``_split``, in two (B, d) buffers
+        y = x - self.offset
+        coef = y @ self.basis
+        proj = np.matmul(coef, self.basis.T)
+        y -= proj  # the normal component
+        y /= sigma * sigma
+        np.matmul(coef / (self.latent_stddevs**2 + sigma * sigma), self.basis.T,
+                  out=proj)  # the tangential score
+        y += proj
+        return np.negative(y, out=y)
 
     def log_density(self, x, sigma):
         x, sigma = _check_state(x, self.dim), _check_sigma(sigma)
@@ -396,8 +407,10 @@ class PerturbedScoreOracle(_OracleBase):
         return self.base.grid_shape
 
     def _field(self, x, sigma):
-        phase = x @ self._weights.T + self._phases + np.log(sigma)
-        return np.sin(phase) @ self._proj.T
+        phase = x @ self._weights.T
+        phase += self._phases
+        phase += np.log(sigma)
+        return np.sin(phase, out=phase) @ self._proj.T
 
     def denoiser_error_scale(self, sigma) -> float:
         """Magnitude of the posterior-mean error at this noise level."""
@@ -409,8 +422,10 @@ class PerturbedScoreOracle(_OracleBase):
         if self.magnitude == 0.0:
             return exact
         sigma = float(sigma)
-        err = self.denoiser_error_scale(sigma) / (sigma * sigma)
-        return exact + err * self._field(x, sigma)
+        field = self._field(x, sigma)
+        field *= self.denoiser_error_scale(sigma) / (sigma * sigma)
+        exact += field
+        return exact
 
     def log_density(self, x, sigma):
         return self.base.log_density(x, sigma)

@@ -5,6 +5,7 @@ import pytest
 
 from ssilab import ConfigError, replay, resolve_config, run_command
 from ssilab.cli import main
+from ssilab.experiments import _pairwise_abs_cosine
 
 
 def write_config(tmp_path, data):
@@ -198,3 +199,24 @@ def test_projection_regime_guard():
     rep = run_command(cfg)
     assert rep["verdict"] is None
     assert rep["aggregates"]["rungs"][0]["flag"] == "asymptotic regime violated"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_pairwise_abs_cosine_of_rows_whose_norm_overflows():
+    rows = np.random.default_rng(3).standard_normal((6, 5))
+    unit = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+    gram = np.abs(unit @ unit.T)
+    # rows with a finite norm take the direct formula, to the bit
+    assert _pairwise_abs_cosine(rows) == float(gram[~np.eye(6, dtype=bool)].mean())
+    want = _pairwise_abs_cosine(rows)
+    mixed = rows.copy()
+    mixed[::2] *= 1e160
+    for scaled in (rows * 1e160, mixed):
+        assert _pairwise_abs_cosine(scaled) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_invert_reports_the_cosine_of_noise_at_1e160():
+    cfg = {"oracle": {"kind": "circle", "radius": 1e160}, "trials": 4, "seed": 1}
+    report = run_command(resolve_config("invert", cfg))
+    assert 0.0 < report["aggregates"]["ssi_mean_abs_cosine"] <= 1.0

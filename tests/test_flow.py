@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from ssilab import (IntegrationDivergedError, InvalidArgumentError, Method,
-                    TimeGrid, Trajectory, VE_KARRAS, VP_LINEAR_BETA,
-                    denoise_to_mean, gaussian_exact, gaussian_on_axis,
-                    integrate, karras_grid, ode_drift, random_subspace, sample,
+                    PerturbedScoreOracle, TimeGrid, Trajectory, VE_KARRAS,
+                    VP_LINEAR_BETA, denoise_to_mean, gaussian_exact,
+                    gaussian_on_axis, integrate, karras_grid, ode_drift,
+                    random_subspace, sample, toy_image_subspace,
                     trajectory_to_csv)
 
 
@@ -136,6 +137,21 @@ class TestIntegrate:
             integrate(VE_KARRAS, Bad(), Method.EULER, np.ones(2),
                       uniform_grid(0.5, 1.0, 10))
         assert exc.value.step_index == 0
+
+
+@pytest.mark.parametrize("schedule", [VE_KARRAS, VP_LINEAR_BETA], ids=["ve", "vp"])
+@pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
+@pytest.mark.parametrize("ascending", [True, False], ids=["invert", "sample"])
+def test_end_state_without_states_is_the_trajectorys_last(schedule, method, ascending):
+    oracle = PerturbedScoreOracle(base=toy_image_subspace(), magnitude=1e-3)
+    grid = uniform_grid(0.1, 0.9, 20)
+    grid = grid if ascending else grid.reversed()
+    x = np.random.default_rng(4).standard_normal((16, oracle.dim))
+    x_before = x.copy()
+    end = integrate(schedule, oracle, method, x, grid, keep_states=False)
+    traj = integrate(schedule, oracle, method, x, grid)
+    assert np.array_equal(end, traj.states[-1])
+    assert np.array_equal(x, x_before)
 
 
 class TestSampling:

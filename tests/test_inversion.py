@@ -1,13 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ssilab import (AlphaMode, InvalidArgumentError, InversionConfig,
-                    InversionMethod, Method, TimeGrid, VE_KARRAS, VP_LINEAR_BETA,
-                    alpha_bar_discrete, circle_point_cloud, ddim_coefficients,
+                    InversionMethod, Method, PerturbedScoreOracle, TimeGrid,
+                    VE_KARRAS, VP_LINEAR_BETA, alpha_bar_discrete,
+                    circle_point_cloud, ddim_coefficients,
                     ddim_invert_baseline, ddim_kappa_grid, ddim_sample,
                     denoise_to_mean, gaussian_on_axis, karras_grid,
                     pf_ode_sigma_euler_step, reconstruct, ssi_invert_ve,
-                    ssi_invert_vp)
+                    ssi_invert_vp, toy_image_subspace)
 
 
 @pytest.fixture
@@ -107,6 +110,34 @@ class TestSsiVp:
         sT = float(VP_LINEAR_BETA.scale(0.999))
         np.testing.assert_allclose(res.noise, res.trajectory.states[-1] / sT,
                                    rtol=1e-14)
+
+    def test_keeping_the_trajectory_leaves_the_noise_unchanged(self):
+        oracle = PerturbedScoreOracle(base=toy_image_subspace(), magnitude=1e-3)
+        grid = TimeGrid(np.linspace(0.1, 0.999, 51))
+        cfg = InversionConfig(t_ssi=0.1, grid=grid, noise_seed=(9, 2))
+        x0 = oracle.sample_data(0, 8)
+        kept = ssi_invert_vp(oracle, VP_LINEAR_BETA, x0, cfg, keep_trajectory=True)
+        lean = ssi_invert_vp(oracle, VP_LINEAR_BETA, x0, cfg, keep_trajectory=False)
+        assert np.array_equal(kept.noise, lean.noise)
+        assert kept.trajectory.states.shape == (51, 8, oracle.dim)
+        assert lean.trajectory is None
+
+    def test_inversion_without_trajectory_holds_no_per_step_states(self):
+        oracle = PerturbedScoreOracle(base=toy_image_subspace(), magnitude=1e-3)
+        batch, d = 300, oracle.dim
+        grid = TimeGrid(np.linspace(0.1, 0.999, 201))
+        cfg = InversionConfig(t_ssi=0.1, grid=grid, noise_seed=None)
+        x0 = oracle.sample_data(0, batch)
+        noise = np.random.default_rng(5).standard_normal((batch, d))
+        tracemalloc.start()
+        try:
+            ssi_invert_vp(oracle, VP_LINEAR_BETA, x0, cfg, injected_noise=noise)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # O(B d) whatever the grid length; the 200-step trajectory alone
+        # would be 201 B d floats
+        assert peak < 16 * batch * d * 8
 
     def test_roundtrip(self, axis):
         grid = TimeGrid(np.linspace(0.01, 0.98, 800))

@@ -201,3 +201,44 @@ def test_cli_baseline_divergence_exits_3(tmp_path, monkeypatch, capsys):
         match = re.search(r"step 0, sigma=(\S+)", err)
         assert match is not None, (command, err)
         assert float(match.group(1)) == pytest.approx(float(sigma), rel=1e-12), command
+
+
+class Recording(_OracleBase):
+    """The toy-image score, keeping each input it was given and a copy of it."""
+
+    def __init__(self):
+        self.base = PerturbedScoreOracle(base=toy_image_subspace(), magnitude=1e-3)
+        self.dim = self.base.dim
+        self.seen = []
+
+    def score(self, x, sigma):
+        self.seen.append((x, x.copy()))
+        return self.base.score(x, sigma)
+
+
+@pytest.mark.parametrize("run", [
+    lambda o, x: integrate(VE_KARRAS, o, Method.EULER, x, _UP),
+    lambda o, x: integrate(VP_LINEAR_BETA, o, Method.HEUN, x, _UP,
+                           keep_states=False),
+    lambda o, x: ddim_invert_baseline(o, VP_LINEAR_BETA, x, _UP),
+], ids=["euler", "heun", "ddim-baseline"])
+def test_kernel_writes_into_no_array_it_did_not_allocate(run):
+    oracle = Recording()
+    x = np.random.default_rng(2).standard_normal((BATCH, oracle.dim))
+    x_before = x.copy()
+    run(oracle, x)
+    assert np.array_equal(x, x_before)
+    assert oracle.seen
+    for given, copy in oracle.seen:
+        assert np.array_equal(given, copy)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_oracle_exits_3_under_the_warning_filter(tmp_path, capsys):
+    # squared distances to atoms of norm 1e160 overflow, so the point-cloud
+    # score is NaN at the first state; numpy's warnings are errors here
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"oracle": {"kind": "circle", "radius": 1e160},
+                               "trials": 4, "seed": 1}))
+    assert main(["verify-singularity", "--config", str(cfg), "--quiet"]) == 3
+    assert "integration diverged at step 0" in capsys.readouterr().err

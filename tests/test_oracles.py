@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from ssilab import (InvalidArgumentError, PerturbedScoreOracle, PointCloudScore,
                     SubspaceGaussianScore, circle_point_cloud, gaussian_on_axis,
-                    random_subspace)
+                    random_subspace, toy_image_subspace)
 from ssilab import oracles
 
 
@@ -282,6 +282,56 @@ def test_perturbed_oracle_checks_the_state_once(monkeypatch):
         calls.clear()
         getattr(p, method)(x, 0.4)
         assert len(calls) == 1, method
+
+
+# -- in-place subspace and perturbed scores against the plain expressions ---
+
+
+def subspace_score_reference(oracle, x, sigma):
+    """Two-projection subspace score, one fresh array per operation."""
+    y = x - oracle.offset
+    coef = y @ oracle.basis
+    normal = y - coef @ oracle.basis.T
+    tang = (coef / (oracle.latent_stddevs**2 + sigma * sigma)) @ oracle.basis.T
+    return -(tang + normal / (sigma * sigma))
+
+
+def perturbed_score_reference(p, x, sigma):
+    """Base score plus the scaled random-feature field, without buffers."""
+    phase = x @ p._weights.T + p._phases + np.log(sigma)
+    err = p.magnitude * (1.0 + p.sigma_floor / sigma) / (sigma * sigma)
+    return subspace_score_reference(p.base, x, sigma) + err * (np.sin(phase) @ p._proj.T)
+
+
+@pytest.fixture(scope="module")
+def offset_toy_image():
+    toy = toy_image_subspace()
+    rng = np.random.default_rng(11)
+    base = SubspaceGaussianScore(
+        basis=toy.basis, offset=rng.standard_normal(toy.dim),
+        latent_stddevs=rng.uniform(0.5, 2.0, toy.manifold_dim),
+        grid_shape=toy.grid_shape)
+    return PerturbedScoreOracle(base=base, magnitude=1e-3)
+
+
+@pytest.mark.parametrize("batch", [None, 1, 16, 300], ids=["1d", "b1", "b16", "b300"])
+@pytest.mark.parametrize("sigma", [0.002, 0.1, 1.0, 80.0])
+def test_in_place_scores_equal_the_plain_expressions(offset_toy_image, batch, sigma):
+    p = offset_toy_image
+    base = p.base
+    rng = np.random.default_rng((batch or 0, int(sigma * 1000)))
+    shape = (p.dim,) if batch is None else (batch, p.dim)
+    # half on the subspace (a data point plus noise at sigma), half far off it
+    x = base.sample_data(3, 1)[0] + sigma * rng.standard_normal(shape)
+    if batch is not None and batch > 1:
+        x[::2] += 10.0 * rng.standard_normal((x[::2].shape[0], p.dim))
+    x_before = x.copy()
+    for oracle, reference in ((base, subspace_score_reference),
+                              (p, perturbed_score_reference)):
+        got = oracle.score(x, sigma)
+        assert np.array_equal(got, reference(oracle, x, sigma))
+        assert not np.shares_memory(got, x)
+        assert np.array_equal(x, x_before)
 
 
 # -- point-cloud precision against the direct (B, K, d) formula -------------
