@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 
 import numpy as np
 
@@ -36,6 +37,7 @@ _GRID_KEYS = {
     "uniform": {"kind", "t_min", "t_max", "steps"},
     "kappa": {"kind", "full_steps", "stride", "offset"},
 }
+_GRID_INTEGER_KEYS = {"steps", "full_steps", "stride", "offset"}
 
 _COMMON_KEYS = {"command", "oracle", "schedule", "integrator", "grid", "t_ssi",
                 "trials", "seed", "out", "perturbation", "perturbation_floor",
@@ -86,6 +88,8 @@ def _require_keys(section: dict, allowed: set, where: str) -> None:
 def _check_number(value, name, positive=False, integer=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{name} must be a number")
+    if isinstance(value, float) and not math.isfinite(value):  # JSON NaN, Infinity
+        raise ConfigError(f"{name} must be finite")
     if integer and int(value) != value:
         raise ConfigError(f"{name} must be an integer")
     if positive and value <= 0:
@@ -148,6 +152,8 @@ def resolve_config(command: str, raw: dict) -> dict:
     if grid["kind"] not in _GRID_KEYS:
         raise ConfigError(f"unknown grid kind {grid['kind']!r}")
     _require_keys(grid, _GRID_KEYS[grid["kind"]], "grid")
+    cfg["grid"] = {k: v if k == "kind" else _check_number(
+        v, f"grid {k}", integer=k in _GRID_INTEGER_KEYS) for k, v in grid.items()}
 
     if command == "verify-projection":
         ladder = cfg["sigma_ladder"]

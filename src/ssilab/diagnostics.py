@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from .errors import InvalidArgumentError, UndefinedCorrelationError
 from .flow import Trajectory
@@ -190,6 +189,8 @@ def projection_concentration(oracle, sigma: float, trials: int, seed,
     batch (sub-Gaussian tail ``2 exp(-k A^2)`` with ``k`` fitted empirically)
     and evaluated on the fresh half.
     """
+    from scipy import stats
+
     if trials < 100:
         raise InvalidArgumentError("need at least 100 trials")
     if sigma <= 0:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import time
 
 import numpy as np
-from scipy import stats
 
 from . import __version__
 from .config import (build_grid, build_method, build_oracle, build_schedule,
@@ -147,6 +146,8 @@ def cmd_verify_singularity(cfg: dict) -> dict:
 
 def cmd_verify_projection(cfg: dict) -> dict:
     """KS-test the projection-distance law over a sigma ladder."""
+    from scipy import stats
+
     t0 = time.perf_counter()
     report = _new_report(cfg)
     oracle = build_oracle(cfg)

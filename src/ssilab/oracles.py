@@ -30,8 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist
-from scipy.special import logsumexp
 
 from .errors import InvalidArgumentError
 
@@ -118,6 +116,8 @@ class PointCloudScore(_OracleBase):
     @property
     def feature_scale(self) -> float:
         """Smallest pairwise distance between distinct atoms (inf for one atom)."""
+        from scipy.spatial.distance import pdist
+
         if self.points.shape[0] < 2:
             return np.inf
         return float(pdist(self.points).min())
@@ -128,6 +128,8 @@ class PointCloudScore(_OracleBase):
         Sums ``(x - p_k)^2`` directly: the expanded ``|x|^2 - 2 x.p + |p|^2``
         cancels catastrophically once the atoms' norm dwarfs sigma.
         """
+        from scipy.spatial.distance import cdist
+
         flat = cdist(x.reshape(-1, self.dim), self.points, "sqeuclidean")
         return flat.reshape(x.shape[:-1] + (self.points.shape[0],))
 
@@ -153,6 +155,8 @@ class PointCloudScore(_OracleBase):
         return (w @ self.points - x) / (sigma * sigma)
 
     def log_density(self, x, sigma):
+        from scipy.special import logsumexp
+
         x, sigma = _check_state(x, self.dim), _check_sigma(sigma)
         log_norm = 0.5 * self.dim * (_LOG_2PI + 2.0 * np.log(sigma))
         return logsumexp(self._logits(x, sigma), axis=-1) - log_norm
@@ -316,6 +320,31 @@ def random_subspace(dim: int | None = None, latent_dim: int = 1,
     )
 
 
+def _gaussian_filter_wrap(images: np.ndarray, sigma: float) -> np.ndarray:
+    """Gaussian filter over the last two axes of ``images``, periodic edges.
+
+    Same weights and same operations in the same order as
+    ``scipy.ndimage.gaussian_filter(image, sigma, mode="wrap")`` on each
+    image, so the result equals scipy's bit for bit.
+    """
+    radius = int(4.0 * sigma + 0.5)
+    x = np.arange(-radius, radius + 1)
+    weights = np.exp(-0.5 / (sigma * sigma) * x ** 2)
+    weights = (weights / weights.sum())[radius:]  # w_0 .. w_r; w_{-j} == w_j
+    out = images
+    for axis in (-2, -1):
+        n = out.shape[axis]
+        padded = np.take(out, np.arange(-radius, n + radius), axis=axis,
+                         mode="wrap")
+        padded = np.moveaxis(padded, axis, 0)
+        acc = padded[radius:radius + n] * weights[0]
+        for j in range(radius, 0, -1):
+            acc += (padded[radius - j:radius - j + n]
+                    + padded[radius + j:radius + j + n]) * weights[j]
+        out = np.moveaxis(acc, 0, axis)
+    return out
+
+
 def toy_image_subspace(latent_dim: int = 8, basis_seed=0,
                        smoothness: float = 1.5,
                        grid_shape=(3, 8, 8)) -> SubspaceGaussianScore:
@@ -326,23 +355,29 @@ def toy_image_subspace(latent_dim: int = 8, basis_seed=0,
     and inter-channel correlation.  A residue that lives in this subspace is
     therefore visible to the correlation diagnostics, unlike one spanned by
     white-noise basis vectors.
-    """
-    from scipy.ndimage import gaussian_filter
 
+    With ``s = smoothness > 0`` each ``(H, W)`` pattern is filtered along H,
+    then along W, with indices taken modulo the axis length: with
+    ``r = int(4 s + 0.5)`` and ``w_j = exp(-j^2 / (2 s^2)) / sum_{|i|<=r}
+    exp(-i^2 / (2 s^2))``, each output is ``x_i w_0`` plus, for ``j = r``
+    down to 1, ``(x_{i-j} + x_{i+j}) w_j``.  This equals
+    ``scipy.ndimage.gaussian_filter(pattern, s, mode="wrap")`` bit for bit.
+    """
     grid_shape = tuple(int(v) for v in grid_shape)
     c, h, w = grid_shape
     d = c * h * w
     if latent_dim >= d:
         raise InvalidArgumentError("latent dimension must be below ambient")
     rng = _rng((basis_seed, 0x731))
-    modes = np.empty((d, latent_dim))
+    patterns = np.empty((latent_dim, h, w))
+    channel_weights = np.empty((latent_dim, c))
     for k in range(latent_dim):
-        pattern = rng.standard_normal((h, w))
-        if smoothness > 0:
-            pattern = gaussian_filter(pattern, smoothness, mode="wrap")
-        weights = rng.standard_normal(c) + 1.0  # mostly co-signed channels
-        modes[:, k] = (weights[:, None, None] * pattern).ravel()
-    q, r = np.linalg.qr(modes)
+        patterns[k] = rng.standard_normal((h, w))
+        channel_weights[k] = rng.standard_normal(c) + 1.0  # mostly co-signed
+    if smoothness > 0:
+        patterns = _gaussian_filter_wrap(patterns, smoothness)
+    modes = channel_weights[:, :, None, None] * patterns[:, None]  # (n, C, H, W)
+    q, r = np.linalg.qr(modes.reshape(latent_dim, d).T)
     q = q * np.sign(np.diag(r))
     return SubspaceGaussianScore(basis=q, offset=np.zeros(d),
                                  latent_stddevs=np.ones(latent_dim),

@@ -87,6 +87,25 @@ class TestExitCodes:
             "grid": {"kind": "uniform", "t_min": 5.0, "t_max": 1.0, "steps": 10}})
         assert main(["invert", "--config", str(cfg), "--quiet"]) == 2
 
+    @pytest.mark.parametrize("data", [
+        {"seed": 1, "trials": float("inf")},
+        {"seed": float("nan")},
+        {"seed": 1, "trials": 4, "perturbation": float("inf")},
+        {"seed": 1, "trials": 4, "grid": {"kind": "karras", "t_min": 0.002,
+                                          "t_max": 80.0, "rho": 7.0,
+                                          "steps": float("inf")}},
+        {"seed": 1, "trials": 4, "grid": {"kind": "karras", "t_min": float("nan"),
+                                          "t_max": 80.0, "rho": 7.0, "steps": 20}},
+    ], ids=["trials-inf", "seed-nan", "perturbation-inf", "grid-steps-inf",
+            "grid-t_min-nan"])
+    def test_non_finite_number_is_2(self, tmp_path, data):
+        # json writes and reads these as the literals Infinity and NaN
+        cfg = write_config(tmp_path, data)
+        out = tmp_path / "out"
+        assert main(["invert", "--config", str(cfg), "--out", str(out),
+                     "--quiet"]) == 2
+        assert not (out / "report.json").exists()
+
     def test_verdict_failure_is_4(self, tmp_path):
         # an absurd manifold threshold forces a FAIL verdict
         cfg = write_config(tmp_path, {

@@ -427,3 +427,46 @@ def test_point_cloud_matches_direct_formula_far_from_the_atoms(case, log_ratio):
     x = x[dist >= 0.5 * sigma * np.sqrt(d)]
     assume(len(x) > 0)
     _assert_matches_reference(oracle, x, sigma, compare_weights=False)
+
+
+# -- the toy-image basis filter against scipy.ndimage ------------------------
+
+@pytest.mark.parametrize("sigma", [0.5, 1.0, 1.5, 2.5])
+@pytest.mark.parametrize("shape", [(1, 8, 8), (3, 2, 5), (2, 19, 3), (4, 7, 13),
+                                   (1, 1, 6)])
+def test_wrap_filter_equals_scipy_bit_for_bit(shape, sigma):
+    from scipy.ndimage import gaussian_filter
+
+    # radius int(4 sigma + 0.5) reaches 10 at sigma 2.5, past every short axis
+    images = np.random.default_rng((len(shape), shape[1], shape[2])).standard_normal(shape)
+    before = images.copy()
+    want = np.stack([gaussian_filter(im, sigma, mode="wrap") for im in images])
+    assert np.array_equal(oracles._gaussian_filter_wrap(images, sigma), want)
+    assert np.array_equal(images, before)
+
+
+def scipy_toy_image_basis(latent_dim=8, basis_seed=0, smoothness=1.5,
+                          grid_shape=(3, 8, 8)):
+    """The toy-image basis as built one pattern at a time with scipy.ndimage."""
+    from scipy.ndimage import gaussian_filter
+
+    c, h, w = grid_shape
+    d = c * h * w
+    rng = oracles._rng((basis_seed, 0x731))
+    modes = np.empty((d, latent_dim))
+    for k in range(latent_dim):
+        pattern = rng.standard_normal((h, w))
+        if smoothness > 0:
+            pattern = gaussian_filter(pattern, smoothness, mode="wrap")
+        weights = rng.standard_normal(c) + 1.0
+        modes[:, k] = (weights[:, None, None] * pattern).ravel()
+    q, r = np.linalg.qr(modes)
+    return q * np.sign(np.diag(r))
+
+
+@pytest.mark.parametrize("kwargs", [{}, {"grid_shape": (3, 32, 32)}, {"smoothness": 0},
+                                    {"latent_dim": 3, "basis_seed": 7, "smoothness": 2.5}],
+                         ids=["default", "3x32x32", "unsmoothed", "seed7-s2.5"])
+def test_toy_image_basis_equals_the_scipy_construction(kwargs):
+    assert np.array_equal(toy_image_subspace(**kwargs).basis,
+                          scipy_toy_image_basis(**kwargs))
