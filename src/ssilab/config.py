@@ -1,9 +1,10 @@
 """Experiment configuration: parsing, validation, and object construction.
 
 Configs are flat JSON objects with a few nested sections (oracle, grid).
-Validation is strict: unknown keys anywhere are rejected, every run starts
-from a fully resolved config, and the resolved config is echoed verbatim
-into the run report so that any report can be replayed bit-identically.
+Validation is strict: unknown keys anywhere are rejected, a grid section
+must give every key of its kind, every run starts from a fully resolved
+config, and the resolved config is echoed verbatim into the run report so
+that any report can be replayed bit-identically.
 """
 
 from __future__ import annotations
@@ -152,6 +153,9 @@ def resolve_config(command: str, raw: dict) -> dict:
     if grid["kind"] not in _GRID_KEYS:
         raise ConfigError(f"unknown grid kind {grid['kind']!r}")
     _require_keys(grid, _GRID_KEYS[grid["kind"]], "grid")
+    missing = _GRID_KEYS[grid["kind"]] - set(grid)
+    if missing:
+        raise ConfigError(f"missing keys in grid: {sorted(missing)}")
     cfg["grid"] = {k: v if k == "kind" else _check_number(
         v, f"grid {k}", integer=k in _GRID_INTEGER_KEYS) for k, v in grid.items()}
 

@@ -221,23 +221,13 @@ class BoundCheck:
     delta: float
     d: int
     chi_bound: float  # the radicand d + 2 sqrt(-d log delta) - 2 log delta
-    empirical_violation_rate: float | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "delta": self.delta, "d": self.d, "chi_bound": self.chi_bound,
-            "empirical_violation_rate": self.empirical_violation_rate,
-        }
 
 
-def chi_square_bound(d: int, delta: float, sq_norms: np.ndarray | None = None,
-                     trials: int | None = None, seed=None) -> BoundCheck:
+def chi_square_bound(d: int, delta: float) -> BoundCheck:
     """High-probability bound on the squared norm of a standard Gaussian.
 
     Returns the radicand ``d + 2 sqrt(-d log delta) - 2 log delta``; the
-    squared norm exceeds it with probability at most ``delta``.  Optionally
-    measures the empirical violation rate on a provided batch of squared
-    norms or on ``trials`` fresh standard-normal draws.
+    squared norm exceeds it with probability at most ``delta``.
     """
     if d < 1:
         raise InvalidArgumentError("d must be at least 1")
@@ -245,11 +235,4 @@ def chi_square_bound(d: int, delta: float, sq_norms: np.ndarray | None = None,
         raise InvalidArgumentError("delta must lie in (0, 1)")
     log_delta = np.log(delta)
     bound = d + 2.0 * np.sqrt(-d * log_delta) - 2.0 * log_delta
-    rate = None
-    if sq_norms is None and trials is not None:
-        rng = np.random.default_rng(np.random.SeedSequence((seed, 0xC41)))
-        sq_norms = np.sum(rng.standard_normal((trials, d)) ** 2, axis=1)
-    if sq_norms is not None:
-        rate = float(np.mean(np.asarray(sq_norms) > bound))
-    return BoundCheck(delta=float(delta), d=int(d), chi_bound=float(bound),
-                      empirical_violation_rate=rate)
+    return BoundCheck(delta=float(delta), d=int(d), chi_bound=float(bound))

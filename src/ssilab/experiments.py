@@ -18,14 +18,13 @@ import numpy as np
 from . import __version__
 from .config import (build_grid, build_method, build_oracle, build_schedule,
                      config_hash)
-from .diagnostics import (chi_square_bound, correlation_metrics, mse,
-                          projection_concentration, singularity_trace,
-                          trace_rms)
+from .diagnostics import (chi_square_bound, correlation_metrics,
+                          projection_concentration, singularity_trace, trace_rms)
 from .errors import ConfigError
 from .flow import sample
 from .interp import interpolate_and_decode
-from .inversion import (InversionConfig, InversionMethod, ddim_invert_baseline,
-                        reconstruct, ssi_invert_ve, ssi_invert_vp)
+from .inversion import (InversionConfig, ddim_invert_baseline, reconstruct,
+                        ssi_invert_ve, ssi_invert_vp)
 from .schedules import Family, TimeGrid
 
 _TAG_DATA = 0xD0
@@ -93,7 +92,7 @@ def _ssi_grid(cfg: dict, t_ssi: float = None, steps: int = None) -> TimeGrid:
 def _ssi_invert_batch(oracle, schedule, grid, x0, noise,
                       keep_trajectory=False):
     inv_cfg = InversionConfig(t_ssi=float(grid.times[0]), grid=grid,
-                              noise_seed=None, method=InversionMethod.SSI)
+                              noise_seed=None)
     invert = ssi_invert_ve if schedule.family is Family.VE_KARRAS else ssi_invert_vp
     return invert(oracle, schedule, x0, inv_cfg, injected_noise=noise,
                   keep_trajectory=keep_trajectory)

@@ -70,13 +70,6 @@ def _drift_coefficients(schedule: NoiseSchedule, times):
     return s_dot / s, -s * sigma_dot * sigma, 1.0 / s, sigma
 
 
-def ode_drift(schedule: NoiseSchedule, oracle, x, t: float):
-    """Right-hand side ``p x + q score(r x, sigma)`` of the flow ODE at ``(x, t)``."""
-    p, q, r, sigma = (float(v) for v in _drift_coefficients(schedule, t))
-    x = np.asarray(x, dtype=float)
-    return p * x + q * oracle.score(r * x, sigma)
-
-
 def _rows(plan):
     """Per-step ``(a, b, c, sigma_hat)`` floats; scalar entries broadcast."""
     return zip(*(v.tolist() for v in np.broadcast_arrays(*plan)))
@@ -203,29 +196,3 @@ def sample(schedule: NoiseSchedule, oracle, method: Method,
     x0 = denoise_to_mean(oracle, x_end * r[1], float(sigma[1]))
     return (x0, run) if return_trajectory else x0
 
-
-def trajectory_to_csv(traj: Trajectory, path, summary_only: bool = False) -> None:
-    """Write a trajectory as CSV with columns step, t, sigma, then the state.
-
-    With ``summary_only`` the state columns collapse to the Euclidean norm
-    (useful for high-dimensional or batched trajectories).
-    """
-    times = traj.grid.times
-    sigmas = np.asarray(traj.schedule.sigma(times))
-    states = traj.states
-    rows = []
-    if summary_only or states.ndim > 2:
-        flat = states.reshape(states.shape[0], -1, states.shape[-1])
-        norms = np.linalg.norm(flat, axis=-1)
-        header = ["step", "t", "sigma"] + [f"norm_{j}" for j in range(norms.shape[1])]
-        for i in range(times.size):
-            rows.append([i, times[i], sigmas[i], *norms[i]])
-    else:
-        header = ["step", "t", "sigma"] + [f"x{j}" for j in range(states.shape[-1])]
-        for i in range(times.size):
-            rows.append([i, times[i], sigmas[i], *states[i]])
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(str(v) if isinstance(v, int) else repr(float(v))
-                              for v in row) + "\n")

@@ -7,8 +7,9 @@ the classical explicit DDIM inversion that lags the denoiser input by one
 step and starts at the smallest positive grid time.
 
 Every scheme here runs on the step kernel of :mod:`ssilab.flow`: SSI and ODE
-reconstruction through :func:`~ssilab.flow.integrate`, the two discrete DDIM
-maps as plans of their own (``sig``, ``s``: noise level and scale per time):
+reconstruction through :func:`~ssilab.flow.integrate`, the DDIM sampler and
+the lagged baseline as plans of their own on the continuous VP schedule
+(``sig``, ``s``: noise level and scale per time):
 
     DDIM sampler:     a = 1,  b = -sig_a (sig_b - sig_a),  c = 1,  sigma_hat = sig_a
     lagged baseline:  a = (1 - psi_i/s_i)/phi_i,  b = -psi_i sig_{i+1}^2/phi_i,
@@ -26,23 +27,12 @@ by ``s`` leaves VE states bit-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
 from .errors import InvalidArgumentError
 from .flow import Method, Trajectory, _run_plan, denoise_to_mean, integrate
-from .schedules import (Family, NoiseSchedule, TimeGrid, alpha_bar_discrete)
-
-
-class InversionMethod(str, Enum):
-    SSI = "ssi"
-    BASELINE_DDIM = "baseline_ddim"
-
-
-class AlphaMode(str, Enum):
-    CONTINUOUS = "continuous"
-    DISCRETE = "discrete"
+from .schedules import Family, NoiseSchedule, TimeGrid
 
 
 @dataclass(frozen=True)
@@ -50,16 +40,14 @@ class InversionConfig:
     t_ssi: float
     grid: TimeGrid
     noise_seed: object
-    method: InversionMethod = InversionMethod.SSI
 
     def __post_init__(self):
         if self.grid.times[0] >= self.grid.times[-1]:
             raise InvalidArgumentError("inversion grid must ascend")
-        if self.method is InversionMethod.SSI:
-            if self.t_ssi <= 0:
-                raise InvalidArgumentError("skipping time must be positive")
-            if abs(self.grid.times[0] - self.t_ssi) > 0:
-                raise InvalidArgumentError("SSI grid must start at the skipping time")
+        if self.t_ssi <= 0:
+            raise InvalidArgumentError("skipping time must be positive")
+        if abs(self.grid.times[0] - self.t_ssi) > 0:
+            raise InvalidArgumentError("SSI grid must start at the skipping time")
 
 
 @dataclass(frozen=True)
@@ -99,8 +87,6 @@ def ssi_invert_vp(oracle, schedule: NoiseSchedule, x0, cfg: InversionConfig,
 
 def _ssi_invert(oracle, schedule, x0, cfg, keep_trajectory, injected_noise):
     """Shared SSI body: start at ``s (x0 + sigma n)`` and Euler-integrate."""
-    if cfg.method is not InversionMethod.SSI:
-        raise InvalidArgumentError("config method must be SSI")
     x0 = np.asarray(x0, dtype=float)
     if injected_noise is None:
         rng = np.random.default_rng(np.random.SeedSequence(cfg.noise_seed))
@@ -122,66 +108,41 @@ def _ssi_invert(oracle, schedule, x0, cfg, keep_trajectory, injected_noise):
     )
 
 
-# -- DDIM discrete path ----------------------------------------------------
+# -- DDIM maps --------------------------------------------------------------
 
 
-def _vp_levels(schedule: NoiseSchedule, times: np.ndarray,
-               alpha_mode: AlphaMode, full_steps: int):
-    """Scaling and noise level at each grid time for the chosen alpha path."""
+def _vp_levels(schedule: NoiseSchedule, times: np.ndarray):
+    """Scaling and noise level at each grid time."""
     if schedule.family is not Family.VP_LINEAR_BETA:
         raise InvalidArgumentError("DDIM path needs a VP schedule")
-    if alpha_mode is AlphaMode.CONTINUOUS:
-        s = np.asarray(schedule.scale(times))
-        sig = np.asarray(schedule.sigma(times))
-    else:
-        abar_all = alpha_bar_discrete(schedule, full_steps)
-        idx = np.rint(times * full_steps).astype(int)
-        if np.max(np.abs(idx / full_steps - times)) > 1e-9:
-            raise InvalidArgumentError("discrete alpha path needs kappa-index times")
-        abar = abar_all[idx - 1]
-        s = np.sqrt(abar)
-        sig = np.sqrt((1.0 - abar) / abar)
+    s = np.asarray(schedule.scale(times))
+    sig = np.asarray(schedule.sigma(times))
     if np.any(sig <= 0):
         raise InvalidArgumentError("all grid times need sigma > 0")
     return s, sig
 
 
-@dataclass(frozen=True)
-class DDIMCoefficients:
-    """Per-step multiplier and denoiser weight of the discrete sampler.
+def ddim_coefficients(schedule: NoiseSchedule, grid: TimeGrid):
+    """Read ``(phi, psi, scales, sigmas)`` off the explicit DDIM update.
 
     ``phi[i]`` and ``psi[i]`` map the state at the higher time of step ``i``
     to the lower time: ``x_lo = phi * x_hi + psi * D(x_hi / s_hi, sigma_hi)``
-    in scaled coordinates.  Indexed over consecutive pairs of an ascending
-    grid (step ``i`` joins times ``i`` and ``i + 1``).
+    in scaled coordinates, step ``i`` joining times ``i`` and ``i + 1`` of
+    the ascending grid; ``scales`` and ``sigmas`` are s and sigma at each
+    grid time.
     """
-
-    phi: np.ndarray
-    psi: np.ndarray
-    scales: np.ndarray  # s at each grid time
-    sigmas: np.ndarray  # sigma at each grid time
-
-    def __post_init__(self):
-        if np.any(self.phi == 0):
-            raise InvalidArgumentError("phi must be nonzero at every step")
-
-
-def ddim_coefficients(schedule: NoiseSchedule, grid: TimeGrid,
-                      alpha_mode: AlphaMode = AlphaMode.CONTINUOUS,
-                      full_steps: int = 1000) -> DDIMCoefficients:
-    """Read (phi, psi) off the explicit DDIM update for the given grid."""
     times = grid.times if grid.times[0] < grid.times[-1] else grid.times[::-1]
-    s, sig = _vp_levels(schedule, times, alpha_mode, full_steps)
+    s, sig = _vp_levels(schedule, times)
     s_lo, s_hi = s[:-1], s[1:]
     sig_lo, sig_hi = sig[:-1], sig[1:]
     phi = (s_lo * sig_lo) / (s_hi * sig_hi)
+    if np.any(phi == 0):
+        raise InvalidArgumentError("phi must be nonzero at every step")
     psi = s_lo * (sig_hi - sig_lo) / sig_hi
-    return DDIMCoefficients(phi=phi, psi=psi, scales=s, sigmas=sig)
+    return phi, psi, s, sig
 
 
-def ddim_sample(oracle, schedule: NoiseSchedule, x_start, grid_descending: TimeGrid,
-                alpha_mode: AlphaMode = AlphaMode.CONTINUOUS,
-                full_steps: int = 1000, keep_states: bool = False):
+def ddim_sample(oracle, schedule: NoiseSchedule, x_start, grid_descending: TimeGrid):
     """Iterate the explicit DDIM update down the grid.
 
     ``x_start`` is the unscaled state at the grid's first (largest) time.
@@ -192,12 +153,9 @@ def ddim_sample(oracle, schedule: NoiseSchedule, x_start, grid_descending: TimeG
     times = grid_descending.times
     if times[0] <= times[-1]:
         raise InvalidArgumentError("sampling grid must descend")
-    _, sig = _vp_levels(schedule, times, alpha_mode, full_steps)
+    _, sig = _vp_levels(schedule, times)
     plan = (1.0, -sig[:-1] * np.diff(sig), 1.0, sig[:-1])
-    u = np.asarray(x_start, dtype=float)
-    states = np.empty((times.size,) + u.shape) if keep_states else None
-    u = _run_plan(oracle, u, plan, out=states)
-    return (u, states) if keep_states else u
+    return _run_plan(oracle, np.asarray(x_start, dtype=float), plan)
 
 
 def pf_ode_sigma_euler_step(oracle, u, sigma_a: float, sigma_b: float):
@@ -212,9 +170,6 @@ def pf_ode_sigma_euler_step(oracle, u, sigma_a: float, sigma_b: float):
 
 
 def ddim_invert_baseline(oracle, schedule: NoiseSchedule, x0, grid_ascending: TimeGrid,
-                         alpha_mode: AlphaMode = AlphaMode.CONTINUOUS,
-                         full_steps: int = 1000,
-                         coefficients: DDIMCoefficients | None = None,
                          keep_states: bool = False) -> InversionResult:
     """Explicit DDIM inversion with the one-step-lagged denoiser input.
 
@@ -227,18 +182,15 @@ def ddim_invert_baseline(oracle, schedule: NoiseSchedule, x0, grid_ascending: Ti
         raise InvalidArgumentError("inversion grid must ascend")
     if times[0] <= 0:
         raise InvalidArgumentError("baseline grid must start at a positive time")
-    coeffs = coefficients if coefficients is not None else ddim_coefficients(
-        schedule, grid_ascending, alpha_mode, full_steps)
-    s, sig, phi, psi = coeffs.scales, coeffs.sigmas, coeffs.phi, coeffs.psi
+    phi, psi, s, sig = ddim_coefficients(schedule, grid_ascending)
     plan = ((1.0 - psi / s[:-1]) / phi, -psi * sig[1:] ** 2 / phi, 1.0 / s[:-1],
             sig[1:])
     x0 = np.asarray(x0, dtype=float)
     x_tilde = s[0] * x0
     scaled = np.empty((times.size,) + x0.shape) if keep_states else None
     x_tilde = _run_plan(oracle, x_tilde, plan, out=scaled)
-    cfg = InversionConfig(
-        t_ssi=float(times[0]), grid=grid_ascending, noise_seed=None,
-        method=InversionMethod.BASELINE_DDIM)
+    cfg = InversionConfig(t_ssi=float(times[0]), grid=grid_ascending,
+                          noise_seed=None)
     noise = x_tilde / s[-1]
     result = InversionResult(noise=noise, final_time=float(times[-1]), config=cfg)
     if keep_states:

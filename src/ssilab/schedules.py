@@ -56,18 +56,6 @@ class NoiseSchedule:
         """log(abar(t)) = -(beta0*t + beta1_slope*t^2/2)."""
         return -(self.beta0 * t + 0.5 * self.beta1_slope * t * t)
 
-    def beta(self, t):
-        """Instantaneous rate beta(t) for the VP family."""
-        t = self._check_domain(t)
-        return self.beta0 + self.beta1_slope * t
-
-    def alpha_bar(self, t):
-        """Continuous cumulative signal level abar(t) = exp(-integral of beta)."""
-        t = self._check_domain(t)
-        if self.family is Family.VE_KARRAS:
-            raise InvalidArgumentError("alpha_bar is only defined for the VP family")
-        return np.exp(self._log_abar(t))
-
     # -- schedule values ---------------------------------------------------
 
     def sigma(self, t):
@@ -160,12 +148,6 @@ def ddim_kappa_grid(full_steps: int, stride: int, offset: int) -> TimeGrid:
     Selects indices ``offset, offset + stride, ...`` within ``1..full_steps``
     and maps each index ``i`` to the continuous time ``i / full_steps``.
     """
-    indices = kappa_indices(full_steps, stride, offset)
-    return TimeGrid(indices.astype(float) / full_steps)
-
-
-def kappa_indices(full_steps: int, stride: int, offset: int) -> np.ndarray:
-    """Discrete step indices underlying :func:`ddim_kappa_grid`."""
     if full_steps < 1 or stride < 1:
         raise InvalidArgumentError("full_steps and stride must be positive")
     if not (1 <= offset <= stride):
@@ -173,23 +155,4 @@ def kappa_indices(full_steps: int, stride: int, offset: int) -> np.ndarray:
     indices = np.arange(offset, full_steps + 1, stride)
     if indices.size < 2:
         raise InvalidArgumentError("kappa subsequence has fewer than 2 entries")
-    return indices
-
-
-def alpha_bar_discrete(schedule: NoiseSchedule, full_steps: int) -> np.ndarray:
-    """Discrete-product cumulative signal level at indices ``1..full_steps``.
-
-    Uses ``beta_i = beta(i / full_steps) / full_steps`` and the running product
-    of ``1 - beta_i``.  Index ``i`` lives at position ``i - 1`` of the result.
-    This is the discrete compatibility path; :meth:`NoiseSchedule.alpha_bar`
-    is the continuous default.
-    """
-    if schedule.family is not Family.VP_LINEAR_BETA:
-        raise InvalidArgumentError("discrete alpha_bar is only defined for the VP family")
-    if full_steps < 1:
-        raise InvalidArgumentError("full_steps must be positive")
-    t = np.arange(1, full_steps + 1) / full_steps
-    beta_i = (schedule.beta0 + schedule.beta1_slope * t) / full_steps
-    if np.any(beta_i >= 1.0):
-        raise InvalidArgumentError("discrete beta exceeds 1; decrease the step size")
-    return np.cumprod(1.0 - beta_i)
+    return TimeGrid(indices.astype(float) / full_steps)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ssilab import (InversionConfig, InversionMethod, Method, SlerpPair,
+from ssilab import (InversionConfig, Method, SlerpPair,
                     TimeGrid, VE_KARRAS, VP_LINEAR_BETA, chi_square_bound,
                     ddim_kappa_grid, ddim_sample, gaussian_exact,
                     gaussian_on_axis, integrate,
@@ -137,8 +137,7 @@ def test_criterion_7_ill_posedness():
     d = oracle.dim
     x0 = oracle.sample_data((7, 0xD0), 1)[0]
     grid = TimeGrid(karras_grid(0.1, 80.0, 7.0, 100).times[1:])
-    cfg = InversionConfig(t_ssi=0.1, grid=grid, noise_seed=None,
-                          method=InversionMethod.SSI)
+    cfg = InversionConfig(t_ssi=0.1, grid=grid, noise_seed=None)
     noise = np.stack([
         np.random.default_rng(np.random.SeedSequence((7, i, 0x55)))
         .standard_normal(d) for i in range(10)])

@@ -106,6 +106,19 @@ class TestExitCodes:
                      "--quiet"]) == 2
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("grid", [
+        {"kind": "karras", "t_min": 0.002},
+        {"kind": "uniform", "t_max": 1.0, "steps": 10},
+    ], ids=["karras-no-t_max", "uniform-no-t_min"])
+    def test_missing_grid_key_is_2(self, tmp_path, grid):
+        cfg = write_config(tmp_path, {"seed": 1, "trials": 4, "grid": grid})
+        out = tmp_path / "out"
+        assert main(["invert", "--config", str(cfg), "--out", str(out),
+                     "--quiet"]) == 2
+        assert not (out / "report.json").exists()
+        with pytest.raises(ConfigError, match="missing keys in grid"):
+            resolve_config("invert", {"seed": 1, "grid": grid})
+
     def test_verdict_failure_is_4(self, tmp_path):
         # an absurd manifold threshold forces a FAIL verdict
         cfg = write_config(tmp_path, {

@@ -4,9 +4,9 @@ import pytest
 from ssilab import (IntegrationDivergedError, InvalidArgumentError, Method,
                     PerturbedScoreOracle, TimeGrid, Trajectory, VE_KARRAS,
                     VP_LINEAR_BETA, denoise_to_mean, gaussian_exact,
-                    gaussian_on_axis, integrate, karras_grid, ode_drift,
-                    random_subspace, sample, toy_image_subspace,
-                    trajectory_to_csv)
+                    gaussian_on_axis, integrate, karras_grid,
+                    random_subspace, sample, toy_image_subspace)
+from ssilab.flow import _drift_coefficients
 
 
 @pytest.fixture
@@ -18,16 +18,22 @@ def uniform_grid(a, b, n):
     return TimeGrid(np.linspace(a, b, n + 1))
 
 
+def flow_drift(schedule, oracle, x, t):
+    """Right-hand side ``p x + q score(r x, sigma)`` of the flow ODE at ``(x, t)``."""
+    p, q, r, sigma = (float(v) for v in _drift_coefficients(schedule, t))
+    return p * x + q * oracle.score(r * x, sigma)
+
+
 class TestDrift:
     def test_ve_value(self, axis):
         # -sigma_dot * sigma * score = -1 * 1 * (-0.5, -0.5) at t = sigma = 1
         np.testing.assert_allclose(
-            ode_drift(VE_KARRAS, axis, np.array([1.0, 0.5]), 1.0), [0.5, 0.5],
+            flow_drift(VE_KARRAS, axis, np.array([1.0, 0.5]), 1.0), [0.5, 0.5],
             rtol=1e-14)
 
     def test_ve_zero_sigma_rejected(self, axis):
         with pytest.raises(InvalidArgumentError):
-            ode_drift(VE_KARRAS, axis, np.zeros(2), 0.0)
+            flow_drift(VE_KARRAS, axis, np.zeros(2), 0.0)
 
     def test_vp_matches_finite_difference_of_exact_marginal_flow(self, axis):
         # the scaled VP state s(t) * u(t) with u from the VE flow solves the
@@ -43,7 +49,7 @@ class TestDrift:
             return s * u
 
         fd = (scaled_state(t + h) - scaled_state(t - h)) / (2 * h)
-        drift = ode_drift(VP_LINEAR_BETA, axis, scaled_state(t), t)
+        drift = flow_drift(VP_LINEAR_BETA, axis, scaled_state(t), t)
         np.testing.assert_allclose(drift, fd, rtol=1e-5, atol=1e-6)
 
 
@@ -77,16 +83,16 @@ class TestIntegrate:
         x0 = np.array([1.0, 0.5])
         grid = TimeGrid(np.array([1.0, 1.1]))
         traj = integrate(VE_KARRAS, axis, Method.EULER, x0, grid)
-        expected = x0 + 0.1 * ode_drift(VE_KARRAS, axis, x0, 1.0)
+        expected = x0 + 0.1 * flow_drift(VE_KARRAS, axis, x0, 1.0)
         np.testing.assert_allclose(traj.states[1], expected, rtol=1e-14)
 
     def test_heun_single_step_by_hand(self, axis):
         x0 = np.array([1.0, 0.5])
         grid = TimeGrid(np.array([1.0, 1.1]))
         traj = integrate(VE_KARRAS, axis, Method.HEUN, x0, grid)
-        d0 = ode_drift(VE_KARRAS, axis, x0, 1.0)
+        d0 = flow_drift(VE_KARRAS, axis, x0, 1.0)
         pred = x0 + 0.1 * d0
-        d1 = ode_drift(VE_KARRAS, axis, pred, 1.1)
+        d1 = flow_drift(VE_KARRAS, axis, pred, 1.1)
         np.testing.assert_allclose(traj.states[1], x0 + 0.05 * (d0 + d1), rtol=1e-14)
 
     @pytest.mark.parametrize("method,order", [(Method.EULER, 1.0), (Method.HEUN, 2.0)])
@@ -179,28 +185,6 @@ class TestSampling:
         x = np.array([0.5, 0.3])
         np.testing.assert_array_equal(denoise_to_mean(axis, x, 0.1),
                                       axis.posterior_mean(x, 0.1))
-
-
-class TestTrajectoryCsv:
-    def test_csv_roundtrip(self, axis, tmp_path):
-        traj = integrate(VE_KARRAS, axis, Method.EULER, np.array([1.0, 0.5]),
-                         uniform_grid(0.5, 1.0, 5))
-        path = tmp_path / "traj.csv"
-        trajectory_to_csv(traj, path)
-        rows = np.loadtxt(path, delimiter=",", skiprows=1)
-        assert rows.shape == (6, 5)
-        np.testing.assert_allclose(rows[:, 1], traj.grid.times, rtol=1e-15)
-        np.testing.assert_allclose(rows[:, 3:], traj.states, rtol=1e-15)
-
-    def test_summary_mode_for_batches(self, axis, tmp_path):
-        x0 = np.ones((3, 2))
-        traj = integrate(VE_KARRAS, axis, Method.EULER, x0, uniform_grid(0.5, 1.0, 5))
-        path = tmp_path / "batch.csv"
-        trajectory_to_csv(traj, path)
-        rows = np.loadtxt(path, delimiter=",", skiprows=1)
-        assert rows.shape == (6, 6)
-        np.testing.assert_allclose(rows[:, 3], np.linalg.norm(traj.states[:, 0], axis=-1),
-                                   rtol=1e-15)
 
 
 def test_trajectory_length_mismatch_rejected(axis):

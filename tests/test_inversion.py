@@ -3,9 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ssilab import (AlphaMode, InvalidArgumentError, InversionConfig,
-                    InversionMethod, Method, PerturbedScoreOracle, TimeGrid,
-                    VE_KARRAS, VP_LINEAR_BETA, alpha_bar_discrete,
+from ssilab import (InvalidArgumentError, InversionConfig, Method,
+                    PerturbedScoreOracle, TimeGrid, VE_KARRAS, VP_LINEAR_BETA,
                     circle_point_cloud, ddim_coefficients,
                     ddim_invert_baseline, ddim_kappa_grid, ddim_sample,
                     denoise_to_mean, gaussian_on_axis, karras_grid,
@@ -178,22 +177,15 @@ class TestSsiVp:
 
 class TestDdim:
     def test_coefficients_from_alpha_ratios(self):
-        # independent derivation straight from the discrete abar table
+        # independent derivation from the closed-form abar of the linear rate
         grid = ddim_kappa_grid(1000, 2, 1)
-        coeffs = ddim_coefficients(VP_LINEAR_BETA, grid, AlphaMode.DISCRETE, 1000)
-        abar = alpha_bar_discrete(VP_LINEAR_BETA, 1000)
-        idx = np.rint(grid.times * 1000).astype(int) - 1
-        a = abar[idx]
-        phi = np.sqrt((1 - a[:-1]) / (1 - a[1:]))
-        psi_direct = np.sqrt(a[:-1]) - phi * np.sqrt(a[1:])
-        np.testing.assert_allclose(coeffs.phi, phi, rtol=1e-12)
-        np.testing.assert_allclose(coeffs.psi, psi_direct, rtol=1e-9, atol=1e-14)
-
-    def test_continuous_close_to_discrete(self):
-        grid = ddim_kappa_grid(1000, 2, 1)
-        cont = ddim_coefficients(VP_LINEAR_BETA, grid, AlphaMode.CONTINUOUS)
-        disc = ddim_coefficients(VP_LINEAR_BETA, grid, AlphaMode.DISCRETE, 1000)
-        assert np.max(np.abs(cont.phi - disc.phi)) < 5e-3
+        phi, psi, _, _ = ddim_coefficients(VP_LINEAR_BETA, grid)
+        log_a = -(0.1 * grid.times + 9.95 * grid.times**2)
+        a, one_minus_a = np.exp(log_a), -np.expm1(log_a)
+        phi_direct = np.sqrt(one_minus_a[:-1] / one_minus_a[1:])
+        psi_direct = np.sqrt(a[:-1]) - phi_direct * np.sqrt(a[1:])
+        np.testing.assert_allclose(phi, phi_direct, rtol=1e-12)
+        np.testing.assert_allclose(psi, psi_direct, rtol=1e-9, atol=1e-14)
 
     def test_sample_equals_sigma_euler_step(self, circle):
         # the explicit update and the Euler-in-sigma step of the flow ODE are
@@ -216,17 +208,16 @@ class TestDdim:
         # with the lag removed (same coefficients, exact algebra) inversion
         # then sampling is the identity per step
         grid = TimeGrid(np.linspace(0.05, 0.9, 20))
-        coeffs = ddim_coefficients(VP_LINEAR_BETA, grid)
+        phi, psi, s, sig = ddim_coefficients(VP_LINEAR_BETA, grid)
         x0 = np.array([0.7, 0.0])
         res, states = ddim_invert_baseline(axis, VP_LINEAR_BETA, x0, grid,
                                            keep_states=True)
         # invert one step back by the explicit formula using the same lagged
         # denoiser call: x_hi known, reconstruct x_lo
-        s, sig = coeffs.scales, coeffs.sigmas
         i = len(grid) - 2
         x_hi = states[-1] * s[-1]
         lagged = axis.denoise(states[-2], float(sig[i + 1]))
-        x_lo = coeffs.phi[i] * x_hi + coeffs.psi[i] * lagged
+        x_lo = phi[i] * x_hi + psi[i] * lagged
         np.testing.assert_allclose(x_lo / s[i], states[-2], rtol=1e-10)
 
     def test_baseline_structured_noise_on_manifold_input(self, axis):

@@ -68,12 +68,12 @@ def reference_ddim_sample(schedule, oracle, u, times):
 
 
 def reference_baseline(oracle, coeffs, x0):
-    s, sig = coeffs.scales, coeffs.sigmas
+    phi, psi, s, sig = coeffs
     x_tilde = s[0] * x0
     states = [x_tilde / s[0]]
     for i in range(s.size - 1):
         lagged = oracle.denoise(x_tilde / s[i], float(sig[i + 1]))
-        x_tilde = (x_tilde - coeffs.psi[i] * lagged) / coeffs.phi[i]
+        x_tilde = (x_tilde - psi[i] * lagged) / phi[i]
         states.append(x_tilde / s[i + 1])
     return np.stack(states)
 

@@ -3,8 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 from ssilab import (InvalidArgumentError, NoiseSchedule, Family, TimeGrid,
-                    VE_KARRAS, VP_LINEAR_BETA, alpha_bar_discrete,
-                    ddim_kappa_grid, kappa_indices, karras_grid)
+                    VE_KARRAS, VP_LINEAR_BETA, ddim_kappa_grid, karras_grid)
 
 
 def central_diff(f, t, h=1e-5):
@@ -116,8 +115,8 @@ class TestKarrasGrid:
 
 class TestKappaGrid:
     def test_strided_index_subsequence(self):
-        idx = kappa_indices(1000, 2, 1)
-        assert idx[0] == 1 and idx[-1] == 999 and idx.size == 500
+        times = ddim_kappa_grid(1000, 2, 1).times
+        assert times[0] == 0.001 and times[-1] == 0.999 and times.size == 500
 
     def test_times(self):
         g = ddim_kappa_grid(10, 2, 1)
@@ -130,24 +129,6 @@ class TestKappaGrid:
     def test_offset_out_of_range(self):
         with pytest.raises(InvalidArgumentError):
             ddim_kappa_grid(1000, 2, 3)
-
-
-class TestDiscreteAlpha:
-    def test_matches_direct_product(self):
-        abar = alpha_bar_discrete(VP_LINEAR_BETA, 50)
-        betas = [(0.1 + 19.9 * i / 50) / 50 for i in range(1, 51)]
-        direct = np.cumprod([1 - b for b in betas])
-        assert np.allclose(abar, direct, rtol=1e-14)
-
-    def test_close_to_continuous_at_fine_steps(self):
-        abar = alpha_bar_discrete(VP_LINEAR_BETA, 1000)
-        t = np.arange(1, 1001) / 1000
-        cont = VP_LINEAR_BETA.alpha_bar(t)
-        assert np.max(np.abs(abar - cont) / cont) < 0.1
-
-    def test_ve_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            alpha_bar_discrete(VE_KARRAS, 10)
 
 
 class TestTimeGrid:
