@@ -49,8 +49,10 @@ def _load_config(args) -> dict:
             raw = json.loads(args.config.read_text())
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}")
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, or bytes that are not text
             raise ConfigError(f"config is not valid JSON: {exc}")
+        if not isinstance(raw, dict):
+            raise ConfigError("config must be a JSON object")
     if args.seed is not None:
         raw["seed"] = args.seed
     if args.trials is not None:

@@ -194,13 +194,18 @@ class SubspaceGaussianScore(_OracleBase):
         if basis.ndim != 2:
             raise InvalidArgumentError("basis must be a (d, n) matrix")
         d, n = basis.shape
-        if not n < d:
-            raise InvalidArgumentError("latent dimension must be strictly below ambient")
+        if not 0 < n < d:
+            raise InvalidArgumentError("latent dimension must lie in [1, ambient)")
         gram = basis.T @ basis
         if np.max(np.abs(gram - np.eye(n))) > 1e-10:
             raise InvalidArgumentError("basis columns must be orthonormal")
-        offset = np.broadcast_to(np.asarray(self.offset, dtype=float), (d,)).copy()
-        stddevs = np.broadcast_to(np.asarray(self.latent_stddevs, dtype=float), (n,)).copy()
+        try:
+            offset = np.broadcast_to(np.asarray(self.offset, dtype=float), (d,)).copy()
+            stddevs = np.broadcast_to(np.asarray(self.latent_stddevs, dtype=float),
+                                      (n,)).copy()
+        except ValueError as exc:
+            raise InvalidArgumentError(
+                f"offset must broadcast to ({d},) and latent stddevs to ({n},)") from exc
         if np.any(stddevs <= 0):
             raise InvalidArgumentError("latent stddevs must be positive")
         if self.grid_shape is not None and int(np.prod(self.grid_shape)) != d:
@@ -314,8 +319,7 @@ def random_subspace(dim: int | None = None, latent_dim: int = 1,
     q, r = np.linalg.qr(raw)
     q = q * np.sign(np.diag(r))  # deterministic sign convention
     return SubspaceGaussianScore(
-        basis=q, offset=np.zeros(d), latent_stddevs=np.broadcast_to(
-            np.asarray(latent_stddevs, dtype=float), (latent_dim,)),
+        basis=q, offset=np.zeros(d), latent_stddevs=latent_stddevs,
         grid_shape=grid_shape,
     )
 
@@ -366,8 +370,8 @@ def toy_image_subspace(latent_dim: int = 8, basis_seed=0,
     grid_shape = tuple(int(v) for v in grid_shape)
     c, h, w = grid_shape
     d = c * h * w
-    if latent_dim >= d:
-        raise InvalidArgumentError("latent dimension must be below ambient")
+    if not 0 < latent_dim < d:
+        raise InvalidArgumentError("latent dimension must lie in [1, ambient)")
     rng = _rng((basis_seed, 0x731))
     patterns = np.empty((latent_dim, h, w))
     channel_weights = np.empty((latent_dim, c))

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from ssilab import ConfigError, replay, resolve_config, run_command
+from ssilab import (ConfigError, InvalidArgumentError, build_oracle, replay,
+                    resolve_config, run_command)
 from ssilab.cli import main
 from ssilab.experiments import _pairwise_abs_cosine
 
@@ -63,6 +64,35 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             resolve_config("reconstruct", {"seed": 1, "delta": 1.0})
 
+    @pytest.mark.parametrize("command,tail", [
+        ("verify-singularity", []),
+        ("verify-projection", [("sigma_ladder", [0.1, 0.01, 0.001])]),
+        ("invert", [("method", "ssi"), ("shared_input", False)]),
+        ("sweep-tssi", [("t_ssi_ladder", [0.001, 0.01, 0.1, 0.2]),
+                        ("steps_ladder", [40, 100, 200])]),
+        ("interpolate", [("lambdas", [0.1, 0.3, 0.5, 0.7, 0.9]),
+                         ("data_seed_a", 1), ("data_seed_b", 2),
+                         ("manifold_threshold", 0.1)]),
+        ("reconstruct", [("delta", 0.05)]),
+    ])
+    def test_resolved_defaults_keep_order_and_types(self, command, tail):
+        # report.json echoes the resolved config in this order and these types
+        head = [
+            ("oracle", {"kind": "circle", "radius": 2.0, "count": 8}),
+            ("schedule", "ve_karras"),
+            ("integrator", "heun" if command == "verify-singularity" else "euler"),
+            ("grid", {"kind": "karras", "t_min": 0.002, "t_max": 80.0,
+                      "rho": 7.0, "steps": 200}),
+            ("t_ssi", 0.1),
+            ("trials", 16 if command == "sweep-tssi" else 100),
+            ("out", None),
+            ("perturbation", 0.0),
+            ("perturbation_floor", 1.0),
+            ("quiet", False),
+        ]
+        want = head + tail + [("seed", 1), ("command", command)]
+        assert repr(list(resolve_config(command, {"seed": 1}).items())) == repr(want)
+
 
 class TestExitCodes:
     def test_success(self, tmp_path):
@@ -80,6 +110,11 @@ class TestExitCodes:
     def test_missing_config_file_is_2(self, tmp_path):
         assert main(["invert", "--config", str(tmp_path / "gone.json"),
                      "--quiet"]) == 2
+
+    def test_config_file_not_text_is_2(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_bytes(b"\xff\xfe{}")
+        assert main(["invert", "--config", str(path), "--quiet"]) == 2
 
     def test_descending_grid_is_2(self, tmp_path):
         cfg = write_config(tmp_path, {
@@ -118,6 +153,54 @@ class TestExitCodes:
         assert not (out / "report.json").exists()
         with pytest.raises(ConfigError, match="missing keys in grid"):
             resolve_config("invert", {"seed": 1, "grid": grid})
+
+    @pytest.mark.parametrize("command,data,config_check", [
+        ("invert", {"kind": "circle", "radius": "abc"}, True),
+        ("invert", {"kind": "circle", "radius": None}, True),
+        ("invert", {"kind": "circle", "radius": 0}, True),
+        ("invert", {"kind": "circle", "count": 2.5}, True),
+        ("invert", {"kind": "circle", "count": True}, True),
+        ("invert", {"kind": "toy_image", "smoothness": "x"}, True),
+        ("invert", {"kind": "toy_image", "smoothness": -1}, True),
+        ("invert", {"kind": "toy_image", "latent_dim": 0}, True),
+        ("invert", {"kind": "toy_image", "latent_dim": "8"}, True),
+        ("invert", {"kind": "toy_image", "basis_seed": 1.5}, True),
+        ("invert", {"kind": "subspace", "dim": 8, "basis_seed": -1}, True),
+        ("invert", {"kind": "subspace", "dim": 8.5}, True),
+        ("invert", {"kind": "subspace", "dim": 8, "latent_stddevs": "abc"}, True),
+        ("invert", {"kind": "subspace", "dim": 8, "latent_stddevs": []}, True),
+        ("invert", {"kind": "subspace", "grid_shape": [3, 4, "a"]}, True),
+        ("invert", {"kind": "subspace", "grid_shape": 5}, True),
+        ("invert", {"kind": ["x"]}, True),
+        # the stddevs fit no latent dimension: the oracle factory rejects them
+        ("invert", {"kind": "subspace", "dim": 8, "latent_stddevs": [1, 2]}, False),
+        ("invert", {"seed": 1, "grid": {"kind": ["x"]}}, True),
+        ("interpolate", {"seed": 1, "data_seed_a": -1}, True),
+        ("invert", {"seed": 1, "trials": 1}, True),
+        ("invert", {"seed": 1, "perturbation_floor": -1.0}, True),
+        ("invert", [1], True),
+        ("invert", "x", True),
+    ], ids=["radius-abc", "radius-null", "radius-zero", "count-2.5", "count-true",
+            "smoothness-x", "smoothness-negative", "toy-latent_dim-0",
+            "latent_dim-string", "basis_seed-1.5", "basis_seed-negative",
+            "dim-8.5", "latent_stddevs-abc", "latent_stddevs-empty",
+            "grid_shape-string-entry", "grid_shape-5", "oracle-kind-list",
+            "latent_stddevs-mismatch", "grid-kind-list", "data_seed_a-negative",
+            "invert-one-trial", "perturbation_floor-negative", "config-list", "config-string"])
+    def test_malformed_value_is_2(self, tmp_path, command, data, config_check):
+        if isinstance(data, dict) and "seed" not in data:  # an oracle section
+            data = {"seed": 1, "trials": 4, "oracle": data}
+        cfg = write_config(tmp_path, data)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out),
+                     "--quiet"]) == 2
+        assert not (out / "report.json").exists()
+        if config_check:
+            with pytest.raises(ConfigError):
+                resolve_config(command, data)
+        else:
+            with pytest.raises(InvalidArgumentError):
+                build_oracle(resolve_config(command, data))
 
     def test_verdict_failure_is_4(self, tmp_path):
         # an absurd manifold threshold forces a FAIL verdict

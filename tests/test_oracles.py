@@ -170,6 +170,15 @@ class TestSubspaceGaussian:
             SubspaceGaussianScore(basis=np.eye(2), offset=np.zeros(2),
                                   latent_stddevs=np.ones(2))
 
+    @pytest.mark.parametrize("make", [
+        lambda: toy_image_subspace(latent_dim=0),
+        lambda: random_subspace(dim=8, latent_dim=0),
+        lambda: random_subspace(dim=8, latent_dim=1, latent_stddevs=[1, 2]),
+    ], ids=["toy-image-latent-0", "subspace-latent-0", "stddevs-mismatch"])
+    def test_factory_rejects_bad_shape(self, make):
+        with pytest.raises(InvalidArgumentError):
+            make()
+
     def test_random_subspace_reproducible(self):
         a = random_subspace(dim=12, latent_dim=3, basis_seed=9)
         b = random_subspace(dim=12, latent_dim=3, basis_seed=9)
