@@ -314,6 +314,8 @@ def random_subspace(dim: int | None = None, latent_dim: int = 1,
         d = int(dim)
     else:
         raise InvalidArgumentError("give dim or grid_shape")
+    if not 0 < latent_dim < d:
+        raise InvalidArgumentError("latent dimension must lie in [1, ambient)")
     rng = _rng((basis_seed, 0x5B5))
     raw = rng.standard_normal((d, latent_dim))
     q, r = np.linalg.qr(raw)

@@ -173,8 +173,10 @@ class TestSubspaceGaussian:
     @pytest.mark.parametrize("make", [
         lambda: toy_image_subspace(latent_dim=0),
         lambda: random_subspace(dim=8, latent_dim=0),
+        lambda: random_subspace(dim=8, latent_dim=-1),
         lambda: random_subspace(dim=8, latent_dim=1, latent_stddevs=[1, 2]),
-    ], ids=["toy-image-latent-0", "subspace-latent-0", "stddevs-mismatch"])
+    ], ids=["toy-image-latent-0", "subspace-latent-0", "subspace-latent-negative",
+            "stddevs-mismatch"])
     def test_factory_rejects_bad_shape(self, make):
         with pytest.raises(InvalidArgumentError):
             make()
