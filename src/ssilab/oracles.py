@@ -14,11 +14,12 @@ Every oracle exposes the same surface:
 States are plain numpy arrays of shape ``(..., d)``; all operations are
 vectorised over leading batch axes.
 
-Each public method validates its inputs once, on entry (finite states with
-last axis ``d``, finite ``sigma > 0``; else ``InvalidArgumentError``).  One
-built on another public method (``posterior_mean`` on ``score``, the perturbed
-``score`` on its base oracle's) calls it first and lets it check; private
-helpers take checked arguments and check nothing.
+Each public method validates its inputs once, on entry (real, finite states
+with last axis ``d``, a real, finite ``sigma > 0``; else
+``InvalidArgumentError``).  ``posterior_mean`` calls ``score`` first and lets it
+check.  Each ``score`` is that check plus a private ``_score``; the perturbed
+``score`` checks once and calls its base oracle's ``_score``.  Private helpers
+take checked arguments and check nothing.
 
 ``score`` never writes into its input and returns a fresh array that the
 caller owns: the perturbed ``score`` adds its field into its base oracle's
@@ -27,6 +28,7 @@ result, and the step kernel of :mod:`ssilab.flow` scales the result in place.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +36,8 @@ import numpy as np
 from .errors import InvalidArgumentError
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
+_UNIT_ROUNDOFF = 2.0 ** -53  # u of float64
+_LOGIT_TOL = 1e-11  # tau of PointCloudScore: largest GEMM-path logit error
 
 
 def _rng(seed) -> np.random.Generator:
@@ -41,17 +45,23 @@ def _rng(seed) -> np.random.Generator:
 
 
 def _check_state(x, d: int) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != d:
-        raise InvalidArgumentError(f"state dimension {x.shape[-1]} != oracle dimension {d}")
+    try:
+        x = np.asarray(x, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidArgumentError("state must be an array of real numbers") from exc
+    if x.ndim == 0 or x.shape[-1] != d:
+        raise InvalidArgumentError(f"state shape {x.shape} does not end in oracle dimension {d}")
     if not np.isfinite(x).all():
         raise InvalidArgumentError("state must be finite")
     return x
 
 
 def _check_sigma(sigma) -> float:
-    sigma = float(sigma)
-    if not np.isfinite(sigma) or sigma <= 0:
+    try:
+        sigma = float(sigma)
+    except (TypeError, ValueError) as exc:
+        raise InvalidArgumentError("sigma must be a real scalar") from exc
+    if not math.isfinite(sigma) or sigma <= 0:
         raise InvalidArgumentError("sigma must be strictly positive (score is singular at 0)")
     return sigma
 
@@ -73,17 +83,63 @@ class _OracleBase:
 class PointCloudScore(_OracleBase):
     """Mixture of point masses; smoothed density is an isotropic Gaussian mixture.
 
-    Each call on a ``(B, d)`` batch costs O(B K d) time and O(B K) memory:
-    distances come from ``cdist`` and the posterior mean from one
-    ``(B, K) @ (K, d)`` product, so no ``(B, K, d)`` tensor is formed.  That
-    product rounds to about ``eps * max |p_k|`` absolute, so ``score`` keeps
-    1e-8 relative precision while a state lies more than about
-    ``1e-7 * max |p_k|`` from its posterior mean.
+    ``score`` and ``softmax_weights`` take the responsibilities, the softmax of
+    the logits ``log w_k - |x - p_k|^2 / (2 sigma^2)``, from one of two paths,
+    chosen per call:
+
+    * GEMM path: ``log w_k + (x.p_k - |p_k|^2 / 2) / sigma^2``.  This drops
+      ``|x|^2 / (2 sigma^2)``, which is the same for every atom of a row and
+      cancels in the softmax.  ``x.p_k`` is one ``(B, d) @ (d, K)`` product;
+      ``|p_k|^2 / 2`` and ``P = max_k |p_k|`` are computed once, at
+      construction.
+    * Exact path: squared distances from ``cdist``, which sums ``(x - p_k)^2``
+      directly.  ``log_density``, ``nearest_manifold_point`` and
+      ``feature_scale`` always use ``cdist`` / ``pdist``.
+
+    Rounding bound.  With unit roundoff ``u = 2^-53`` and ``gamma_n = n u``, a
+    dot product of length ``d`` lies within ``gamma_d |x| |p_k|`` of its value
+    in whatever order BLAS sums it, and ``|p_k|^2`` within ``gamma_d |p_k|^2``.
+    The subtraction, the division by ``sigma^2`` and the addition of
+    ``log w_k`` add one rounding each, of a term at most
+    ``(|x| P + P^2 / 2) / sigma^2`` in size (besides the ``u |log w_k|`` that
+    both paths share).  So, to first order in ``u``, every GEMM logit lies
+    within
+
+        beta = gamma_{d+3} P (2 max|x| + P) / (2 sigma^2)
+
+    of the exact one, with the maximum over the batch's rows.  The GEMM path
+    runs when ``beta <= tau``; an infinite or NaN ``beta``, as when a norm
+    overflows, selects the exact path.
+
+    Choice of ``tau``.  Logit errors of at most ``beta`` scale each
+    responsibility by a factor within ``exp(+-2 beta)``, so the posterior mean
+    ``m = sum_k w_k p_k`` moves by at most ``2 beta sum_k w_k |p_k - x|`` and
+    the score ``(m - x) / sigma^2`` by a relative ``2 beta rho``, with
+    ``rho = sum_k w_k |p_k - x| / |m - x|``.  ``rho`` is 1 when the posterior
+    sits on one atom, about 1 when ``x`` is far from every atom, and large only
+    where ``x`` lies close to the posterior mean of separate atoms, where the
+    score itself is near zero.  The 1e-8 relative target with ``rho`` up to
+    500 gives ``tau = 1e-8 / (2 * 500) = 1e-11``.  The exact path is not better
+    everywhere: its logits round at ``u |x - p_k|^2 / (2 sigma^2)``, about
+    1e-8 when ``|x| / sigma`` is 1.4e4.
+
+    Cost.  Each call on a ``(B, d)`` batch costs O(B K d) time and O(B K)
+    memory on either path: one ``(B, d) @ (d, K)`` product or one ``cdist``
+    for the logits, O(B d) for the bound, and one ``(B, K) @ (K, d)`` product
+    for the posterior mean, so no ``(B, K, d)`` tensor is formed.  The GEMM is
+    BLAS level 3; ``cdist`` is a plain loop over the pairs, and the GEMM path
+    needs no scipy.  The posterior-mean product rounds to about
+    ``eps * max |p_k|`` absolute, so ``score`` keeps 1e-8 relative precision
+    while a state lies more than about ``1e-7 * max |p_k|`` from its posterior
+    mean.
     """
 
     points: np.ndarray  # (K, d)
     weights: np.ndarray  # (K,)
     grid_shape: tuple[int, int, int] | None = None
+    _log_weights: np.ndarray = field(init=False, repr=False, compare=False)
+    _half_sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
+    _max_norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         points = np.atleast_2d(np.asarray(self.points, dtype=float))
@@ -99,11 +155,17 @@ class PointCloudScore(_OracleBase):
         if self.grid_shape is not None and int(np.prod(self.grid_shape)) != points.shape[1]:
             raise InvalidArgumentError("grid_shape does not match dimension")
         points = points.copy()
-        points.flags.writeable = False
-        weights = weights.copy()
-        weights.flags.writeable = False
+        with np.errstate(divide="ignore", over="ignore"):
+            log_weights = np.log(weights)
+            sq_norms = np.einsum("kd,kd->k", points, points)  # inf past 1e154
+        half_sq_norms = sq_norms / 2.0
+        for arr in (points, weights, log_weights, half_sq_norms):
+            arr.flags.writeable = False
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "_log_weights", log_weights)
+        object.__setattr__(self, "_half_sq_norms", half_sq_norms)
+        object.__setattr__(self, "_max_norm", math.sqrt(sq_norms.max()))
 
     @property
     def dim(self) -> int:
@@ -136,12 +198,29 @@ class PointCloudScore(_OracleBase):
     def _logits(self, x, sigma):
         """Unchecked ``log w_k - ||x - p_k||^2 / (2 sigma^2)``, ``(..., K)``."""
         with np.errstate(divide="ignore"):
-            return np.log(self.weights) - self._sq_dist(x) / (2.0 * sigma * sigma)
+            return self._log_weights - self._sq_dist(x) / (2.0 * sigma * sigma)
+
+    def _gemm_is_safe(self, x, sigma) -> bool:
+        """Whether the GEMM logits' rounding bound ``beta`` is at most ``tau``."""
+        p = self._max_norm
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            x_norm = np.sqrt(np.max(np.einsum("...d,...d->...", x, x), initial=0.0))
+            beta = ((self.dim + 3) * _UNIT_ROUNDOFF * p * (2.0 * x_norm + p)
+                    / (2.0 * sigma * sigma))
+        return bool(beta <= _LOGIT_TOL)
 
     def _responsibilities(self, x, sigma):
+        if self._gemm_is_safe(x, sigma):
+            # log w_k + (x.p_k - |p_k|^2 / 2) / sigma^2, the logits less
+            # |x|^2 / (2 sigma^2) per row, which the softmax cancels
+            w = x @ self.points.T
+            w -= self._half_sq_norms
+            w /= sigma * sigma
+            w += self._log_weights
+        else:
+            w = self._logits(x, sigma)
         # divide by the sum: exp(logits - logsumexp) leaves rows summing to
         # 1 +- eps |logit|, about 1e-8 once a state is 1e4 sigma from the atoms
-        w = self._logits(x, sigma)
         w = np.exp(w - w.max(axis=-1, keepdims=True))
         return w / w.sum(axis=-1, keepdims=True)
 
@@ -150,7 +229,9 @@ class PointCloudScore(_OracleBase):
         return self._responsibilities(_check_state(x, self.dim), _check_sigma(sigma))
 
     def score(self, x, sigma):
-        x, sigma = _check_state(x, self.dim), _check_sigma(sigma)
+        return self._score(_check_state(x, self.dim), _check_sigma(sigma))
+
+    def _score(self, x, sigma):
         w = self._responsibilities(x, sigma)  # (..., K)
         return (w @ self.points - x) / (sigma * sigma)
 
@@ -236,7 +317,9 @@ class SubspaceGaussianScore(_OracleBase):
         return coef, normal
 
     def score(self, x, sigma):
-        x, sigma = _check_state(x, self.dim), _check_sigma(sigma)
+        return self._score(_check_state(x, self.dim), _check_sigma(sigma))
+
+    def _score(self, x, sigma):
         # -(tang + normal / sigma^2) of ``_split``, in two (B, d) buffers
         y = x - self.offset
         coef = y @ self.basis
@@ -459,12 +542,14 @@ class PerturbedScoreOracle(_OracleBase):
         return self.magnitude * (1.0 + self.sigma_floor / sigma)
 
     def score(self, x, sigma):
-        exact = self.base.score(x, sigma)  # checks x and sigma
+        return self._score(_check_state(x, self.dim), _check_sigma(sigma))
+
+    def _score(self, x, sigma):
+        exact = self.base._score(x, sigma)
         if self.magnitude == 0.0:
             return exact
-        sigma = float(sigma)
         field = self._field(x, sigma)
-        field *= self.denoiser_error_scale(sigma) / (sigma * sigma)
+        field *= self.magnitude * (1.0 + self.sigma_floor / sigma) / (sigma * sigma)
         exact += field
         return exact
 

@@ -37,9 +37,11 @@ codes = {
 }
 seen["toy_image"] = scipy_modules()
 cloud = ssilab.circle_point_cloud()
-score = cloud.score(np.array([[0.5, 0.25], [3.0, -1.0]]), 0.1)
-codes["score_finite"] = bool(np.isfinite(score).all())
-seen["point_cloud"] = scipy_modules()
+x = np.array([[0.5, 0.25], [3.0, -1.0]])
+codes["score_finite"] = bool(np.isfinite(cloud.score(x, 0.1)).all())
+seen["point_cloud_gemm"] = scipy_modules()
+codes["exact_score_finite"] = bool(np.isfinite(cloud.score(x, 0.002)).all())
+seen["point_cloud_exact"] = scipy_modules()
 codes["verify-projection"] = run("verify-projection", {"seed": 1, "trials": 200},
                                  "projection")
 seen["projection"] = scipy_modules()
@@ -56,11 +58,14 @@ def test_toy_image_commands_load_no_scipy(tmp_path):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     codes, seen = result["codes"], result["seen"]
     assert codes == {"interpolate": 0, "invert": 0, "score_finite": True,
-                     "verify-projection": 0}
+                     "exact_score_finite": True, "verify-projection": 0}
     assert seen["import"] == []
     assert seen["toy_image"] == []
-    # the point-cloud score loads scipy.spatial, not scipy.stats ...
-    assert "scipy.spatial" in seen["point_cloud"]
-    assert "scipy.stats" not in seen["point_cloud"]
+    # the circle score at sigma 0.1 takes the GEMM path and loads no scipy ...
+    assert seen["point_cloud_gemm"] == []
+    # ... at sigma 0.002 it takes the exact path, which loads scipy.spatial,
+    # not scipy.stats ...
+    assert "scipy.spatial" in seen["point_cloud_exact"]
+    assert "scipy.stats" not in seen["point_cloud_exact"]
     # ... and verify-projection's KS tests load scipy.stats
     assert "scipy.stats" in seen["projection"]

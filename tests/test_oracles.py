@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ssilab import (InvalidArgumentError, PerturbedScoreOracle, PointCloudScore,
                     SubspaceGaussianScore, circle_point_cloud, gaussian_on_axis,
-                    random_subspace, toy_image_subspace)
+                    karras_grid, random_subspace, toy_image_subspace)
 from ssilab import oracles
 
 
@@ -278,6 +280,20 @@ def test_invalid_input_rejected(kind, method, args):
         getattr(oracle, method)(*args)
 
 
+_MALFORMED_CALLS = {
+    "scalar-state": (5.0, 1.0),
+    "array-sigma": (np.zeros(2), np.array([1.0, 2.0])),
+    "string-state": (np.array(["a", "b"]), 1.0),
+}
+
+
+@pytest.mark.parametrize("call", list(_MALFORMED_CALLS))
+@pytest.mark.parametrize("kind", list(_ORACLES))
+def test_malformed_input_raises_the_documented_error(kind, call):
+    with pytest.raises(InvalidArgumentError):
+        _ORACLES[kind]().score(*_MALFORMED_CALLS[call])
+
+
 def test_perturbed_oracle_checks_the_state_once(monkeypatch):
     calls = []
     check = oracles._check_state
@@ -410,6 +426,13 @@ def _assert_matches_reference(oracle, x, sigma, compare_weights):
                                   oracle.points[np.argmin(sq, axis=-1)][clear])
 
 
+def _near_the_atoms(oracle, sigma, rng):
+    """Eight states, each sigma sqrt(d) times 0.5..2 from a random atom."""
+    d = oracle.dim
+    radius = sigma * np.sqrt(d) * rng.uniform(0.5, 2.0, (8, 1))
+    return oracle.points[rng.integers(0, len(oracle.points), 8)] + radius * _unit(rng, (8, d))
+
+
 @settings(max_examples=200, deadline=None)
 @given(clouds())
 def test_point_cloud_matches_direct_formula_near_the_atoms(case):
@@ -417,10 +440,86 @@ def test_point_cloud_matches_direct_formula_near_the_atoms(case):
     # atom; the posterior mean w @ points - x rounds to eps max|p| absolute,
     # so states within ~1e-7 max|p| of their posterior mean are out of scope
     oracle, sigma, rng = case
-    d = oracle.dim
-    radius = sigma * np.sqrt(d) * rng.uniform(0.5, 2.0, (8, 1))
-    x = oracle.points[rng.integers(0, len(oracle.points), 8)] + radius * _unit(rng, (8, d))
-    _assert_matches_reference(oracle, x, sigma, compare_weights=True)
+    _assert_matches_reference(oracle, _near_the_atoms(oracle, sigma, rng), sigma,
+                              compare_weights=True)
+
+
+@st.composite
+def clouds_at_the_logit_bound(draw):
+    """Atoms of norm 0.1..1e3 in d = 1..64, random weights, and sigma such
+    that the GEMM logits' bound beta for states at the atoms is 10^-1.5..10^1.5
+    times tau, so the examples fall on both sides of the path switch."""
+    d = draw(st.integers(1, 64))
+    k = draw(st.integers(1, 12))
+    norm = 10.0 ** draw(st.floats(-1.0, 3.0))
+    ratio = 10.0 ** draw(st.floats(-1.5, 1.5))
+    gamma = (d + 3) * oracles._UNIT_ROUNDOFF
+    # beta = gamma P (2 |x| + P) / (2 sigma^2) with |x| = P
+    sigma = norm * np.sqrt(3.0 * gamma / (2.0 * ratio * oracles._LOGIT_TOL))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    points = norm * _unit(rng, (k, d))
+    weights = rng.dirichlet(np.ones(k))
+    return PointCloudScore(points=points, weights=weights), sigma, rng
+
+
+@settings(max_examples=200, deadline=None)
+@given(clouds_at_the_logit_bound())
+def test_point_cloud_matches_direct_formula_at_the_logit_bound(case):
+    oracle, sigma, rng = case
+    _assert_matches_reference(oracle, _near_the_atoms(oracle, sigma, rng), sigma,
+                              compare_weights=True)
+
+
+def _takes_exact_path(monkeypatch, oracle, x, sigma) -> bool:
+    """Whether one ``score`` call computed cdist distances."""
+    calls = []
+    sq_dist = PointCloudScore._sq_dist
+
+    def spy(self, states):
+        calls.append(states.shape)
+        return sq_dist(self, states)
+
+    monkeypatch.setattr(PointCloudScore, "_sq_dist", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        score = oracle.score(x, sigma)
+    monkeypatch.undo()
+    assert np.all(np.isfinite(score))
+    return bool(calls)
+
+
+def test_point_cloud_logit_path_follows_the_bound(monkeypatch):
+    # the benchmark's regime: 256 toy-image atoms (d = 192, max norm about
+    # 4.4), batch 32 at each level of its 40-step Karras grid from 0.1 to 80
+    points = toy_image_subspace().sample_data((1, 0xA7), 256)
+    oracle = PointCloudScore(points=points, weights=np.full(256, 1.0 / 256))
+    assert 4.0 < oracle._max_norm < 5.0
+    rng = np.random.default_rng(5)
+    x0 = points[rng.integers(0, 256, 32)]
+    sigmas = karras_grid(0.1, 80.0, 7.0, 40).times[1:]
+    exact = [s for s in sigmas
+             if _takes_exact_path(monkeypatch, oracle,
+                                  x0 + s * rng.standard_normal(x0.shape), s)]
+    # only the grid's lowest levels lie past the bound
+    assert exact == list(sigmas[:4]) and max(exact) < 0.25
+    # sigma 0.002 with atoms of norm 1e4
+    far = PointCloudScore(points=1e4 * _unit(rng, (8, 16)), weights=np.full(8, 0.125))
+    x = far.points + 0.002 * rng.standard_normal((8, 16))
+    assert _takes_exact_path(monkeypatch, far, x, 0.002)
+    # atoms of norm 1e160: the norms overflow, beta is not finite, and no
+    # warning is raised on the way to the exact path
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        huge = PointCloudScore(points=np.array([[1e160, 0.0], [0.0, -1e160]]),
+                               weights=np.array([0.5, 0.5]))
+    assert _takes_exact_path(monkeypatch, huge, huge.points[0] + 0.5, 1.0)
+    # a NaN beta (0 * inf) and an infinite one (sigma^2 underflows to 0)
+    # select the exact path without a warning too
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        origin = PointCloudScore(points=np.zeros((1, 2)), weights=np.ones(1))
+        assert not origin._gemm_is_safe(np.array([1e160, 0.0]), 1.0)
+        assert not circle_point_cloud()._gemm_is_safe(np.ones(2), 1e-170)
 
 
 @settings(max_examples=200, deadline=None)
