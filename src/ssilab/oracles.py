@@ -46,9 +46,12 @@ def _rng(seed) -> np.random.Generator:
 
 def _check_state(x, d: int) -> np.ndarray:
     try:
-        x = np.asarray(x, dtype=float)
-    except (TypeError, ValueError) as exc:
+        x = np.asarray(x)
+    except ValueError as exc:  # a ragged nested sequence
         raise InvalidArgumentError("state must be an array of real numbers") from exc
+    if x.dtype.kind not in "biuf":  # strings, objects and complex numbers
+        raise InvalidArgumentError("state must be an array of real numbers")
+    x = x.astype(float, copy=False)
     if x.ndim == 0 or x.shape[-1] != d:
         raise InvalidArgumentError(f"state shape {x.shape} does not end in oracle dimension {d}")
     if not np.isfinite(x).all():

@@ -284,6 +284,7 @@ _MALFORMED_CALLS = {
     "scalar-state": (5.0, 1.0),
     "array-sigma": (np.zeros(2), np.array([1.0, 2.0])),
     "string-state": (np.array(["a", "b"]), 1.0),
+    "complex-state": (np.array([1.0 + 2.0j, 0.0]), 1.0),
 }
 
 
