@@ -501,8 +501,8 @@ def test_point_cloud_logit_path_follows_the_bound(monkeypatch):
     exact = [s for s in sigmas
              if _takes_exact_path(monkeypatch, oracle,
                                   x0 + s * rng.standard_normal(x0.shape), s)]
-    # only the grid's lowest levels lie past the bound
-    assert exact == list(sigmas[:4]) and max(exact) < 0.25
+    # only the grid's four lowest levels, sigma 0.1 to 0.225, lie past the bound
+    assert exact == list(sigmas[:4])
     # sigma 0.002 with atoms of norm 1e4
     far = PointCloudScore(points=1e4 * _unit(rng, (8, 16)), weights=np.full(8, 0.125))
     x = far.points + 0.002 * rng.standard_normal((8, 16))
