@@ -37,7 +37,9 @@ from .errors import InvalidArgumentError
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 _UNIT_ROUNDOFF = 2.0 ** -53  # u of float64
-_LOGIT_TOL = 1e-11  # tau of PointCloudScore: largest GEMM-path logit error
+_LOGIT_TOL = 1e-11  # tau of PointCloudScore: largest logit error left unrefined
+_SCREEN_MARGIN = 60.0  # L of PointCloudScore: how far below a row's top an atom is dropped
+_PAIRS_PER_BLOCK = 64  # (row, atom) pairs per direct-sum block; bounds its temporaries
 
 
 def _rng(seed) -> np.random.Generator:
@@ -86,55 +88,54 @@ class _OracleBase:
 class PointCloudScore(_OracleBase):
     """Mixture of point masses; smoothed density is an isotropic Gaussian mixture.
 
-    ``score`` and ``softmax_weights`` take the responsibilities, the softmax of
-    the logits ``log w_k - |x - p_k|^2 / (2 sigma^2)``, from one of two paths,
-    chosen per call:
+    ``score``, ``softmax_weights`` and ``log_density`` take the logits
+    ``log w_k - |x - p_k|^2 / (2 sigma^2)`` from one path, ``_logits``:
 
-    * GEMM path: ``log w_k + (x.p_k - |p_k|^2 / 2) / sigma^2``.  This drops
-      ``|x|^2 / (2 sigma^2)``, which is the same for every atom of a row and
-      cancels in the softmax.  ``x.p_k`` is one ``(B, d) @ (d, K)`` product;
-      ``|p_k|^2 / 2`` and ``P = max_k |p_k|`` are computed once, at
-      construction.
-    * Exact path: squared distances from ``cdist``, which sums ``(x - p_k)^2``
-      directly.  ``log_density``, ``nearest_manifold_point`` and
-      ``feature_scale`` always use ``cdist`` / ``pdist``.
+    * Screen: ``log w_k + (x.p_k - |p_k|^2 / 2) / sigma^2`` for every atom,
+      the logit plus ``|x|^2 / (2 sigma^2)``, which cancels in the softmax.
+      ``x.p_k`` is one ``(B, d) @ (d, K)`` product; ``|p_k|^2 / 2`` and
+      ``P = max_k |p_k|`` are computed at construction, which rejects atoms
+      whose ``|p_k|^2`` overflows.
+    * Refine: a row whose bound ``beta`` (below) exceeds ``tau``, or is NaN,
+      keeps as candidates the atoms whose screen logit lies within
+      ``L + 2 beta`` of the row maximum, or every atom if that cut is not
+      finite.  Their logits are recomputed from the direct sum
+      ``sum_j (x_j - p_kj)^2``, which does not cancel when the atoms' norm
+      dwarfs sigma; every other atom's logit becomes ``-inf``.
 
     Rounding bound.  With unit roundoff ``u = 2^-53`` and ``gamma_n = n u``, a
     dot product of length ``d`` lies within ``gamma_d |x| |p_k|`` of its value
     in whatever order BLAS sums it, and ``|p_k|^2`` within ``gamma_d |p_k|^2``.
     The subtraction, the division by ``sigma^2`` and the addition of
     ``log w_k`` add one rounding each, of a term at most
-    ``(|x| P + P^2 / 2) / sigma^2`` in size (besides the ``u |log w_k|`` that
-    both paths share).  So, to first order in ``u``, every GEMM logit lies
-    within
+    ``(|x| P + P^2 / 2) / sigma^2`` in size.  So, to first order in ``u``, a
+    row's screen logits lie within
+    ``beta = gamma_{d+3} P (2 |x| + P) / (2 sigma^2)`` of the exact ones, and
+    an atom the refine drops lies more than ``L`` below the true maximum.
 
-        beta = gamma_{d+3} P (2 max|x| + P) / (2 sigma^2)
+    Choice of ``tau`` and ``L``.  Logit errors of at most ``beta`` scale each
+    responsibility by at most ``exp(+-2 beta)``, so they move the score
+    ``(m - x) / sigma^2``, ``m = sum_k w_k p_k``, by a relative ``2 beta rho``
+    at most, with ``rho = sum_k w_k |p_k - x| / |m - x|``.  ``rho`` is 1 when
+    the posterior sits on one atom, about 1 when ``x`` is far from every atom,
+    and large only where ``x`` lies close to the posterior mean of separate
+    atoms, where the score itself is near zero.  The 1e-8 relative target with
+    ``rho`` up to 500 gives ``tau = 1e-8 / (2 * 500) = 1e-11``.  The dropped
+    atoms carry at most ``K e^-L`` of the mass and move the score by a
+    relative ``K e^-L rho``; ``L = 60`` makes ``e^-L`` about 1e-26.  The
+    candidates' logits round at ``u |x - p_k|^2 / (2 sigma^2)``, about 1e-8
+    when ``|x| / sigma`` is 1.4e4.
 
-    of the exact one, with the maximum over the batch's rows.  The GEMM path
-    runs when ``beta <= tau``; an infinite or NaN ``beta``, as when a norm
-    overflows, selects the exact path.
-
-    Choice of ``tau``.  Logit errors of at most ``beta`` scale each
-    responsibility by a factor within ``exp(+-2 beta)``, so the posterior mean
-    ``m = sum_k w_k p_k`` moves by at most ``2 beta sum_k w_k |p_k - x|`` and
-    the score ``(m - x) / sigma^2`` by a relative ``2 beta rho``, with
-    ``rho = sum_k w_k |p_k - x| / |m - x|``.  ``rho`` is 1 when the posterior
-    sits on one atom, about 1 when ``x`` is far from every atom, and large only
-    where ``x`` lies close to the posterior mean of separate atoms, where the
-    score itself is near zero.  The 1e-8 relative target with ``rho`` up to
-    500 gives ``tau = 1e-8 / (2 * 500) = 1e-11``.  The exact path is not better
-    everywhere: its logits round at ``u |x - p_k|^2 / (2 sigma^2)``, about
-    1e-8 when ``|x| / sigma`` is 1.4e4.
-
-    Cost.  Each call on a ``(B, d)`` batch costs O(B K d) time and O(B K)
-    memory on either path: one ``(B, d) @ (d, K)`` product or one ``cdist``
-    for the logits, O(B d) for the bound, and one ``(B, K) @ (K, d)`` product
-    for the posterior mean, so no ``(B, K, d)`` tensor is formed.  The GEMM is
-    BLAS level 3; ``cdist`` is a plain loop over the pairs, and the GEMM path
-    needs no scipy.  The posterior-mean product rounds to about
-    ``eps * max |p_k|`` absolute, so ``score`` keeps 1e-8 relative precision
-    while a state lies more than about ``1e-7 * max |p_k|`` from its posterior
-    mean.
+    Cost.  A ``(B, d)`` batch costs O(B K d) time and O(B K) memory: the
+    screen's product, O(d) per candidate, and one ``(B, K) @ (K, d)`` product
+    for the posterior mean.  The direct sums run over flat (row, atom) pairs,
+    64 at a time, so no ``(B, K, d)`` tensor is formed even when every atom
+    is a candidate.  ``nearest_manifold_point`` takes the screen without
+    ``log w_k`` at ``sigma = 1``, refines every row's candidates within
+    ``2 beta`` of its maximum, and keeps the first smallest direct sum.  The
+    posterior-mean product rounds to about ``eps * max |p_k|`` absolute, so
+    ``score`` keeps 1e-8 relative precision while a state lies more than
+    about ``1e-7 * max |p_k|`` from its posterior mean.
     """
 
     points: np.ndarray  # (K, d)
@@ -149,8 +150,6 @@ class PointCloudScore(_OracleBase):
         weights = np.asarray(self.weights, dtype=float)
         if points.shape[0] < 1:
             raise InvalidArgumentError("need at least one point")
-        if not np.all(np.isfinite(points)):
-            raise InvalidArgumentError("points must be finite")
         if weights.shape != (points.shape[0],):
             raise InvalidArgumentError("weights must match the number of points")
         if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-12:
@@ -160,7 +159,9 @@ class PointCloudScore(_OracleBase):
         points = points.copy()
         with np.errstate(divide="ignore", over="ignore"):
             log_weights = np.log(weights)
-            sq_norms = np.einsum("kd,kd->k", points, points)  # inf past 1e154
+            sq_norms = np.einsum("kd,kd->k", points, points)
+        if not np.all(np.isfinite(sq_norms)):  # or a norm past about 1.3e154
+            raise InvalidArgumentError("points must be finite, with finite squared norms")
         half_sq_norms = sq_norms / 2.0
         for arr in (points, weights, log_weights, half_sq_norms):
             arr.flags.writeable = False
@@ -181,47 +182,57 @@ class PointCloudScore(_OracleBase):
     @property
     def feature_scale(self) -> float:
         """Smallest pairwise distance between distinct atoms (inf for one atom)."""
-        from scipy.spatial.distance import pdist
+        best = np.inf
+        for k in range(1, self.points.shape[0]):
+            diff = self.points[:k] - self.points[k]
+            best = min(best, np.einsum("kd,kd->k", diff, diff).min())
+        return math.sqrt(best)
 
-        if self.points.shape[0] < 2:
-            return np.inf
-        return float(pdist(self.points).min())
+    def _screen(self, x, s2):
+        """Unchecked ``x.p_k - |p_k|^2 / 2``, ``(..., K)``, ``beta`` and ``|x|^2``."""
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            g = x @ self.points.T
+            g -= self._half_sq_norms
+            sq_x = np.einsum("...d,...d->...", x, x)
+            p = self._max_norm
+            beta = (self.dim + 3) * _UNIT_ROUNDOFF * p * (2.0 * np.sqrt(sq_x) + p) / (2.0 * s2)
+        return g, beta, sq_x
 
-    def _sq_dist(self, x):
-        """Unchecked squared distance from each state to each atom, ``(..., K)``.
+    def _refine(self, x, g, margin):
+        """Unchecked candidate (row, atom) pairs of ``g``, with their direct sums."""
+        with np.errstate(invalid="ignore"):
+            cut = g.max(axis=1) - margin
+        rows, atoms = np.nonzero((g >= cut[:, None]) | ~np.isfinite(cut)[:, None])
+        return rows, atoms, self._direct_sq_dist(x, rows, atoms)
 
-        Sums ``(x - p_k)^2`` directly: the expanded ``|x|^2 - 2 x.p + |p|^2``
-        cancels catastrophically once the atoms' norm dwarfs sigma.
-        """
-        from scipy.spatial.distance import cdist
-
-        flat = cdist(x.reshape(-1, self.dim), self.points, "sqeuclidean")
-        return flat.reshape(x.shape[:-1] + (self.points.shape[0],))
+    def _direct_sq_dist(self, x, rows, atoms):
+        """Unchecked ``sum_j (x_rj - p_aj)^2`` for each index pair ``(r, a)``."""
+        out = np.empty(len(rows))
+        for i in range(0, len(rows), _PAIRS_PER_BLOCK):
+            block = slice(i, i + _PAIRS_PER_BLOCK)
+            diff = x[rows[block]] - self.points[atoms[block]]
+            out[block] = np.einsum("nd,nd->n", diff, diff)  # never warns
+        return out
 
     def _logits(self, x, sigma):
-        """Unchecked ``log w_k - ||x - p_k||^2 / (2 sigma^2)``, ``(..., K)``."""
-        with np.errstate(divide="ignore"):
-            return self._log_weights - self._sq_dist(x) / (2.0 * sigma * sigma)
-
-    def _gemm_is_safe(self, x, sigma) -> bool:
-        """Whether the GEMM logits' rounding bound ``beta`` is at most ``tau``."""
-        p = self._max_norm
+        """Unchecked logits plus a per-row constant, and that constant (0 if refined)."""
+        s2 = sigma * sigma
+        g, beta, sq_x = self._screen(x, s2)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            x_norm = np.sqrt(np.max(np.einsum("...d,...d->...", x, x), initial=0.0))
-            beta = ((self.dim + 3) * _UNIT_ROUNDOFF * p * (2.0 * x_norm + p)
-                    / (2.0 * sigma * sigma))
-        return bool(beta <= _LOGIT_TOL)
+            g /= s2
+            g += self._log_weights
+            refine = ~(beta <= _LOGIT_TOL)  # a NaN bound refines too
+            if refine.any():
+                logits = g[refine]
+                rows, atoms, sq = self._refine(x[refine], logits,
+                                               _SCREEN_MARGIN + 2.0 * beta[refine])
+                logits[:] = -np.inf
+                logits[rows, atoms] = self._log_weights[atoms] - sq / (2.0 * s2)
+                g[refine] = logits
+            return g, np.where(refine, 0.0, sq_x / (2.0 * s2))
 
     def _responsibilities(self, x, sigma):
-        if self._gemm_is_safe(x, sigma):
-            # log w_k + (x.p_k - |p_k|^2 / 2) / sigma^2, the logits less
-            # |x|^2 / (2 sigma^2) per row, which the softmax cancels
-            w = x @ self.points.T
-            w -= self._half_sq_norms
-            w /= sigma * sigma
-            w += self._log_weights
-        else:
-            w = self._logits(x, sigma)
+        w, _ = self._logits(x, sigma)
         # divide by the sum: exp(logits - logsumexp) leaves rows summing to
         # 1 +- eps |logit|, about 1e-8 once a state is 1e4 sigma from the atoms
         w = np.exp(w - w.max(axis=-1, keepdims=True))
@@ -239,16 +250,20 @@ class PointCloudScore(_OracleBase):
         return (w @ self.points - x) / (sigma * sigma)
 
     def log_density(self, x, sigma):
-        from scipy.special import logsumexp
-
         x, sigma = _check_state(x, self.dim), _check_sigma(sigma)
+        logits, offset = self._logits(x, sigma)
+        top = logits.max(axis=-1)
         log_norm = 0.5 * self.dim * (_LOG_2PI + 2.0 * np.log(sigma))
-        return logsumexp(self._logits(x, sigma), axis=-1) - log_norm
+        return top + np.log(np.exp(logits - top[..., None]).sum(axis=-1)) - offset - log_norm
 
     def nearest_manifold_point(self, x):
-        dist = self._sq_dist(_check_state(x, self.dim))
-        idx = np.argmin(dist, axis=-1)  # first occurrence wins on ties
-        return self.points[idx]
+        x = _check_state(x, self.dim)
+        g, beta, _ = self._screen(x, 1.0)  # (|x|^2 - |x - p_k|^2) / 2
+        g = g.reshape(-1, g.shape[-1])
+        rows, atoms, sq = self._refine(x.reshape(-1, self.dim), g, 2.0 * np.reshape(beta, -1))
+        g[:] = np.inf
+        g[rows, atoms] = sq
+        return self.points[np.argmin(g, axis=-1)].reshape(x.shape)  # first of tied minima
 
     def sample_data(self, seed, count: int):
         if count < 1:
@@ -538,11 +553,6 @@ class PerturbedScoreOracle(_OracleBase):
         phase += self._phases
         phase += np.log(sigma)
         return np.sin(phase, out=phase) @ self._proj.T
-
-    def denoiser_error_scale(self, sigma) -> float:
-        """Magnitude of the posterior-mean error at this noise level."""
-        sigma = _check_sigma(sigma)
-        return self.magnitude * (1.0 + self.sigma_floor / sigma)
 
     def score(self, x, sigma):
         return self._score(_check_state(x, self.dim), _check_sigma(sigma))

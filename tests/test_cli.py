@@ -331,7 +331,11 @@ def test_pairwise_abs_cosine_of_rows_whose_norm_overflows():
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_invert_reports_the_cosine_of_noise_at_1e160():
-    cfg = {"oracle": {"kind": "circle", "radius": 1e160}, "trials": 4, "seed": 1}
+def test_invert_reports_the_cosine_at_the_largest_radius():
+    # 1.3e154 is about the largest radius whose squared norm is finite
+    cfg = {"oracle": {"kind": "circle", "radius": 1.3e154}, "trials": 4, "seed": 1}
     report = run_command(resolve_config("invert", cfg))
     assert 0.0 < report["aggregates"]["ssi_mean_abs_cosine"] <= 1.0
+    cfg["oracle"]["radius"] = 1e160
+    with pytest.raises(InvalidArgumentError):
+        run_command(resolve_config("invert", cfg))

@@ -39,9 +39,12 @@ seen["toy_image"] = scipy_modules()
 cloud = ssilab.circle_point_cloud()
 x = np.array([[0.5, 0.25], [3.0, -1.0]])
 codes["score_finite"] = bool(np.isfinite(cloud.score(x, 0.1)).all())
-seen["point_cloud_gemm"] = scipy_modules()
-codes["exact_score_finite"] = bool(np.isfinite(cloud.score(x, 0.002)).all())
-seen["point_cloud_exact"] = scipy_modules()
+codes["refined_score_finite"] = bool(np.isfinite(cloud.score(x, 0.002)).all())
+codes["log_density_finite"] = bool(np.isfinite(cloud.log_density(x, 0.002)).all())
+codes["nearest_is_an_atom"] = bool(np.isin(cloud.nearest_manifold_point(x),
+                                           cloud.points).all())
+codes["feature_scale_positive"] = bool(cloud.feature_scale > 0)
+seen["point_cloud"] = scipy_modules()
 codes["verify-projection"] = run("verify-projection", {"seed": 1, "trials": 200},
                                  "projection")
 seen["projection"] = scipy_modules()
@@ -58,14 +61,14 @@ def test_toy_image_commands_load_no_scipy(tmp_path):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     codes, seen = result["codes"], result["seen"]
     assert codes == {"interpolate": 0, "invert": 0, "score_finite": True,
-                     "exact_score_finite": True, "verify-projection": 0}
+                     "refined_score_finite": True, "log_density_finite": True,
+                     "nearest_is_an_atom": True, "feature_scale_positive": True,
+                     "verify-projection": 0}
     assert seen["import"] == []
     assert seen["toy_image"] == []
-    # the circle score at sigma 0.1 takes the GEMM path and loads no scipy ...
-    assert seen["point_cloud_gemm"] == []
-    # ... at sigma 0.002 it takes the exact path, which loads scipy.spatial,
-    # not scipy.stats ...
-    assert "scipy.spatial" in seen["point_cloud_exact"]
-    assert "scipy.stats" not in seen["point_cloud_exact"]
+    # the circle oracle loads no scipy module: its score at sigma 0.1 keeps
+    # the GEMM logits, at sigma 0.002 it refines them, and its projection,
+    # log-density and feature scale run on numpy alone ...
+    assert seen["point_cloud"] == []
     # ... and verify-projection's KS tests load scipy.stats
     assert "scipy.stats" in seen["projection"]

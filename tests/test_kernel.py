@@ -21,7 +21,7 @@ from ssilab import (Family, IntegrationDivergedError, Method,
                     toy_image_subspace)
 from ssilab.cli import main
 from ssilab.flow import _drift_coefficients
-from ssilab.oracles import SubspaceGaussianScore, _OracleBase
+from ssilab.oracles import PointCloudScore, SubspaceGaussianScore, _OracleBase
 
 RTOL = 1e-12
 BATCH = 8
@@ -234,11 +234,24 @@ def test_kernel_writes_into_no_array_it_did_not_allocate(run):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_overflowing_oracle_exits_3_under_the_warning_filter(tmp_path, capsys):
-    # squared distances to atoms of norm 1e160 overflow, so the point-cloud
-    # score is NaN at the first state; numpy's warnings are errors here
+def test_overflowing_oracle_exits_3_under_the_warning_filter(tmp_path, capsys,
+                                                             monkeypatch):
+    # a score that overflowed to NaN at the first state; numpy's warnings are
+    # errors here, so the kernel must detect the NaN without raising one
+    monkeypatch.setattr(PointCloudScore, "_score",
+                        lambda self, x, sigma: np.full(x.shape, np.nan))
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"oracle": {"kind": "circle"}, "trials": 4, "seed": 1}))
+    assert main(["verify-singularity", "--config", str(cfg), "--quiet"]) == 3
+    assert "integration diverged at step 0" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_atoms_whose_squared_norm_overflows_exit_2(tmp_path, capsys):
+    # |p_k|^2 of an atom of norm 1e160 overflows: the point cloud rejects it
+    # at construction instead of scoring finite states as NaN (exit 3)
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"oracle": {"kind": "circle", "radius": 1e160},
                                "trials": 4, "seed": 1}))
-    assert main(["verify-singularity", "--config", str(cfg), "--quiet"]) == 3
-    assert "integration diverged at step 0" in capsys.readouterr().err
+    assert main(["verify-singularity", "--config", str(cfg), "--quiet"]) == 2
+    assert "config error: points must be finite" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -93,6 +94,22 @@ class TestPointCloud:
     def test_nearest_point_generic(self, circle):
         p = circle.nearest_manifold_point(np.array([1.9, 0.05]))
         np.testing.assert_allclose(p, [2.0, 0.0], atol=1e-12)
+
+    def test_nearest_point_where_the_atoms_dwarf_their_spacing(self):
+        # atoms of norm about 1e6, 1e-2 apart: the product x.p_k rounds by
+        # more than their spacing, so only the refined direct sums rank them
+        rng = np.random.default_rng(2)
+        centre = 2.5e5 * rng.standard_normal(16)
+        line = rng.standard_normal(16)
+        line /= np.linalg.norm(line)
+        points = (centre + 1e-2 * np.arange(20)[:, None] * line
+                  + 1e-3 * rng.standard_normal((20, 16)))
+        oracle = PointCloudScore(points=points, weights=np.full(20, 0.05))
+        x = (centre + 1e-2 * rng.uniform(0, 19, (64, 1)) * line
+             + 1e-3 * rng.standard_normal((64, 16)))
+        sq = np.sum((x[:, None, :] - points) ** 2, axis=-1)
+        np.testing.assert_array_equal(oracle.nearest_manifold_point(x),
+                                      points[np.argmin(sq, axis=1)])
 
     def test_sample_data_deterministic(self, circle):
         a = circle.sample_data((7, 1), 100)
@@ -204,13 +221,15 @@ class TestPerturbed:
         p = PerturbedScoreOracle(base=circle, magnitude=1e-3)
         rng = np.random.default_rng(0)
         x = rng.normal(size=(2000, 2))
-        for sigma in (0.1, 1.0):
-            scale = p.denoiser_error_scale(sigma) / sigma**2
-            err = (p.score(x, sigma) - circle.score(x, sigma)) / scale
+        denoiser_rms = {}
+        for sigma in (0.01, 0.1, 1.0):
+            err = (p.score(x, sigma) - circle.score(x, sigma)) * sigma**2
+            denoiser_rms[sigma] = np.sqrt(np.mean(err**2))
             # frozen field: order-one components after removing the scale law
-            assert 0.2 < np.sqrt(np.mean(err**2)) < 2.0
+            law = p.magnitude * (1.0 + p.sigma_floor / sigma)
+            assert 0.2 < denoiser_rms[sigma] / law < 2.0
         # denoiser error deteriorates below the noise floor
-        assert p.denoiser_error_scale(0.01) / p.denoiser_error_scale(1.0) > 10
+        assert denoiser_rms[0.01] > 10 * denoiser_rms[1.0]
 
     def test_deterministic_replay(self, circle):
         a = PerturbedScoreOracle(base=circle, magnitude=1e-3, field_seed=5)
@@ -471,56 +490,135 @@ def test_point_cloud_matches_direct_formula_at_the_logit_bound(case):
                               compare_weights=True)
 
 
-def _takes_exact_path(monkeypatch, oracle, x, sigma) -> bool:
-    """Whether one ``score`` call computed cdist distances."""
+def _direct_sums(monkeypatch, call):
+    """``call()``'s result under warnings-as-errors, and the row index array
+    of each ``(row, atom)`` pair set it summed directly."""
     calls = []
-    sq_dist = PointCloudScore._sq_dist
+    direct = PointCloudScore._direct_sq_dist
 
-    def spy(self, states):
-        calls.append(states.shape)
-        return sq_dist(self, states)
+    def spy(self, states, rows, atoms):
+        calls.append(rows)
+        return direct(self, states, rows, atoms)
 
-    monkeypatch.setattr(PointCloudScore, "_sq_dist", spy)
+    monkeypatch.setattr(PointCloudScore, "_direct_sq_dist", spy)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        score = oracle.score(x, sigma)
+        result = call()
     monkeypatch.undo()
-    assert np.all(np.isfinite(score))
-    return bool(calls)
+    return result, calls
 
 
-def test_point_cloud_logit_path_follows_the_bound(monkeypatch):
-    # the benchmark's regime: 256 toy-image atoms (d = 192, max norm about
-    # 4.4), batch 32 at each level of its 40-step Karras grid from 0.1 to 80
+@pytest.fixture
+def benchmark_cloud():
+    """The benchmark's regime: 256 toy-image atoms (d = 192, max norm about
+    4.4) and 32 states at atoms, to be noised at each sigma."""
     points = toy_image_subspace().sample_data((1, 0xA7), 256)
     oracle = PointCloudScore(points=points, weights=np.full(256, 1.0 / 256))
-    assert 4.0 < oracle._max_norm < 5.0
     rng = np.random.default_rng(5)
-    x0 = points[rng.integers(0, 256, 32)]
+    return oracle, points[rng.integers(0, 256, 32)], rng
+
+
+def test_point_cloud_logit_path_follows_the_bound(monkeypatch, benchmark_cloud):
+    oracle, x0, rng = benchmark_cloud
+    assert 4.0 < oracle._max_norm < 5.0
+    # batch 32 at each level of the benchmark's 40-step Karras grid, 0.1 to 80
     sigmas = karras_grid(0.1, 80.0, 7.0, 40).times[1:]
-    exact = [s for s in sigmas
-             if _takes_exact_path(monkeypatch, oracle,
-                                  x0 + s * rng.standard_normal(x0.shape), s)]
-    # only the grid's four lowest levels, sigma 0.1 to 0.225, lie past the bound
-    assert exact == list(sigmas[:4])
+    most = {}
+    for s in sigmas:
+        x = x0 + s * rng.standard_normal(x0.shape)
+        score, calls = _direct_sums(monkeypatch, lambda: oracle.score(x, s))
+        assert np.all(np.isfinite(score))
+        if calls:
+            most[s] = np.bincount(calls[0]).max()
+    # only the grid's four lowest levels, sigma 0.1 to 0.225, refine, and a
+    # refined row keeps at most a quarter of the 256 atoms as candidates
+    # (2, 4, 12 and 63 at most, level by level, with these draws)
+    assert list(most) == list(sigmas[:4])
+    assert max(most.values()) <= 64
     # sigma 0.002 with atoms of norm 1e4
     far = PointCloudScore(points=1e4 * _unit(rng, (8, 16)), weights=np.full(8, 0.125))
     x = far.points + 0.002 * rng.standard_normal((8, 16))
-    assert _takes_exact_path(monkeypatch, far, x, 0.002)
-    # atoms of norm 1e160: the norms overflow, beta is not finite, and no
-    # warning is raised on the way to the exact path
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        huge = PointCloudScore(points=np.array([[1e160, 0.0], [0.0, -1e160]]),
-                               weights=np.array([0.5, 0.5]))
-    assert _takes_exact_path(monkeypatch, huge, huge.points[0] + 0.5, 1.0)
-    # a NaN beta (0 * inf) and an infinite one (sigma^2 underflows to 0)
-    # select the exact path without a warning too
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        origin = PointCloudScore(points=np.zeros((1, 2)), weights=np.ones(1))
-        assert not origin._gemm_is_safe(np.array([1e160, 0.0]), 1.0)
-        assert not circle_point_cloud()._gemm_is_safe(np.ones(2), 1e-170)
+    score, calls = _direct_sums(monkeypatch, lambda: far.score(x, 0.002))
+    assert calls and np.all(np.isfinite(score))
+    # a NaN bound (0 * inf: an atom at the origin, |x|^2 overflows) and an
+    # infinite one (sigma^2 underflows to 0) refine every atom of the row,
+    # without a warning
+    origin = PointCloudScore(points=np.zeros((1, 2)), weights=np.ones(1))
+    _, calls = _direct_sums(monkeypatch,
+                            lambda: origin._logits(np.array([[1e160, 0.0]]), 1.0))
+    assert [len(rows) for rows in calls] == [1]
+    _, calls = _direct_sums(monkeypatch,
+                            lambda: circle_point_cloud()._logits(np.ones((1, 2)), 1e-170))
+    assert [len(rows) for rows in calls] == [8]
+
+
+def test_point_cloud_responsibilities_are_never_subnormal(benchmark_cloud):
+    # atoms more than L + 2 beta below a row's top logit get weight exactly 0,
+    # so no responsibility is left in subnormal range (slow arithmetic)
+    oracle, x0, rng = benchmark_cloud
+    w = oracle.softmax_weights(x0 + 0.1 * rng.standard_normal(x0.shape), 0.1)
+    assert not np.any((w > 0) & (w < np.finfo(float).tiny))
+
+
+@st.composite
+def equidistant_clouds(draw):
+    """Up to 64 atoms at one distance r from a centre of norm 0.1..1e4, sigma
+    such that the bound beta at the centre is 10..1e3 times tau, and eight
+    states so close to the centre that every atom is a candidate."""
+    d = draw(st.integers(1, 16))
+    k = draw(st.integers(2, 64))
+    norm = 10.0 ** draw(st.floats(-1.0, 4.0))
+    ratio = 10.0 ** draw(st.floats(1.0, 3.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gamma = (d + 3) * oracles._UNIT_ROUNDOFF
+    sigma = norm * np.sqrt(3.0 * gamma / (2.0 * ratio * oracles._LOGIT_TOL))
+    radius = sigma * rng.uniform(0.5, 30.0)
+    centre = norm * _unit(rng, d)
+    oracle = PointCloudScore(points=centre + radius * _unit(rng, (k, d)),
+                             weights=rng.dirichlet(np.ones(k)))
+    # logits then differ by at most 2 radius offset / sigma^2 <= 1
+    offset = 0.5 * sigma**2 / radius * rng.uniform(0.0, 1.0, (8, 1))
+    return oracle, centre + offset * _unit(rng, (8, d)), sigma
+
+
+@settings(max_examples=200, deadline=None)
+@given(equidistant_clouds())
+def test_point_cloud_matches_direct_formula_with_every_atom_a_candidate(case):
+    oracle, x, sigma = case
+    # scope of the other families: the state lies more than 1e-6 max|p| from
+    # its posterior mean, whose product rounds to eps max|p|
+    mean_gap = sigma**2 * np.linalg.norm(
+        direct_reference(oracle.points, oracle.weights, x, sigma)[0], axis=-1)
+    x = x[mean_gap > 1e-6 * oracle._max_norm]
+    assume(len(x) > 0)
+    direct = PointCloudScore._direct_sq_dist
+    with mock.patch.object(PointCloudScore, "_direct_sq_dist", autospec=True,
+                           side_effect=direct) as spy:
+        oracle.score(x, sigma)
+    assert spy.call_count == 1
+    assert len(spy.call_args.args[2]) == x.shape[0] * len(oracle.points)
+    _assert_matches_reference(oracle, x, sigma, compare_weights=True)
+
+
+@pytest.mark.parametrize("pairs", [1, 3])
+def test_point_cloud_outputs_do_not_depend_on_the_block_size(monkeypatch, benchmark_cloud,
+                                                             pairs):
+    oracle, x0, rng = benchmark_cloud
+    equidistant = PointCloudScore(points=1e3 + _unit(rng, (40, 6)),
+                                  weights=np.full(40, 1.0 / 40))
+    cases = [(oracle, x0 + s * rng.standard_normal(x0.shape), s) for s in (0.1, 0.2)]
+    cases.append((equidistant, 1e3 + 1e-4 * rng.standard_normal((5, 6)), 0.01))
+    cases.append((circle_point_cloud(), np.zeros((3, 2)), 0.002))
+
+    def outputs():
+        return [getattr(o, m)(x, s) for o, x, s in cases
+                for m in ("score", "softmax_weights", "log_density")] + [
+            o.nearest_manifold_point(x) for o, x, _ in cases]
+
+    want = outputs()
+    monkeypatch.setattr(oracles, "_PAIRS_PER_BLOCK", pairs)
+    got = outputs()
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 @settings(max_examples=200, deadline=None)
