@@ -236,10 +236,11 @@ def test_kernel_writes_into_no_array_it_did_not_allocate(run):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_oracle_exits_3_under_the_warning_filter(tmp_path, capsys,
                                                              monkeypatch):
-    # a score that overflowed to NaN at the first state; numpy's warnings are
-    # errors here, so the kernel must detect the NaN without raising one
+    # a score that overflows to NaN at the first state through arithmetic that
+    # warns (inf - inf); numpy's warnings are errors here, so the kernel must
+    # silence the oracle's warnings and detect the NaN without raising one
     monkeypatch.setattr(PointCloudScore, "_score",
-                        lambda self, x, sigma: np.full(x.shape, np.nan))
+                        lambda self, x, sigma: np.full(x.shape, np.inf) - np.inf)
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"oracle": {"kind": "circle"}, "trials": 4, "seed": 1}))
     assert main(["verify-singularity", "--config", str(cfg), "--quiet"]) == 3
