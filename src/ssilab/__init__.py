@@ -22,6 +22,4 @@ from .diagnostics import (BoundCheck, ConcentrationReport, GaussianityReport,
                           trace_rms)
 from .config import (COMMANDS, build_grid, build_method, build_oracle,
                      build_schedule, config_hash, resolve_config)
-from .experiments import (cmd_interpolate, cmd_invert, cmd_reconstruct,
-                          cmd_sweep_tssi, cmd_verify_projection,
-                          cmd_verify_singularity, replay, run_command)
+from .experiments import replay, run_command

@@ -1,9 +1,14 @@
 """Experiment drivers behind the command-line front end.
 
-Each ``cmd_*`` function takes a resolved config (see :mod:`ssilab.config`)
-and returns a plain-dict run report: the echoed config, tool version, a seed
-ledger, per-trial records, aggregates, and a PASS/FAIL verdict where the
-command defines one.  All randomness flows through per-trial seed tuples
+``run_command`` is the one entry point, and it owns the run report.  It
+starts the clock, creates the report (tool version, echoed config and its
+hash, then an empty seed ledger, trials, aggregates, verdict, notes and CSV
+tables), builds the oracle and the schedule once, and calls the command's
+function as ``cmd_*(cfg, report, oracle, schedule)``.  That function fills in
+only ``seed_ledger``, ``trials``, ``aggregates``, ``verdict`` (PASS/FAIL where
+the command defines one) and ``notes``, and adds its table to ``csv``.
+``run_command`` then stamps ``wall_clock_seconds`` and returns the report as
+plain JSON values.  All randomness flows through per-trial seed tuples
 derived from the base seed, so re-running a report's echoed config
 reproduces aggregates bit-identically.  Trials are reduced sequentially in
 trial order.
@@ -57,25 +62,9 @@ def _jsonify(value):
     return value
 
 
-def _new_report(cfg: dict) -> dict:
-    return {
-        "tool": "ssilab",
-        "version": __version__,
-        "command": cfg["command"],
-        "config": dict(cfg),
-        "config_sha256": config_hash(cfg),
-        "seed_ledger": [],
-        "trials": [],
-        "aggregates": {},
-        "verdict": None,
-        "notes": [],
-        "csv": {},
-    }
-
-
-def _finish(report: dict, t_start: float) -> dict:
-    report["wall_clock_seconds"] = time.perf_counter() - t_start
-    return _jsonify(report)
+def _table(rows, columns) -> dict:
+    """A CSV table whose cells are ``columns`` read off each row dict."""
+    return {"columns": columns, "rows": [[row[c] for c in columns] for row in rows]}
 
 
 def _ssi_grid(cfg: dict, t_ssi: float = None, steps: int = None) -> TimeGrid:
@@ -101,12 +90,8 @@ def _ssi_invert_batch(oracle, schedule, grid, x0, noise,
 # -- commands ----------------------------------------------------------------
 
 
-def cmd_verify_singularity(cfg: dict) -> dict:
+def cmd_verify_singularity(cfg: dict, report: dict, oracle, schedule) -> None:
     """Sample trajectories and check the trace sigma * ||score|| stabilizes."""
-    t0 = time.perf_counter()
-    report = _new_report(cfg)
-    oracle = build_oracle(cfg)
-    schedule = build_schedule(cfg)
     if schedule.family is not Family.VE_KARRAS:
         raise ConfigError("singularity verification runs on the VE schedule")
     grid_down = build_grid(cfg).reversed()
@@ -140,16 +125,11 @@ def cmd_verify_singularity(cfg: dict) -> dict:
         "columns": ["sigma", "rms_ratio"],
         "rows": np.column_stack([sigmas, rms]),
     }
-    return _finish(report, t0)
 
 
-def cmd_verify_projection(cfg: dict) -> dict:
+def cmd_verify_projection(cfg: dict, report: dict, oracle, schedule) -> None:
     """KS-test the projection-distance law over a sigma ladder."""
     from scipy import stats
-
-    t0 = time.perf_counter()
-    report = _new_report(cfg)
-    oracle = build_oracle(cfg)
     rungs = []
     judged = []
     for i, sigma in enumerate(cfg["sigma_ladder"]):
@@ -191,19 +171,12 @@ def cmd_verify_projection(cfg: dict) -> dict:
                   r["coverage_fraction"], r["ratio_mean"],
                   int(r["asymptotic_regime"])] for r in rungs],
     }
-    return _finish(report, t0)
 
 
 def _gaussianity(z, oracle):
     if getattr(oracle, "grid_shape", None) is None:
         return None
-    return correlation_metrics(z, grid_shape=oracle.grid_shape)
-
-
-def _metric_row(rep):
-    if rep is None:
-        return None
-    return rep.to_dict()
+    return correlation_metrics(z, grid_shape=oracle.grid_shape).to_dict()
 
 
 def _pairwise_abs_cosine(noises: np.ndarray) -> float:
@@ -222,12 +195,8 @@ def _pairwise_abs_cosine(noises: np.ndarray) -> float:
     return float(off.mean())
 
 
-def cmd_invert(cfg: dict) -> dict:
+def cmd_invert(cfg: dict, report: dict, oracle, schedule) -> None:
     """Invert oracle samples and measure how Gaussian the noise looks."""
-    t0 = time.perf_counter()
-    report = _new_report(cfg)
-    oracle = build_oracle(cfg)
-    schedule = build_schedule(cfg)
     trials = cfg["trials"]
     run_ssi = cfg["method"] in ("ssi", "both")
     run_base = cfg["method"] in ("baseline_ddim", "both")
@@ -246,67 +215,54 @@ def cmd_invert(cfg: dict) -> dict:
     report["seed_ledger"] += [{"role": f"trial_{i}", "seed": list(s)}
                               for i, s in enumerate(noise_seeds)]
 
-    aggregates = {}
+    aggregates = report["aggregates"]
     if run_ssi:
         grid = _ssi_grid(cfg)
         noise = _trial_noise(noise_seeds, (oracle.dim,))
         res = _ssi_invert_batch(oracle, schedule, grid, x0, noise)
         sigma_T = float(schedule.sigma(res.final_time))
-        ssi_rep = _gaussianity(res.noise / sigma_T, oracle)
-        aggregates["ssi_metrics"] = _metric_row(ssi_rep)
+        aggregates["ssi_metrics"] = _gaussianity(res.noise / sigma_T, oracle)
         aggregates["ssi_mean_abs_cosine"] = _pairwise_abs_cosine(res.noise)
 
     if run_base:
         grid = build_grid(cfg)
         res_b = ddim_invert_baseline(oracle, schedule, x0, grid)
         sigma_T = float(schedule.sigma(res_b.final_time))
-        base_rep = _gaussianity(res_b.noise / sigma_T, oracle)
-        aggregates["baseline_metrics"] = _metric_row(base_rep)
+        aggregates["baseline_metrics"] = _gaussianity(res_b.noise / sigma_T, oracle)
         aggregates["baseline_mean_abs_cosine"] = _pairwise_abs_cosine(res_b.noise)
 
     ref_seed = (cfg["seed"], _TAG_REFERENCE)
     report["seed_ledger"].append({"role": "reference", "seed": list(ref_seed)})
     z_ref = _rng(ref_seed).standard_normal((trials, oracle.dim))
-    ref = _gaussianity(z_ref, oracle)
-    aggregates["reference_metrics"] = _metric_row(ref)
+    ref = aggregates["reference_metrics"] = _gaussianity(z_ref, oracle)
 
     verdict = None
     if ref is not None:
         def _excess(rep):
             out = {}
             for name in ("chan", "hori", "vert"):
-                se = float(np.hypot(getattr(rep, name + "_se"),
-                                    getattr(ref, name + "_se")))
-                diff = getattr(rep, name + "_corr") - getattr(ref, name + "_corr")
+                se = float(np.hypot(rep[name + "_se"], ref[name + "_se"]))
+                diff = rep[name + "_corr"] - ref[name + "_corr"]
                 out[name] = diff / se if se > 0 else np.inf
             return out
         if run_ssi:
-            aggregates["ssi_excess_se"] = _excess(ssi_rep)
+            aggregates["ssi_excess_se"] = _excess(aggregates["ssi_metrics"])
             ssi_ok = all(abs(v) <= 2.0
                          for v in aggregates["ssi_excess_se"].values())
             verdict = "PASS" if ssi_ok else "FAIL"
         if run_base:
-            aggregates["baseline_excess_se"] = _excess(base_rep)
+            aggregates["baseline_excess_se"] = _excess(aggregates["baseline_metrics"])
             base_fails = max(aggregates["baseline_excess_se"].values()) > 5.0
             if cfg["method"] == "both":
                 verdict = ("PASS" if (verdict == "PASS" and base_fails)
                            else "FAIL")
-    report["aggregates"] = aggregates
-    rows = []
-    for label, rep in (("ssi", aggregates.get("ssi_metrics")),
-                       ("baseline", aggregates.get("baseline_metrics")),
-                       ("reference", aggregates.get("reference_metrics"))):
-        if rep is not None:
-            rows.append([label, rep["chan_corr"], rep["hori_corr"],
-                         rep["vert_corr"], rep["chan_se"], rep["hori_se"],
-                         rep["vert_se"]])
-    report["csv"]["metrics"] = {
-        "columns": ["which", "chan_corr", "hori_corr", "vert_corr",
-                    "chan_se", "hori_se", "vert_se"],
-        "rows": rows,
-    }
     report["verdict"] = verdict
-    return _finish(report, t0)
+    rows = [{"which": label, **aggregates[label + "_metrics"]}
+            for label in ("ssi", "baseline", "reference")
+            if aggregates.get(label + "_metrics") is not None]
+    report["csv"]["metrics"] = _table(rows, ["which", "chan_corr", "hori_corr",
+                                             "vert_corr", "chan_se", "hori_se",
+                                             "vert_se"])
 
 
 def _roundtrip_batch(oracle, schedule, cfg, t_ssi, steps, cell_tag):
@@ -335,12 +291,8 @@ def _roundtrip_batch(oracle, schedule, cfg, t_ssi, steps, cell_tag):
     }
 
 
-def cmd_sweep_tssi(cfg: dict) -> dict:
+def cmd_sweep_tssi(cfg: dict, report: dict, oracle, schedule) -> None:
     """Map the roundtrip error over the skipping-time / step-count grid."""
-    t0 = time.perf_counter()
-    report = _new_report(cfg)
-    oracle = build_oracle(cfg)
-    schedule = build_schedule(cfg)
     if cfg["grid"]["kind"] == "kappa":
         raise ConfigError("the sweep varies t_ssi; use a karras or uniform grid")
     ladder = cfg["t_ssi_ladder"]
@@ -375,20 +327,11 @@ def cmd_sweep_tssi(cfg: dict) -> dict:
         report["verdict"] = None
     else:
         report["verdict"] = "PASS" if interior else "FAIL"
-    report["csv"]["sweep"] = {
-        "columns": ["steps", "t_ssi", "mse", "manifold_dist"],
-        "rows": [[r["steps"], r["t_ssi"], r["mse"], r["manifold_dist"]]
-                 for r in table],
-    }
-    return _finish(report, t0)
+    report["csv"]["sweep"] = _table(table, ["steps", "t_ssi", "mse", "manifold_dist"])
 
 
-def cmd_interpolate(cfg: dict) -> dict:
+def cmd_interpolate(cfg: dict, report: dict, oracle, schedule) -> None:
     """Invert two samples, slerp between their noises, decode every frame."""
-    t0 = time.perf_counter()
-    report = _new_report(cfg)
-    oracle = build_oracle(cfg)
-    schedule = build_schedule(cfg)
     grid = _ssi_grid(cfg)
     grid_down = TimeGrid(grid.times[::-1])
     endpoints = []
@@ -422,19 +365,11 @@ def cmd_interpolate(cfg: dict) -> dict:
         "threshold": cfg["manifold_threshold"],
     }
     report["verdict"] = "PASS" if ok else "FAIL"
-    report["csv"]["interpolation"] = {
-        "columns": ["lambda", "manifold_dist"],
-        "rows": [[f["lambda"], f["manifold_dist"]] for f in frames],
-    }
-    return _finish(report, t0)
+    report["csv"]["interpolation"] = _table(frames, ["lambda", "manifold_dist"])
 
 
-def cmd_reconstruct(cfg: dict) -> dict:
+def cmd_reconstruct(cfg: dict, report: dict, oracle, schedule) -> None:
     """Roundtrip trials and check the high-probability error bound."""
-    t0 = time.perf_counter()
-    report = _new_report(cfg)
-    oracle = build_oracle(cfg)
-    schedule = build_schedule(cfg)
     out = _roundtrip_batch(oracle, schedule, cfg, cfg["t_ssi"], None, 0)
     report["seed_ledger"].append({"role": "data", "seed": list(out["data_seed"])})
     report["seed_ledger"] += [{"role": f"trial_{i}", "seed": list(s)}
@@ -456,11 +391,7 @@ def cmd_reconstruct(cfg: dict) -> dict:
         "mean_mse": float(out["mse"].mean()),
     }
     report["verdict"] = "PASS" if ok else "FAIL"
-    report["csv"]["reconstruct"] = {
-        "columns": ["trial", "error_ratio"],
-        "rows": [[i, float(r)] for i, r in enumerate(ratio)],
-    }
-    return _finish(report, t0)
+    report["csv"]["reconstruct"] = _table(report["trials"], ["trial", "error_ratio"])
 
 
 _COMMAND_FUNCS = {
@@ -474,8 +405,24 @@ _COMMAND_FUNCS = {
 
 
 def run_command(cfg: dict) -> dict:
-    """Dispatch a resolved config to its command driver."""
-    return _COMMAND_FUNCS[cfg["command"]](cfg)
+    """Run a resolved config's command and return its report."""
+    t0 = time.perf_counter()
+    report = {
+        "tool": "ssilab",
+        "version": __version__,
+        "command": cfg["command"],
+        "config": dict(cfg),
+        "config_sha256": config_hash(cfg),
+        "seed_ledger": [],
+        "trials": [],
+        "aggregates": {},
+        "verdict": None,
+        "notes": [],
+        "csv": {},
+    }
+    _COMMAND_FUNCS[cfg["command"]](cfg, report, build_oracle(cfg), build_schedule(cfg))
+    report["wall_clock_seconds"] = time.perf_counter() - t0
+    return _jsonify(report)
 
 
 def replay(report: dict) -> dict:

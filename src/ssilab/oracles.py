@@ -21,6 +21,10 @@ check.  Each ``score`` is that check plus a private ``_score``; the perturbed
 ``score`` checks once and calls its base oracle's ``_score``.  Private helpers
 take checked arguments and check nothing.
 
+The contract of ``_score(x, sigma)``, kept by every oracle kind: ``x`` is a
+finite float array whose last axis is ``d``, and ``sigma`` is a finite
+positive float.  A caller that has not checked its arguments calls ``score``.
+
 ``score`` never writes into its input and returns a fresh array that the
 caller owns: the perturbed ``score`` adds its field into its base oracle's
 result, and the step kernel of :mod:`ssilab.flow` scales the result in place.
@@ -44,6 +48,18 @@ _PAIRS_PER_BLOCK = 64  # (row, atom) pairs per direct-sum block; bounds its temp
 
 def _rng(seed) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed))
+
+
+def _by_pairs(reduce, x, points, rows, atoms) -> np.ndarray:
+    """``reduce`` over ``x_r - p_a`` for each index pair ``(r, a)``, a bounded
+    block of pairs at a time."""
+    out = np.empty(len(rows))
+    for i in range(0, len(rows), _PAIRS_PER_BLOCK):
+        block = slice(i, i + _PAIRS_PER_BLOCK)
+        diff = x[rows[block]]  # a copy: fancy indexing
+        diff -= points[atoms[block]]
+        out[block] = reduce(diff)
+    return out
 
 
 def _check_state(x, d: int) -> np.ndarray:
@@ -101,7 +117,13 @@ class PointCloudScore(_OracleBase):
       ``L + 2 beta`` of the row maximum, or every atom if that cut is not
       finite.  Their logits are recomputed from the direct sum
       ``sum_j (x_j - p_kj)^2``, which does not cancel when the atoms' norm
-      dwarfs sigma; every other atom's logit becomes ``-inf``.
+      dwarfs sigma; every other atom's logit becomes ``-inf``.  A row whose
+      every candidate sum overflows takes its logits, less a per-row
+      constant, from the distances instead: ``(d_k - d_min)(d_k + d_min)``
+      with ``d_k = |x - p_k|`` summed by ``hypot``.  Those differences round
+      at about ``u d_k^2``, so the weights there only resolve atoms whose
+      distances differ by more than ``u |x|``; the score, dominated by
+      ``-x / sigma^2``, keeps its relative precision.
 
     Rounding bound.  With unit roundoff ``u = 2^-53`` and ``gamma_n = n u``, a
     dot product of length ``d`` lies within ``gamma_d |x| |p_k|`` of its value
@@ -199,37 +221,51 @@ class PointCloudScore(_OracleBase):
         return g, beta, sq_x
 
     def _refine(self, x, g, margin):
-        """Unchecked candidate (row, atom) pairs of ``g``, with their direct sums."""
+        """Unchecked candidate (row, atom) pairs of ``g``, their direct sums, and
+        each row's ``d_min``: 0 unless every sum of the row overflows, when
+        its sums become ``(d_k - d_min)(d_k + d_min)``."""
         with np.errstate(invalid="ignore"):
             cut = g.max(axis=1) - margin
         rows, atoms = np.nonzero((g >= cut[:, None]) | ~np.isfinite(cut)[:, None])
-        return rows, atoms, self._direct_sq_dist(x, rows, atoms)
+        sq = self._direct_sq_dist(x, rows, atoms)
+        d_min = np.zeros(len(g))
+        far = np.ones(len(g), dtype=bool)
+        far[rows[np.isfinite(sq)]] = False
+        if far.any():
+            pick = far[rows]
+            d_min[far] = np.inf
+            with np.errstate(over="ignore", invalid="ignore"):  # past about 1.8e308
+                d = _by_pairs(lambda diff: np.hypot.reduce(diff, axis=1),
+                              x, self.points, rows[pick], atoms[pick])
+                np.minimum.at(d_min, rows[pick], d)
+                lo = d_min[rows[pick]]
+                sq[pick] = np.where(d > lo, (d - lo) * (d + lo), 0.0)
+        return rows, atoms, sq, d_min
 
     def _direct_sq_dist(self, x, rows, atoms):
         """Unchecked ``sum_j (x_rj - p_aj)^2`` for each index pair ``(r, a)``."""
-        out = np.empty(len(rows))
-        for i in range(0, len(rows), _PAIRS_PER_BLOCK):
-            block = slice(i, i + _PAIRS_PER_BLOCK)
-            diff = x[rows[block]] - self.points[atoms[block]]
-            out[block] = np.einsum("nd,nd->n", diff, diff)  # never warns
-        return out
+        return _by_pairs(lambda diff: np.einsum("nd,nd->n", diff, diff),  # never warns
+                         x, self.points, rows, atoms)
 
     def _logits(self, x, sigma):
-        """Unchecked logits plus a per-row constant, and that constant (0 if refined)."""
+        """Unchecked logits plus a per-row constant, and that constant (0 if
+        refined, unless every candidate's direct sum overflowed)."""
         s2 = sigma * sigma
         g, beta, sq_x = self._screen(x, s2)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             g /= s2
             g += self._log_weights
             refine = ~(beta <= _LOGIT_TOL)  # a NaN bound refines too
+            offset = np.where(refine, 0.0, sq_x / (2.0 * s2))
             if refine.any():
                 logits = g[refine]
-                rows, atoms, sq = self._refine(x[refine], logits,
-                                               _SCREEN_MARGIN + 2.0 * beta[refine])
+                rows, atoms, sq, d_min = self._refine(x[refine], logits,
+                                                      _SCREEN_MARGIN + 2.0 * beta[refine])
                 logits[:] = -np.inf
                 logits[rows, atoms] = self._log_weights[atoms] - sq / (2.0 * s2)
                 g[refine] = logits
-            return g, np.where(refine, 0.0, sq_x / (2.0 * s2))
+                offset[refine] = 0.5 * (d_min / sigma) ** 2
+            return g, offset
 
     def _responsibilities(self, x, sigma):
         w, _ = self._logits(x, sigma)
@@ -260,7 +296,7 @@ class PointCloudScore(_OracleBase):
         x = _check_state(x, self.dim)
         g, beta, _ = self._screen(x, 1.0)  # (|x|^2 - |x - p_k|^2) / 2
         g = g.reshape(-1, g.shape[-1])
-        rows, atoms, sq = self._refine(x.reshape(-1, self.dim), g, 2.0 * np.reshape(beta, -1))
+        rows, atoms, sq, _ = self._refine(x.reshape(-1, self.dim), g, 2.0 * np.reshape(beta, -1))
         g[:] = np.inf
         g[rows, atoms] = sq
         return self.points[np.argmin(g, axis=-1)].reshape(x.shape)  # first of tied minima

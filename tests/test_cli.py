@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from ssilab import (ConfigError, InvalidArgumentError, build_oracle, replay,
-                    resolve_config, run_command)
+from ssilab import (COMMANDS, ConfigError, InvalidArgumentError, build_oracle,
+                    replay, resolve_config, run_command)
 from ssilab.cli import main
 from ssilab.experiments import _pairwise_abs_cosine
 
@@ -212,22 +212,50 @@ class TestExitCodes:
         assert main(["interpolate", "--config", str(cfg), "--quiet"]) == 4
 
 
+_AXIS_KARRAS_20 = {"oracle": {"kind": "gaussian_on_axis"},
+                   "grid": {"kind": "karras", "t_min": 0.002, "t_max": 80.0,
+                            "rho": 7.0, "steps": 20}}
+
+
 class TestOutputs:
-    def test_report_and_csv_written(self, tmp_path):
+    @pytest.mark.parametrize("command,raw,table,header,rows", [
+        ("verify-singularity", {"trials": 10}, "trace", "sigma,rms_ratio", 200),
+        ("verify-projection", {"trials": 100}, "concentration",
+         "sigma,ks_statistic,ks_pvalue,coverage_fraction,ratio_mean,in_regime", 3),
+        ("invert", {"trials": 4, "method": "both", "schedule": "vp_linear_beta",
+                    "oracle": {"kind": "toy_image"},
+                    "grid": {"kind": "uniform", "t_min": 0.1, "t_max": 0.999,
+                             "steps": 10}},
+         "metrics", "which,chan_corr,hori_corr,vert_corr,chan_se,hori_se,vert_se", 3),
+        ("sweep-tssi", {"trials": 2, "t_ssi_ladder": [0.1, 0.2],
+                        "steps_ladder": [10, 20], **_AXIS_KARRAS_20},
+         "sweep", "steps,t_ssi,mse,manifold_dist", 4),
+        ("interpolate", {"lambdas": [0.25, 0.5, 0.75], **_AXIS_KARRAS_20},
+         "interpolation", "lambda,manifold_dist", 3),
+        ("reconstruct", {"trials": 5, **_AXIS_KARRAS_20},
+         "reconstruct", "trial,error_ratio", 5),
+    ], ids=COMMANDS)
+    def test_report_and_csv_written(self, tmp_path, command, raw, table, header,
+                                    rows):
         out = tmp_path / "run"
-        cfg = write_config(tmp_path, {"seed": 2, "trials": 10})
-        assert main(["verify-singularity", "--config", str(cfg),
+        cfg = write_config(tmp_path, {"seed": 2, **raw})
+        assert main([command, "--config", str(cfg),
                      "--out", str(out), "--quiet"]) == 0
         report = json.loads((out / "report.json").read_text())
+        assert list(report) == ["tool", "version", "command", "config",
+                                "config_sha256", "seed_ledger", "trials",
+                                "aggregates", "verdict", "notes",
+                                "wall_clock_seconds"]
         assert report["tool"] == "ssilab"
-        assert report["command"] == "verify-singularity"
+        assert report["command"] == command
         assert report["config"]["seed"] == 2
-        assert "csv" not in report
-        lines = (out / "trace.csv").read_text().splitlines()
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            ["report.json", f"{table}.csv"])
+        lines = (out / f"{table}.csv").read_text().splitlines()
         assert lines[0].startswith("# ssilab ")
         assert report["config_sha256"][:12] in lines[0]
-        assert lines[1] == "sigma,rms_ratio"
-        assert len(lines) == 2 + 200
+        assert lines[1] == header
+        assert len(lines) == 2 + rows
 
     def test_flag_overrides_config(self, tmp_path):
         cfg = write_config(tmp_path, {"seed": 2, "trials": 10})

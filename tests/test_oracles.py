@@ -561,6 +561,32 @@ def test_point_cloud_responsibilities_are_never_subnormal(benchmark_cloud):
     assert not np.any((w > 0) & (w < np.finfo(float).tiny))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_point_cloud_scores_states_where_every_direct_sum_overflows():
+    # |x - p_k|^2 overflows for every atom, so the logits come from distances;
+    # at (1e308, -1e308) the distance sum d_k + d_min overflows as well, and
+    # at sigma 1e75 the log-density is finite and the rows still refine
+    pair = PointCloudScore(points=np.array([[0.0, 0.0], [1.0, 0.0]]), weights=np.full(2, 0.5))
+    circle = circle_point_cloud(radius=1.0)
+    for oracle, x, sigma in ((pair, [1e160, 0.0], 1.0), (circle, [1e156, 1e156], 1.0),
+                             (circle, [1e308, -1e308], 1.0), (pair, [1e160, 0.0], 1e75),
+                             (circle, [1e156, 1e156], 1e75)):
+        x = np.array([x])
+        scale = np.abs(x).max()  # row norms of 1e308 overflow
+        nearest = oracle.points[np.argmax(oracle.points @ (x[0] / scale))]
+        want = (nearest - x) / scale
+        score = oracle.score(x, sigma) * (sigma * sigma / scale)
+        assert np.all(np.isfinite(score))
+        assert np.linalg.norm(score - want) <= PRECISION * np.linalg.norm(want)
+        # the projection takes the same refine; no warning, and an atom
+        assert (oracle.points == oracle.nearest_manifold_point(x)).all(axis=1).any()
+        if sigma > 1.0:
+            log_density = (-0.5 * (np.hypot.reduce(x[0] - nearest) / sigma) ** 2
+                           - np.log(2.0 * np.pi * sigma * sigma))
+            assert abs(oracle.log_density(x, sigma)[0] - log_density) <= \
+                PRECISION * abs(log_density)
+
+
 @st.composite
 def equidistant_clouds(draw):
     """Up to 64 atoms at one distance r from a centre of norm 0.1..1e4, sigma
