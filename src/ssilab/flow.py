@@ -58,6 +58,16 @@ class Trajectory:
             raise InvalidArgumentError("trajectory contains non-finite states")
         object.__setattr__(self, "states", states)
 
+    @classmethod
+    def _from_kernel(cls, states, grid, schedule):
+        """The trajectory of ``integrate``'s own float buffer, unchecked: the
+        kernel shaped it ``(len(grid), ..., d)`` and raised at its first
+        non-finite state, so a second full pass would find nothing."""
+        traj = object.__new__(cls)
+        for name, value in (("states", states), ("grid", grid), ("schedule", schedule)):
+            object.__setattr__(traj, name, value)
+        return traj
+
 
 def _drift_coefficients(schedule: NoiseSchedule, times):
     """``(p, q, r, sigma)`` at each time, the drift being ``p x + q score(r x, sigma)``."""
@@ -140,7 +150,7 @@ def integrate(schedule: NoiseSchedule, oracle, method: Method,
         return _run_plan(oracle, x_start, plan, corrector)
     out = np.empty((times.size,) + x_start.shape)
     _run_plan(oracle, x_start, plan, corrector, out)
-    return Trajectory(states=out, grid=grid, schedule=schedule)
+    return Trajectory._from_kernel(out, grid, schedule)
 
 
 def gaussian_exact(oracle: SubspaceGaussianScore, x_start, t_start: float,

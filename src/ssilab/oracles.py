@@ -119,11 +119,13 @@ class PointCloudScore(_OracleBase):
       ``sum_j (x_j - p_kj)^2``, which does not cancel when the atoms' norm
       dwarfs sigma; every other atom's logit becomes ``-inf``.  A row whose
       every candidate sum overflows takes its logits, less a per-row
-      constant, from the distances instead: ``(d_k - d_min)(d_k + d_min)``
-      with ``d_k = |x - p_k|`` summed by ``hypot``.  Those differences round
-      at about ``u d_k^2``, so the weights there only resolve atoms whose
-      distances differ by more than ``u |x|``; the score, dominated by
-      ``-x / sigma^2``, keeps its relative precision.
+      constant, from ``d_k^2 - d_min^2`` instead, ``d_k = |x - p_k|``.
+      Where the row's screen ``g_k = x.p_k - |p_k|^2 / 2`` is finite, that is
+      ``2 (g_max - g_k)``, which rounds at about ``u |x| P`` like the screen;
+      elsewhere it is ``(d_k - d_min)(d_k + d_min)`` with ``d_k`` summed by
+      ``hypot``, which rounds at about ``u d_k^2`` and so only resolves atoms
+      whose distances differ by more than ``u |x|``.  The score, dominated
+      by ``-x / sigma^2``, keeps its relative precision on either form.
 
     Rounding bound.  With unit roundoff ``u = 2^-53`` and ``gamma_n = n u``, a
     dot product of length ``d`` lies within ``gamma_d |x| |p_k|`` of its value
@@ -223,7 +225,7 @@ class PointCloudScore(_OracleBase):
     def _refine(self, x, g, margin):
         """Unchecked candidate (row, atom) pairs of ``g``, their direct sums, and
         each row's ``d_min``: 0 unless every sum of the row overflows, when
-        its sums become ``(d_k - d_min)(d_k + d_min)``."""
+        its sums become ``d_k^2 - d_min^2``, from the screen where it is finite."""
         with np.errstate(invalid="ignore"):
             cut = g.max(axis=1) - margin
         rows, atoms = np.nonzero((g >= cut[:, None]) | ~np.isfinite(cut)[:, None])
@@ -233,13 +235,21 @@ class PointCloudScore(_OracleBase):
         far[rows[np.isfinite(sq)]] = False
         if far.any():
             pick = far[rows]
+            r, a = rows[pick], atoms[pick]
             d_min[far] = np.inf
             with np.errstate(over="ignore", invalid="ignore"):  # past about 1.8e308
-                d = _by_pairs(lambda diff: np.hypot.reduce(diff, axis=1),
-                              x, self.points, rows[pick], atoms[pick])
-                np.minimum.at(d_min, rows[pick], d)
-                lo = d_min[rows[pick]]
-                sq[pick] = np.where(d > lo, (d - lo) * (d + lo), 0.0)
+                d = _by_pairs(lambda diff: np.hypot.reduce(diff, axis=1), x, self.points, r, a)
+                np.minimum.at(d_min, r, d)
+                lo = d_min[r]
+                by_dist = np.where(d > lo, (d - lo) * (d + lo), 0.0)
+                # 2 (g_max - g_k) rounds at u |x| P, where by_dist rounds at u |x|^2
+                at = np.cumsum(far) - 1  # a row's index among the far rows
+                screen = self._screen(x[far], 1.0)[0][at[r], a]
+                top = np.full(len(g), -np.inf)
+                np.maximum.at(top, r, screen)
+                by_screen = np.isfinite(top)
+                by_screen[r[~np.isfinite(screen)]] = False
+                sq[pick] = np.where(by_screen[r], 2.0 * (top[r] - screen), by_dist)
         return rows, atoms, sq, d_min
 
     def _direct_sq_dist(self, x, rows, atoms):
@@ -314,15 +324,30 @@ class SubspaceGaussianScore(_OracleBase):
     """Gaussian supported on an affine subspace ``b + span(A)``.
 
     The smoothed density is a full-rank Gaussian with covariance
-    ``A diag(stddevs^2) A^T + sigma^2 I``; all operations use the eigen-split
-    into tangential (columns of ``A``) and normal components, so no ``d x d``
-    matrices are ever formed.
+    ``A diag(lam) A^T + sigma^2 I``, ``lam = stddevs^2``; all operations use
+    the eigen-split into tangential (columns of ``A``) and normal components,
+    so no ``d x d`` matrices are ever formed.
+
+    Score.  With ``y = x - b`` and ``c = y A``, the two-projection form is the
+    tangential part ``-(c / (lam + sigma^2)) A^T`` plus the normal part
+    ``-(y - c A^T) / sigma^2``.  Its two ``c A^T`` terms collect into one:
+
+        score = (c kappa) A^T - y / sigma^2,  kappa = lam / ((lam + sigma^2) sigma^2),
+
+    so ``_score`` makes one product forward and one back, the back one
+    against a read-only C-contiguous copy of ``A^T`` made at construction.
+    Rounding, with ``u = 2^-53``: near the subspace both forms cancel terms of
+    size ``|y| / sigma^2``, the two-projection form in ``y - c A^T`` and this
+    one in its last subtraction, so each row of either errs by a small
+    multiple of ``u |y| / sigma^2``; ``kappa`` adds a few ``u`` relative to
+    the tangential term.
     """
 
     basis: np.ndarray  # (d, n), column-orthonormal
     offset: np.ndarray  # (d,)
     latent_stddevs: np.ndarray  # (n,)
     grid_shape: tuple[int, int, int] | None = None
+    _basis_t: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         basis = np.asarray(self.basis, dtype=float)
@@ -346,9 +371,11 @@ class SubspaceGaussianScore(_OracleBase):
         if self.grid_shape is not None and int(np.prod(self.grid_shape)) != d:
             raise InvalidArgumentError("grid_shape does not match dimension")
         basis = basis.copy()
-        for arr in (basis, offset, stddevs):
+        basis_t = np.ascontiguousarray(basis.T)
+        for arr in (basis, basis_t, offset, stddevs):
             arr.flags.writeable = False
         object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "_basis_t", basis_t)
         object.__setattr__(self, "offset", offset)
         object.__setattr__(self, "latent_stddevs", stddevs)
 
@@ -374,16 +401,16 @@ class SubspaceGaussianScore(_OracleBase):
         return self._score(_check_state(x, self.dim), _check_sigma(sigma))
 
     def _score(self, x, sigma):
-        # -(tang + normal / sigma^2) of ``_split``, in two (B, d) buffers
+        # (c kappa) A^T - y / sigma^2: two products and three (B, d) passes
+        s2 = sigma * sigma
         y = x - self.offset
         coef = y @ self.basis
-        proj = np.matmul(coef, self.basis.T)
-        y -= proj  # the normal component
-        y /= sigma * sigma
-        np.matmul(coef / (self.latent_stddevs**2 + sigma * sigma), self.basis.T,
-                  out=proj)  # the tangential score
-        y += proj
-        return np.negative(y, out=y)
+        lam = self.latent_stddevs**2
+        coef *= lam / ((lam + s2) * s2)
+        score = coef @ self._basis_t
+        y /= s2
+        score -= y
+        return score
 
     def log_density(self, x, sigma):
         x, sigma = _check_state(x, self.dim), _check_sigma(sigma)
@@ -541,6 +568,12 @@ class PerturbedScoreOracle(_OracleBase):
 
     ``posterior_mean``/``denoise`` are derived from the perturbed score,
     matching how a flawed denoiser would behave.
+
+    The field is ``sin(x W^T + phi + log sigma) P^T`` with ``m`` random
+    features.  ``phi + log sigma`` is added as one ``(m,)`` vector, and the
+    error scale multiplies the ``(B, m)`` sines before they are projected, so
+    no ``(B, d)`` pass scales the result.  The back product reads a read-only
+    C-contiguous copy of ``P^T``, made at construction.
     """
 
     base: ScoreOracle
@@ -550,7 +583,7 @@ class PerturbedScoreOracle(_OracleBase):
     n_features: int = 64
     _weights: np.ndarray = field(init=False, repr=False)
     _phases: np.ndarray = field(init=False, repr=False)
-    _proj: np.ndarray = field(init=False, repr=False)
+    _proj_t: np.ndarray = field(init=False, repr=False)  # (m, d)
 
     def __post_init__(self):
         if self.magnitude < 0:
@@ -561,12 +594,12 @@ class PerturbedScoreOracle(_OracleBase):
         rng = _rng((self.field_seed, 0xF1E1D))
         w = rng.standard_normal((m, d)) / np.sqrt(d)
         phases = rng.uniform(0.0, 2.0 * np.pi, size=m)
-        proj = rng.standard_normal((d, m)) * np.sqrt(2.0 / m)
-        for arr in (w, phases, proj):
+        proj_t = np.ascontiguousarray((rng.standard_normal((d, m)) * np.sqrt(2.0 / m)).T)
+        for arr in (w, phases, proj_t):
             arr.flags.writeable = False
         object.__setattr__(self, "_weights", w)
         object.__setattr__(self, "_phases", phases)
-        object.__setattr__(self, "_proj", proj)
+        object.__setattr__(self, "_proj_t", proj_t)
 
     @property
     def dim(self) -> int:
@@ -585,10 +618,13 @@ class PerturbedScoreOracle(_OracleBase):
         return self.base.grid_shape
 
     def _field(self, x, sigma):
+        """Unchecked score error: the field times ``magnitude (1 + sigma_floor
+        / sigma) / sigma^2``, applied to the ``(B, m)`` sines."""
         phase = x @ self._weights.T
-        phase += self._phases
-        phase += np.log(sigma)
-        return np.sin(phase, out=phase) @ self._proj.T
+        phase += self._phases + np.log(sigma)
+        sines = np.sin(phase, out=phase)
+        sines *= self.magnitude * (1.0 + self.sigma_floor / sigma) / (sigma * sigma)
+        return sines @ self._proj_t
 
     def score(self, x, sigma):
         return self._score(_check_state(x, self.dim), _check_sigma(sigma))
@@ -597,9 +633,7 @@ class PerturbedScoreOracle(_OracleBase):
         exact = self.base._score(x, sigma)
         if self.magnitude == 0.0:
             return exact
-        field = self._field(x, sigma)
-        field *= self.magnitude * (1.0 + self.sigma_floor / sigma) / (sigma * sigma)
-        exact += field
+        exact += self._field(x, sigma)
         return exact
 
     def log_density(self, x, sigma):

@@ -193,6 +193,16 @@ def test_trajectory_length_mismatch_rejected(axis):
         Trajectory(states=np.zeros((3, 2)), grid=grid, schedule=VE_KARRAS)
 
 
+def test_trajectory_constructor_rejects_a_non_finite_state():
+    # integrate skips this check on the states its kernel made; the public
+    # constructor keeps it
+    grid = uniform_grid(0.5, 1.0, 5)
+    states = np.zeros((len(grid), 3, 2))
+    states[2, 1, 0] = np.nan
+    with pytest.raises(InvalidArgumentError):
+        Trajectory(states=states, grid=grid, schedule=VE_KARRAS)
+
+
 def test_vp_convergence_order_euler():
     # Euler on the scaled VP formulation is still first order
     axis = gaussian_on_axis()

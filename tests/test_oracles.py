@@ -335,19 +335,22 @@ def test_perturbed_oracle_checks_the_state_once(monkeypatch):
 
 
 def subspace_score_reference(oracle, x, sigma):
-    """Two-projection subspace score, one fresh array per operation."""
+    """One-back-projection subspace score ``(c kappa) A^T - y / sigma^2``,
+    one fresh array per operation."""
+    s2 = sigma * sigma
     y = x - oracle.offset
-    coef = y @ oracle.basis
-    normal = y - coef @ oracle.basis.T
-    tang = (coef / (oracle.latent_stddevs**2 + sigma * sigma)) @ oracle.basis.T
-    return -(tang + normal / (sigma * sigma))
+    lam = oracle.latent_stddevs**2
+    kappa = lam / ((lam + s2) * s2)
+    # BLAS may round a product with a transposed view differently at small B
+    return (y @ oracle.basis * kappa) @ np.ascontiguousarray(oracle.basis.T) - y / s2
 
 
 def perturbed_score_reference(p, x, sigma):
-    """Base score plus the scaled random-feature field, without buffers."""
-    phase = x @ p._weights.T + p._phases + np.log(sigma)
+    """Base score plus the random-feature field, its sines scaled before they
+    are projected, without buffers."""
+    phase = x @ p._weights.T + (p._phases + np.log(sigma))
     err = p.magnitude * (1.0 + p.sigma_floor / sigma) / (sigma * sigma)
-    return subspace_score_reference(p.base, x, sigma) + err * (np.sin(phase) @ p._proj.T)
+    return subspace_score_reference(p.base, x, sigma) + (err * np.sin(phase)) @ p._proj_t
 
 
 @pytest.fixture(scope="module")
@@ -379,6 +382,37 @@ def test_in_place_scores_equal_the_plain_expressions(offset_toy_image, batch, si
         assert np.array_equal(got, reference(oracle, x, sigma))
         assert not np.shares_memory(got, x)
         assert np.array_equal(x, x_before)
+
+
+def longdouble_score_references(p, x, sigma):
+    """Two-projection subspace score, and it plus the field, in ``np.longdouble``."""
+    ld = np.longdouble
+    base, x, sigma = p.base, x.astype(ld), ld(sigma)
+    basis = base.basis.astype(ld)
+    y = x - base.offset.astype(ld)
+    coef = y @ basis
+    normal = y - coef @ basis.T
+    tang = (coef / (base.latent_stddevs.astype(ld) ** 2 + sigma**2)) @ basis.T
+    exact = -(tang + normal / sigma**2)
+    phase = x @ p._weights.T.astype(ld) + p._phases.astype(ld) + np.log(sigma)
+    err = ld(p.magnitude) * (1 + ld(p.sigma_floor) / sigma) / sigma**2
+    return exact, exact + err * (np.sin(phase) @ p._proj_t.astype(ld))
+
+
+@pytest.mark.parametrize("offset", ["zero", "random"])
+@pytest.mark.parametrize("sigma", [0.002, 0.01, 0.1, 1.0, 80.0])
+def test_subspace_and_perturbed_scores_match_a_longdouble_reference(offset_toy_image,
+                                                                    offset, sigma):
+    p = (PerturbedScoreOracle(base=toy_image_subspace(), magnitude=1e-3)
+         if offset == "zero" else offset_toy_image)
+    rng = np.random.default_rng(int(sigma * 1000))
+    on = p.base.sample_data(5, 8)
+    # on the subspace, sigma from it, and far from it
+    x = np.concatenate([on, on + sigma * rng.standard_normal(on.shape),
+                        on + 10.0 * rng.standard_normal(on.shape)])
+    for oracle, want in zip((p.base, p), longdouble_score_references(p, x, sigma)):
+        err = np.linalg.norm(oracle.score(x, sigma) - want, axis=1).astype(float)
+        assert np.all(err <= 1e-9 * np.linalg.norm(want, axis=1).astype(float))
 
 
 # -- point-cloud precision against the direct (B, K, d) formula -------------
@@ -585,6 +619,18 @@ def test_point_cloud_scores_states_where_every_direct_sum_overflows():
                            - np.log(2.0 * np.pi * sigma * sigma))
             assert abs(oracle.log_density(x, sigma)[0] - log_density) <= \
                 PRECISION * abs(log_density)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_point_cloud_weights_and_projection_far_from_every_atom_follow_the_screen():
+    # every direct sum overflows; the screen x.p_k - |p_k|^2 / 2 does not, and
+    # its clear maximum, 1.41e156, is at the atom (0.707, 0.707)
+    circle = circle_point_cloud(radius=1.0)
+    x = np.array([[1e156, 1e156]])
+    nearest = np.argmax(circle.points @ x[0])
+    assert np.allclose(circle.points[nearest], np.sqrt(0.5))
+    assert np.array_equal(circle.nearest_manifold_point(x), circle.points[[nearest]])
+    assert circle.softmax_weights(x, 1.0)[0, nearest] >= 1.0 - 1e-12
 
 
 @st.composite
