@@ -131,7 +131,8 @@ def singularity_trace(oracle, trajectory: Trajectory):
     Returns ``(sigmas, ratios)``; for batched trajectories the ratio array is
     ``(n_times, batch)``.  Equal to ``sigma_t * ||score||`` pointwise.  The
     states are the integrator's scaled ``s(t) u``; each is divided by
-    ``s(t)`` so the oracle sees ``u`` (VE has ``s = 1``).
+    ``s(t)`` (unless exactly 1, as on VE) so the oracle sees ``u``.  The norm
+    sums as ``np.linalg.norm(axis=-1)`` does, in the posterior mean's array.
     """
     times = trajectory.grid.times
     sigmas = np.asarray(trajectory.schedule.sigma(times))
@@ -140,9 +141,11 @@ def singularity_trace(oracle, trajectory: Trajectory):
     scales = np.asarray(trajectory.schedule.scale(times))
     ratios = np.empty(trajectory.states.shape[:-1])
     for i in range(times.size):
-        x = trajectory.states[i] / scales[i]
-        pm = oracle.posterior_mean(x, float(sigmas[i]))
-        ratios[i] = np.linalg.norm(pm - x, axis=-1) / sigmas[i]
+        x = trajectory.states[i] if scales[i] == 1.0 else trajectory.states[i] / scales[i]
+        r = oracle.posterior_mean(x, float(sigmas[i]))
+        r -= x
+        r *= r
+        ratios[i] = np.sqrt(np.add.reduce(r, axis=-1)) / sigmas[i]
     return sigmas, ratios
 
 

@@ -14,10 +14,10 @@ unscaled ``u``.  VE has ``s = 1`` and ``s_dot = 0`` exactly, so there the
 drift is ``(0, -sigma_dot sigma, 1)`` to the bit.  Steps are signed:
 descending grids sample, ascending grids invert.
 
-Memory: the kernel holds two ``(B, d)`` state buffers plus each step's score
-inputs and results, so a run that keeps no states costs O(B d) whatever the
-grid length.  Keeping states (``integrate``'s default) adds the
-``(len(grid), B, d)`` trajectory.
+Memory: each state is a fresh ``(B, d)`` array, or the score's own result,
+or its slot in the kept trajectory, so a run that keeps no states holds
+O(B d) at a time whatever the grid length.  Keeping states (``integrate``'s
+default) adds the ``(len(grid), B, d)`` trajectory.
 """
 
 from __future__ import annotations
@@ -85,43 +85,51 @@ def _rows(plan):
     return zip(*(v.tolist() for v in np.broadcast_arrays(*plan)))
 
 
+def _scaled_score(score, x, c, sigma, step, sigma_hat):
+    """``score(c x, sigma)``; step ``step`` diverged if it raises on an overflowed ``c x``."""
+    scaled = x if c == 1.0 else c * x
+    try:
+        return score(scaled, sigma)
+    except Exception as exc:
+        if np.isfinite(x).all() and not np.isfinite(scaled).all():
+            raise IntegrationDivergedError(step, sigma_hat) from exc
+        raise
+
+
 def _run_plan(oracle, x, plan, corrector=None, out=None):
     """Step ``x`` through ``plan`` and, for Heun, ``corrector``; return the end state.
 
     Fills ``out`` with every state when given.  Raises
-    :class:`IntegrationDivergedError` at the first non-finite state or
-    prediction, with the step index and the ``sigma_hat`` of its plan row.
+    :class:`IntegrationDivergedError` at the first non-finite state, prediction
+    or score input, with the step index and the ``sigma_hat`` of its plan row.
     Floating-point warnings are silenced: that check is the whole contract.
-    The step arithmetic runs in two buffers of the kernel's own and in the
-    fresh arrays ``score`` returns; ``x`` and the arrays passed to ``score``
-    are never written.
+    Each state is written once, into its slot of ``out``, a fresh array or the
+    one ``score`` returned, and a product by exactly 1 (VE's and DDIM's ``a``
+    and ``c``) is skipped; ``x`` and the arrays given to ``score`` are never written.
     """
     if out is not None:
         out[0] = x
     score = oracle.score
     fixes = _rows(corrector) if corrector is not None else repeat(None)
-    x_next = np.empty_like(x)
     with np.errstate(all="ignore"):
         for i, ((a, b, c, sigma), fix) in enumerate(zip(_rows(plan), fixes)):
-            # x_next = a x + b score(c x, sigma)
-            step = score(c * x, sigma)
+            # x_next = a x + b score(c x, sigma); a Heun prediction keeps out of the slot
+            slot = out[i + 1] if out is not None and fix is None else None
+            step = _scaled_score(score, x, c, sigma, i, sigma)
             step *= b
-            np.multiply(a, x, out=x_next)
-            x_next += step
+            ax = x if a == 1.0 else np.multiply(a, x, out=slot)
+            x_next = np.add(ax, step, out=step if slot is None else slot)
             if fix is not None and np.isfinite(x_next).all():
-                # x_next = x/2 + fa x_next + fb score(fc x_next, fsigma)
+                # x_next = x/2 + fa pred + fb score(fc pred, fsigma), pred = x_next
                 fa, fb, fc, fsigma = fix
-                fixed = score(fc * x_next, fsigma)
+                fixed = _scaled_score(score, x_next, fc, fsigma, i, sigma)
                 fixed *= fb
-                x_next *= fa
-                x_next += np.multiply(0.5, x, out=step)
+                x_next = np.multiply(fa, x_next, out=None if out is None else out[i + 1])
+                x_next += 0.5 * x
                 x_next += fixed
             if not np.isfinite(x_next).all():
                 raise IntegrationDivergedError(i, sigma)
-            # ping-pong between two buffers, the first step's input being x_start
-            x, x_next = x_next, (np.empty_like(x) if i == 0 else x)
-            if out is not None:
-                out[i + 1] = x
+            x = x_next
     return x
 
 

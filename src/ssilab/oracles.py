@@ -26,8 +26,8 @@ finite float array whose last axis is ``d``, and ``sigma`` is a finite
 positive float.  A caller that has not checked its arguments calls ``score``.
 
 ``score`` never writes into its input and returns a fresh array that the
-caller owns: the perturbed ``score`` adds its field into its base oracle's
-result, and the step kernel of :mod:`ssilab.flow` scales the result in place.
+caller owns: the perturbed ``score``, ``posterior_mean`` and the step kernel
+of :mod:`ssilab.flow` each write into the result they are given.
 """
 
 from __future__ import annotations
@@ -91,9 +91,9 @@ class _OracleBase:
     """Shared Tweedie-identity plumbing for concrete oracles."""
 
     def posterior_mean(self, x, sigma):
-        score = self.score(x, sigma)  # checks x and sigma
-        sigma = float(sigma)
-        return x + sigma * sigma * score
+        score = self.score(x, sigma)  # checks x and sigma; a fresh array
+        score *= float(sigma) * float(sigma)
+        return np.add(x, score, out=score)  # x + sigma^2 score, to the bit
 
     def denoise(self, x, sigma):
         # Definitionally the posterior mean: (D(x, sigma) - x)/sigma^2 == score.
@@ -348,6 +348,8 @@ class SubspaceGaussianScore(_OracleBase):
     latent_stddevs: np.ndarray  # (n,)
     grid_shape: tuple[int, int, int] | None = None
     _basis_t: np.ndarray = field(init=False, repr=False, compare=False)
+    _lam: np.ndarray = field(init=False, repr=False, compare=False)  # stddevs**2
+    _shifted: bool = field(init=False, repr=False, compare=False)  # offset != +0.0
 
     def __post_init__(self):
         basis = np.asarray(self.basis, dtype=float)
@@ -372,12 +374,16 @@ class SubspaceGaussianScore(_OracleBase):
             raise InvalidArgumentError("grid_shape does not match dimension")
         basis = basis.copy()
         basis_t = np.ascontiguousarray(basis.T)
-        for arr in (basis, basis_t, offset, stddevs):
+        lam = stddevs**2
+        for arr in (basis, basis_t, offset, stddevs, lam):
             arr.flags.writeable = False
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "_basis_t", basis_t)
         object.__setattr__(self, "offset", offset)
         object.__setattr__(self, "latent_stddevs", stddevs)
+        object.__setattr__(self, "_lam", lam)
+        # x - (+0.0) is x to the bit; x - (-0.0) turns -0.0 into +0.0
+        object.__setattr__(self, "_shifted", bool(offset.view(np.uint64).any()))
 
     @property
     def dim(self) -> int:
@@ -401,21 +407,19 @@ class SubspaceGaussianScore(_OracleBase):
         return self._score(_check_state(x, self.dim), _check_sigma(sigma))
 
     def _score(self, x, sigma):
-        # (c kappa) A^T - y / sigma^2: two products and three (B, d) passes
+        # (c kappa) A^T - y / sigma^2: two products, at most three (B, d) passes
         s2 = sigma * sigma
-        y = x - self.offset
+        y = x - self.offset if self._shifted else x
         coef = y @ self.basis
-        lam = self.latent_stddevs**2
-        coef *= lam / ((lam + s2) * s2)
+        coef *= self._lam / ((self._lam + s2) * s2)
         score = coef @ self._basis_t
-        y /= s2
-        score -= y
+        score -= np.divide(y, s2, out=y if self._shifted else None)
         return score
 
     def log_density(self, x, sigma):
         x, sigma = _check_state(x, self.dim), _check_sigma(sigma)
         coef, normal = self._split(x)
-        var_t = self.latent_stddevs**2 + sigma * sigma
+        var_t = self._lam + sigma * sigma
         d, n = self.dim, self.manifold_dim
         quad = np.sum(coef * coef / var_t, axis=-1) + np.sum(normal * normal, axis=-1) / (
             sigma * sigma

@@ -151,6 +151,20 @@ class TestSingularityTrace:
         pm = axis.posterior_mean(x, float(sigmas[i]))
         assert ratios[i] == pytest.approx(np.linalg.norm(pm - x) / sigmas[i], rel=1e-12)
 
+    @pytest.mark.parametrize("schedule,method", [
+        (VE_KARRAS, Method.HEUN), (VP_LINEAR_BETA, Method.EULER)], ids=["ve", "vp"])
+    def test_ratio_is_the_norm_expression_to_the_bit(self, schedule, method):
+        # VE skips the division by s = 1 and both sum the norm in place
+        oracle = toy_image_subspace()
+        grid = TimeGrid(np.linspace(0.1, 0.9, 9))
+        x0 = oracle.sample_data((5, 1), 8)
+        traj = integrate(schedule, oracle, method, x0, grid)
+        sigmas, ratios = singularity_trace(oracle, traj)
+        for i, sigma in enumerate(sigmas.tolist()):
+            x = traj.states[i] / schedule.scale(grid.times[i])
+            pm = x + sigma * sigma * oracle.score(x, sigma)
+            assert np.array_equal(ratios[i], np.linalg.norm(pm - x, axis=-1) / sigmas[i])
+
     def test_small_sigma_limit_sqrt_df(self):
         # x = x0 + sigma n: ratio concentrates at sqrt(d - n) in RMS
         oracle = random_subspace(dim=12, latent_dim=4, basis_seed=3)

@@ -14,13 +14,14 @@ import re
 import numpy as np
 import pytest
 
-from ssilab import (Family, IntegrationDivergedError, Method,
-                    PerturbedScoreOracle, TimeGrid, VE_KARRAS, VP_LINEAR_BETA,
+from ssilab import (Family, IntegrationDivergedError, InvalidArgumentError,
+                    Method, PerturbedScoreOracle, TimeGrid, VE_KARRAS,
+                    VP_LINEAR_BETA,
                     ddim_coefficients, ddim_invert_baseline, ddim_sample,
                     gaussian_on_axis, integrate, karras_grid,
                     toy_image_subspace)
 from ssilab.cli import main
-from ssilab.flow import _drift_coefficients
+from ssilab.flow import _drift_coefficients, _rows
 from ssilab.oracles import PointCloudScore, SubspaceGaussianScore, _OracleBase
 
 RTOL = 1e-12
@@ -117,6 +118,55 @@ def test_ve_drift_is_the_scaled_drift_with_unit_scale(t):
         assert np.array_equal(got, expected)
 
 
+def general_step_reference(oracle, x, plan, corrector=None):
+    """Every state of the kernel's plan, each step's products by ``a`` and
+    ``c`` written out even where they are 1, in the kernel's order of
+    operations: ``(a x) + (b score(c x))`` and, for Heun,
+    ``((fa pred) + (0.5 x)) + (fb score(fc pred))``."""
+    rows = list(_rows(plan))
+    fixes = list(_rows(corrector)) if corrector is not None else [None] * len(rows)
+    states = [x]
+    for (a, b, c, sigma), fix in zip(rows, fixes):
+        pred = a * x + b * oracle.score(c * x, sigma)
+        if fix is None:
+            x = pred
+        else:
+            fa, fb, fc, fsigma = fix
+            x = fa * pred + 0.5 * x + fb * oracle.score(fc * pred, fsigma)
+        states.append(x)
+    return np.stack(states)
+
+
+@pytest.mark.parametrize("method", [Method.EULER, Method.HEUN])
+@pytest.mark.parametrize("descending", [False, True], ids=["up", "down"])
+def test_unit_coefficients_keep_the_general_step_bits(oracle, method, descending):
+    # on VE every plan row has a = c = 1 exactly; skipping those products must
+    # leave every state equal, bit for bit, to the general arithmetic
+    times = _VE_TIMES[::-1] if descending else _VE_TIMES
+    x = _start(oracle, VE_KARRAS, times[0], 5)
+    p, q, r, sigma = _drift_coefficients(VE_KARRAS, times)
+    h = np.diff(times)
+    n = h.size
+    plan = (1.0 + h * p[:n], h * q[:n], r[:n], sigma[:n])
+    corrector = ((0.5 + 0.5 * h * p[1:], 0.5 * h * q[1:], r[1:], sigma[1:])
+                 if method is Method.HEUN else None)
+    assert np.all(plan[0] == 1.0) and np.all(plan[2] == 1.0)
+    want = general_step_reference(oracle, x, plan, corrector)
+    assert np.array_equal(integrate(VE_KARRAS, oracle, method, x, TimeGrid(times)).states,
+                          want)
+    assert np.array_equal(integrate(VE_KARRAS, oracle, method, x, TimeGrid(times),
+                                    keep_states=False), want[-1])
+
+
+def test_ddim_sample_keeps_the_general_step_bits(oracle):
+    times = _VP_TIMES[::-1]
+    u = _start(oracle, VE_KARRAS, float(VP_LINEAR_BETA.sigma(times[0])), 6)
+    sig = np.asarray(VP_LINEAR_BETA.sigma(times))
+    plan = (1.0, -sig[:-1] * np.diff(sig), 1.0, sig[:-1])
+    assert np.array_equal(ddim_sample(oracle, VP_LINEAR_BETA, u, TimeGrid(times)),
+                          general_step_reference(oracle, u, plan)[-1])
+
+
 def test_ddim_sample_matches_reference_loop(oracle):
     times = _VP_TIMES[::-1]
     u = _start(oracle, VE_KARRAS, float(VP_LINEAR_BETA.sigma(times[0])), 8)
@@ -173,6 +223,33 @@ def test_divergence_raises_with_step_index(run, k, step, sigma):
     assert exc.value.sigma == sigma
 
 
+_VP_UP = TimeGrid(np.linspace(0.5, 0.9, 5))
+
+
+@pytest.mark.parametrize("method,value", [
+    # c_0 = 1/s(0.5) = 3.56 takes the finite start state past the largest float
+    (Method.EULER, 1e308),
+    # c_0 x = 1.4e308 is finite; the corrector's c_1 = 6.18 times the
+    # prediction overflows
+    (Method.HEUN, 4e307),
+], ids=["euler", "heun-corrector"])
+def test_overflowing_score_input_diverges(method, value):
+    axis = gaussian_on_axis()
+    with pytest.raises(IntegrationDivergedError) as exc:
+        integrate(VP_LINEAR_BETA, axis, method, np.full((2, axis.dim), value), _VP_UP)
+    assert exc.value.step_index == 0
+    assert exc.value.sigma == VP_LINEAR_BETA.sigma(0.5)
+    assert isinstance(exc.value.__cause__, InvalidArgumentError)
+
+
+@pytest.mark.parametrize("schedule", [VE_KARRAS, VP_LINEAR_BETA], ids=["ve", "vp"])
+def test_non_finite_start_state_is_an_invalid_argument(schedule):
+    # the caller's state, not the kernel's, is at fault: exit 2, not 3
+    with pytest.raises(InvalidArgumentError):
+        integrate(schedule, gaussian_on_axis(), Method.EULER,
+                  np.array([np.nan, 1.0]), _VP_UP)
+
+
 def test_cli_baseline_divergence_exits_3(tmp_path, monkeypatch, capsys):
     # one command per integrate path; each diverges at its first step
     monkeypatch.setattr(SubspaceGaussianScore, "score",
@@ -221,7 +298,11 @@ class Recording(_OracleBase):
     lambda o, x: integrate(VP_LINEAR_BETA, o, Method.HEUN, x, _UP,
                            keep_states=False),
     lambda o, x: ddim_invert_baseline(o, VP_LINEAR_BETA, x, _UP),
-], ids=["euler", "heun", "ddim-baseline"])
+    # a = c = 1 on these three: score is handed the kernel's own states
+    lambda o, x: integrate(VE_KARRAS, o, Method.EULER, x, _UP, keep_states=False),
+    lambda o, x: integrate(VE_KARRAS, o, Method.HEUN, x, _UP),
+    lambda o, x: ddim_sample(o, VP_LINEAR_BETA, x, _UP.reversed()),
+], ids=["euler", "heun", "ddim-baseline", "ve-euler-end", "ve-heun", "ddim-sample"])
 def test_kernel_writes_into_no_array_it_did_not_allocate(run):
     oracle = Recording()
     x = np.random.default_rng(2).standard_normal((BATCH, oracle.dim))

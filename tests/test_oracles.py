@@ -353,28 +353,48 @@ def perturbed_score_reference(p, x, sigma):
     return subspace_score_reference(p.base, x, sigma) + (err * np.sin(phase)) @ p._proj_t
 
 
+_ZEROS = slice(None, None, 17)  # where the "negzero" offset holds -0.0
+
+
 @pytest.fixture(scope="module")
-def offset_toy_image():
+def toy_images():
+    """The perturbed toy image with random latent stddevs, by offset: random,
+    +0.0 everywhere, and +0.0 but for a -0.0 at every 17th entry."""
     toy = toy_image_subspace()
     rng = np.random.default_rng(11)
-    base = SubspaceGaussianScore(
-        basis=toy.basis, offset=rng.standard_normal(toy.dim),
-        latent_stddevs=rng.uniform(0.5, 2.0, toy.manifold_dim),
-        grid_shape=toy.grid_shape)
-    return PerturbedScoreOracle(base=base, magnitude=1e-3)
+    offsets = {"random": rng.standard_normal(toy.dim), "zero": np.zeros(toy.dim),
+               "negzero": np.zeros(toy.dim)}
+    offsets["negzero"][_ZEROS] = -0.0
+    stddevs = rng.uniform(0.5, 2.0, toy.manifold_dim)
+    return {kind: PerturbedScoreOracle(base=SubspaceGaussianScore(
+        basis=toy.basis, offset=offset, latent_stddevs=stddevs,
+        grid_shape=toy.grid_shape), magnitude=1e-3) for kind, offset in offsets.items()}
 
 
-@pytest.mark.parametrize("batch", [None, 1, 16, 300], ids=["1d", "b1", "b16", "b300"])
+@pytest.fixture(scope="module")
+def offset_toy_image(toy_images):
+    return toy_images["random"]
+
+
+@pytest.mark.parametrize("batch,offset", [
+    pytest.param(batch, offset, id=name if offset == "random" else f"{name}-{offset}")
+    for offset in ("random", "zero", "negzero")
+    for name, batch in (("1d", None), ("b1", 1), ("b16", 16), ("b300", 300))])
 @pytest.mark.parametrize("sigma", [0.002, 0.1, 1.0, 80.0])
-def test_in_place_scores_equal_the_plain_expressions(offset_toy_image, batch, sigma):
-    p = offset_toy_image
+def test_in_place_scores_equal_the_plain_expressions(toy_images, offset, batch, sigma):
+    p = toy_images[offset]
     base = p.base
+    # only an offset of +0.0 bits lets the score skip y = x - b: x - (-0.0)
+    # turns a -0.0 of x into +0.0
+    assert base._shifted == (offset != "zero")
     rng = np.random.default_rng((batch or 0, int(sigma * 1000)))
     shape = (p.dim,) if batch is None else (batch, p.dim)
     # half on the subspace (a data point plus noise at sigma), half far off it
     x = base.sample_data(3, 1)[0] + sigma * rng.standard_normal(shape)
     if batch is not None and batch > 1:
         x[::2] += 10.0 * rng.standard_normal((x[::2].shape[0], p.dim))
+    if offset != "random":
+        x[..., _ZEROS] = -0.0
     x_before = x.copy()
     for oracle, reference in ((base, subspace_score_reference),
                               (p, perturbed_score_reference)):
@@ -382,6 +402,21 @@ def test_in_place_scores_equal_the_plain_expressions(offset_toy_image, batch, si
         assert np.array_equal(got, reference(oracle, x, sigma))
         assert not np.shares_memory(got, x)
         assert np.array_equal(x, x_before)
+
+
+@pytest.mark.parametrize("make", [
+    circle_point_cloud, gaussian_on_axis, toy_image_subspace,
+    lambda: PerturbedScoreOracle(base=toy_image_subspace(), magnitude=1e-3),
+], ids=["circle", "axis", "toy-image", "perturbed"])
+def test_posterior_mean_is_x_plus_sigma_squared_score_to_the_bit(make):
+    oracle = make()
+    x = 2.0 * np.random.default_rng(8).standard_normal((5, oracle.dim))
+    x_before = x.copy()
+    for sigma in (0.002, 0.7, 20.0):
+        for arg in (x, x[0], x.tolist()):
+            want = np.asarray(arg) + sigma * sigma * oracle.score(arg, sigma)
+            assert np.array_equal(oracle.posterior_mean(arg, sigma), want)
+    assert np.array_equal(x, x_before)
 
 
 def longdouble_score_references(p, x, sigma):
