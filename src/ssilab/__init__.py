@@ -16,8 +16,7 @@ from .inversion import (InversionConfig, InversionResult, ddim_coefficients,
                         pf_ode_sigma_euler_step, reconstruct, ssi_invert_ve,
                         ssi_invert_vp)
 from .interp import SlerpPair, interpolate_and_decode, slerp
-from .diagnostics import (BoundCheck, ConcentrationReport, GaussianityReport,
-                          chi_square_bound, correlation_metrics, mse,
+from .diagnostics import (chi_square_bound, correlation_metrics, mse,
                           projection_concentration, singularity_trace, ssim,
                           trace_rms)
 from .config import (COMMANDS, build_grid, build_method, build_oracle,

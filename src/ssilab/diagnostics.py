@@ -9,8 +9,6 @@ reference computed by the same code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import InvalidArgumentError, UndefinedCorrelationError
@@ -27,33 +25,8 @@ def _abs_pearson_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.abs(cov / (sa * sb))
 
 
-@dataclass(frozen=True)
-class GaussianityReport:
-    chan_corr: float
-    hori_corr: float
-    vert_corr: float
-    sample_count: int
-    chan_se: float
-    hori_se: float
-    vert_se: float
-    per_image: dict = field(repr=False, default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "chan_corr": self.chan_corr, "hori_corr": self.hori_corr,
-            "vert_corr": self.vert_corr, "sample_count": self.sample_count,
-            "chan_se": self.chan_se, "hori_se": self.hori_se, "vert_se": self.vert_se,
-        }
-
-
-def correlation_metrics(noises: np.ndarray, grid_shape=None) -> GaussianityReport:
-    """Mean absolute inter-channel / horizontal / vertical correlations.
-
-    ``noises`` is ``(B, C, H, W)``, or ``(B, d)`` together with ``grid_shape``.
-    Each |r| is computed per image (channel pairs for CHAN; right- and
-    down-neighbour pixel pairs pooled over the image for HORI/VERT), then
-    averaged over the batch; standard errors describe the batch spread.
-    """
+def _abs_r_per_image(noises: np.ndarray, grid_shape=None) -> dict:
+    """The ``(B,)`` arrays of per-image |r| that ``correlation_metrics`` averages."""
     noises = np.asarray(noises, dtype=float)
     if noises.ndim == 2:
         if grid_shape is None:
@@ -73,14 +46,27 @@ def correlation_metrics(noises: np.ndarray, grid_shape=None) -> GaussianityRepor
                              noises[..., 1:].reshape(b, -1))
     vert = _abs_pearson_rows(noises[:, :, :-1].reshape(b, -1),
                              noises[:, :, 1:].reshape(b, -1))
+    return {"chan": chan, "hori": hori, "vert": vert}
+
+
+def correlation_metrics(noises: np.ndarray, grid_shape=None) -> dict:
+    """Mean absolute inter-channel / horizontal / vertical correlations.
+
+    ``noises`` is ``(B, C, H, W)``, or ``(B, d)`` together with ``grid_shape``.
+    Each |r| is computed per image (channel pairs for CHAN; right- and
+    down-neighbour pixel pairs pooled over the image for HORI/VERT), then
+    averaged over the batch.  Returns ``{chan,hori,vert}_corr``,
+    ``sample_count`` (B) and the standard errors ``{chan,hori,vert}_se``.
+    """
+    per_image = _abs_r_per_image(noises, grid_shape)
+    b = per_image["chan"].size
+
     def _se(v):
         return float(v.std(ddof=1) / np.sqrt(b)) if b > 1 else 0.0
-    return GaussianityReport(
-        chan_corr=float(chan.mean()), hori_corr=float(hori.mean()),
-        vert_corr=float(vert.mean()), sample_count=b,
-        chan_se=_se(chan), hori_se=_se(hori), vert_se=_se(vert),
-        per_image={"chan": chan, "hori": hori, "vert": vert},
-    )
+    out = {f"{name}_corr": float(v.mean()) for name, v in per_image.items()}
+    out["sample_count"] = b
+    out.update({f"{name}_se": _se(v) for name, v in per_image.items()})
+    return out
 
 
 def mse(a: np.ndarray, b: np.ndarray) -> float:
@@ -161,28 +147,8 @@ def trace_rms(ratios: np.ndarray) -> np.ndarray:
     return np.sqrt(np.mean(ratios**2, axis=tuple(range(1, ratios.ndim))))
 
 
-@dataclass(frozen=True)
-class ConcentrationReport:
-    ratios: np.ndarray = field(repr=False)
-    coverage_fraction: float
-    band: tuple[float, float]
-    ks_statistic: float
-    ks_pvalue: float
-    df: int
-    sigma: float
-
-    def to_dict(self) -> dict:
-        return {
-            "coverage_fraction": self.coverage_fraction, "band": list(self.band),
-            "ks_statistic": self.ks_statistic, "ks_pvalue": self.ks_pvalue,
-            "df": self.df, "sigma": self.sigma, "trials": int(self.ratios.size),
-            "ratio_mean": float(self.ratios.mean()),
-            "ratio_rms": float(np.sqrt(np.mean(self.ratios**2))),
-        }
-
-
 def projection_concentration(oracle, sigma: float, trials: int, seed,
-                             epsilon: float = 0.05) -> ConcentrationReport:
+                             epsilon: float = 0.05) -> dict:
     """Distribution of the projection distance over ``sigma`` at small noise.
 
     Draws ``x = x0 + sigma * n`` from the forward process, measures
@@ -191,6 +157,10 @@ def projection_concentration(oracle, sigma: float, trials: int, seed,
     coverage band around ``sqrt(d - n)`` is calibrated on a pilot half of the
     batch (sub-Gaussian tail ``2 exp(-k A^2)`` with ``k`` fitted empirically)
     and evaluated on the fresh half.
+
+    Returns the ``ratios`` array followed by the summary values a report
+    stores.  A sigma so small that the pilot ratios do not vary (the noise is
+    lost in rounding, or the distance underflows) is rejected.
     """
     from scipy import stats
 
@@ -207,26 +177,24 @@ def projection_concentration(oracle, sigma: float, trials: int, seed,
     ks = stats.kstest(ratios, stats.chi(df).cdf)
     half = trials // 2
     pilot, fresh = ratios[:half], ratios[half:]
-    k_hat = 1.0 / (2.0 * float(pilot.var()))
+    pilot_var = float(pilot.var())
+    if pilot_var <= 0.0:
+        raise InvalidArgumentError(f"sigma={sigma:g} is below the data's resolution")
+    k_hat = 1.0 / (2.0 * pilot_var)
     a_eps = float(np.sqrt(np.log(2.0 / epsilon) / k_hat))
     center = np.sqrt(df)
     lo, hi = center - a_eps, center + a_eps
     coverage = float(np.mean((fresh >= lo) & (fresh <= hi)))
-    return ConcentrationReport(
-        ratios=ratios, coverage_fraction=coverage, band=(lo, hi),
-        ks_statistic=float(ks.statistic), ks_pvalue=float(ks.pvalue),
-        df=df, sigma=float(sigma),
-    )
+    return {
+        "ratios": ratios, "coverage_fraction": coverage, "band": [lo, hi],
+        "ks_statistic": float(ks.statistic), "ks_pvalue": float(ks.pvalue),
+        "df": df, "sigma": float(sigma), "trials": int(ratios.size),
+        "ratio_mean": float(ratios.mean()),
+        "ratio_rms": float(np.sqrt(np.mean(ratios**2))),
+    }
 
 
-@dataclass(frozen=True)
-class BoundCheck:
-    delta: float
-    d: int
-    chi_bound: float  # the radicand d + 2 sqrt(-d log delta) - 2 log delta
-
-
-def chi_square_bound(d: int, delta: float) -> BoundCheck:
+def chi_square_bound(d: int, delta: float) -> float:
     """High-probability bound on the squared norm of a standard Gaussian.
 
     Returns the radicand ``d + 2 sqrt(-d log delta) - 2 log delta``; the
@@ -238,4 +206,4 @@ def chi_square_bound(d: int, delta: float) -> BoundCheck:
         raise InvalidArgumentError("delta must lie in (0, 1)")
     log_delta = np.log(delta)
     bound = d + 2.0 * np.sqrt(-d * log_delta) - 2.0 * log_delta
-    return BoundCheck(delta=float(delta), d=int(d), chi_bound=float(bound))
+    return float(bound)

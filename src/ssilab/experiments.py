@@ -98,7 +98,7 @@ def cmd_verify_singularity(cfg: dict, report: dict, oracle, schedule) -> None:
     init_seed = (cfg["seed"], _TAG_INIT)
     report["seed_ledger"].append({"role": "init", "seed": list(init_seed)})
     _, traj = sample(schedule, oracle, build_method(cfg), grid_down, init_seed,
-                     cfg["trials"], return_trajectory=True)
+                     cfg["trials"])
     sigmas, ratios = singularity_trace(oracle, traj)
     rms = trace_rms(ratios)
 
@@ -137,15 +137,14 @@ def cmd_verify_projection(cfg: dict, report: dict, oracle, schedule) -> None:
         report["seed_ledger"].append({"role": f"rung_{i}",
                                       "seed": list(rung_seed)})
         in_regime = sigma <= _REGIME_FRACTION * oracle.feature_scale
-        rep = projection_concentration(oracle, sigma, cfg["trials"], rung_seed)
-        entry = rep.to_dict()
-        entry["sigma"] = sigma
+        entry = projection_concentration(oracle, sigma, cfg["trials"], rung_seed)
+        ratios = entry.pop("ratios")
         entry["asymptotic_regime"] = bool(in_regime)
-        entry["ks_pass"] = bool(in_regime and rep.ks_pvalue > 0.01)
+        entry["ks_pass"] = bool(in_regime and entry["ks_pvalue"] > 0.01)
         if not in_regime:
             entry["flag"] = "asymptotic regime violated"
         else:
-            judged.append(rep.ratios)
+            judged.append(ratios)
         rungs.append(entry)
     scale_p = None
     if len(judged) >= 2:
@@ -176,7 +175,7 @@ def cmd_verify_projection(cfg: dict, report: dict, oracle, schedule) -> None:
 def _gaussianity(z, oracle):
     if getattr(oracle, "grid_shape", None) is None:
         return None
-    return correlation_metrics(z, grid_shape=oracle.grid_shape).to_dict()
+    return correlation_metrics(z, grid_shape=oracle.grid_shape)
 
 
 def _pairwise_abs_cosine(noises: np.ndarray) -> float:
@@ -282,10 +281,9 @@ def _roundtrip_batch(oracle, schedule, cfg, t_ssi, steps, cell_tag):
                         method=build_method(cfg))
     err = np.linalg.norm(x_hat - x0, axis=-1)
     per_trial_mse = np.mean((x_hat - x0) ** 2, axis=-1)
-    dist = np.linalg.norm(x_hat - oracle.nearest_manifold_point(x_hat), axis=-1)
     return {
-        "x0": x0, "x_hat": x_hat, "errors": err, "mse": per_trial_mse,
-        "manifold_dist": dist, "trace_max": float(ratios.max()),
+        "x_hat": x_hat, "errors": err, "mse": per_trial_mse,
+        "trace_max": float(ratios.max()),
         "sigma_ssi": float(schedule.sigma(float(grid.times[0]))),
         "data_seed": data_seed, "noise_seeds": noise_seeds,
     }
@@ -304,10 +302,12 @@ def cmd_sweep_tssi(cfg: dict, report: dict, oracle, schedule) -> None:
             out = _roundtrip_batch(oracle, schedule, cfg, t_ssi, steps, cell_tag)
             report["seed_ledger"].append({"role": f"cell_{cell_tag}",
                                           "seed": list(out["data_seed"])})
+            x_hat = out["x_hat"]
+            dist = np.linalg.norm(x_hat - oracle.nearest_manifold_point(x_hat), axis=-1)
             table.append({
                 "steps": steps, "t_ssi": t_ssi,
                 "mse": float(out["mse"].mean()),
-                "manifold_dist": float(out["manifold_dist"].mean()),
+                "manifold_dist": float(dist.mean()),
             })
             cell_tag += 1
     best = min(table, key=lambda row: row["mse"])
@@ -375,8 +375,8 @@ def cmd_reconstruct(cfg: dict, report: dict, oracle, schedule) -> None:
     report["seed_ledger"] += [{"role": f"trial_{i}", "seed": list(s)}
                               for i, s in enumerate(out["noise_seeds"])]
     delta = cfg["delta"]
-    chk = chi_square_bound(oracle.dim, delta)
-    bound = out["trace_max"] + np.sqrt(chk.chi_bound)
+    radicand = chi_square_bound(oracle.dim, delta)
+    bound = out["trace_max"] + np.sqrt(radicand)
     ratio = out["errors"] / out["sigma_ssi"]
     fraction = float(np.mean(ratio <= bound))
     ok = fraction >= 1.0 - delta
@@ -384,7 +384,7 @@ def cmd_reconstruct(cfg: dict, report: dict, oracle, schedule) -> None:
                        for i, r in enumerate(ratio)]
     report["aggregates"] = {
         "score_bound_c": out["trace_max"],
-        "chi_radicand": chk.chi_bound,
+        "chi_radicand": radicand,
         "error_bound": float(bound),
         "fraction_within": fraction,
         "delta": delta,

@@ -195,12 +195,13 @@ def denoise_to_mean(oracle, x, sigma: float):
 
 
 def sample(schedule: NoiseSchedule, oracle, method: Method,
-           grid_descending: TimeGrid, seed, count: int,
-           return_trajectory: bool = False):
+           grid_descending: TimeGrid, seed, count: int):
     """Draw ``count`` samples by integrating from pure noise down the grid.
 
     Initialises at ``N(0, sigma(t_max)^2 I)`` (scaled for VP), integrates to
     the grid's last (smallest) time, then applies the denoise-to-mean step.
+    Returns ``(samples, trajectory)``, the trajectory holding every
+    integrator state.
     """
     if grid_descending.times[0] <= grid_descending.times[-1]:
         raise InvalidArgumentError("sampling needs a descending grid")
@@ -208,9 +209,7 @@ def sample(schedule: NoiseSchedule, oracle, method: Method,
     # r maps the scaled state to the unscaled state the score sees
     _, _, r, sigma = _drift_coefficients(schedule, grid_descending.times[[0, -1]])
     x_init = sigma[0] * rng.standard_normal((count, oracle.dim)) / r[0]
-    run = integrate(schedule, oracle, method, x_init, grid_descending,
-                    keep_states=return_trajectory)
-    x_end = run.states[-1] if return_trajectory else run
-    x0 = denoise_to_mean(oracle, x_end * r[1], float(sigma[1]))
-    return (x0, run) if return_trajectory else x0
+    traj = integrate(schedule, oracle, method, x_init, grid_descending)
+    x0 = denoise_to_mean(oracle, traj.states[-1] * r[1], float(sigma[1]))
+    return x0, traj
 

@@ -70,8 +70,7 @@ def interpolate_and_decode(oracle, schedule, result_a: InversionResult,
     frames = []
     for lam in lambdas:
         noise = slerp(pair, float(lam))
-        mixed = InversionResult(noise=noise, final_time=result_a.final_time,
-                                config=result_a.config)
+        mixed = InversionResult(noise=noise, config=result_a.config)
         frames.append(reconstruct(oracle, schedule, mixed, grid_descending,
                                   method=method))
     return frames

@@ -53,7 +53,6 @@ class InversionConfig:
 @dataclass(frozen=True)
 class InversionResult:
     noise: np.ndarray  # unscaled state at the final time
-    final_time: float
     config: InversionConfig
     trajectory: Trajectory | None = None
     injected_noise: np.ndarray | None = field(default=None, repr=False)
@@ -61,6 +60,11 @@ class InversionResult:
     def __post_init__(self):
         if not np.all(np.isfinite(self.noise)):
             raise InvalidArgumentError("inverted noise must be finite")
+
+    @property
+    def final_time(self) -> float:
+        """The inversion grid's last time, where ``noise`` sits."""
+        return float(self.config.grid.times[-1])
 
 
 def ssi_invert_ve(oracle, schedule: NoiseSchedule, x0, cfg: InversionConfig,
@@ -100,12 +104,9 @@ def _ssi_invert(oracle, schedule, x0, cfg, keep_trajectory, injected_noise):
     run = integrate(schedule, oracle, Method.EULER, x_start, cfg.grid,
                     keep_states=keep_trajectory)
     traj, x_end = (run, run.states[-1]) if keep_trajectory else (None, run)
-    t_final = float(cfg.grid.times[-1])
-    noise = x_end / float(schedule.scale(t_final))
-    return InversionResult(
-        noise=noise, final_time=t_final, config=cfg, trajectory=traj,
-        injected_noise=n,
-    )
+    noise = x_end / float(schedule.scale(float(cfg.grid.times[-1])))
+    return InversionResult(noise=noise, config=cfg, trajectory=traj,
+                           injected_noise=n)
 
 
 # -- DDIM maps --------------------------------------------------------------
@@ -192,7 +193,7 @@ def ddim_invert_baseline(oracle, schedule: NoiseSchedule, x0, grid_ascending: Ti
     cfg = InversionConfig(t_ssi=float(times[0]), grid=grid_ascending,
                           noise_seed=None)
     noise = x_tilde / s[-1]
-    result = InversionResult(noise=noise, final_time=float(times[-1]), config=cfg)
+    result = InversionResult(noise=noise, config=cfg)
     if keep_states:
         return result, scaled / s.reshape((-1,) + (1,) * x0.ndim)
     return result

@@ -76,17 +76,17 @@ def test_criterion_3_concentration_law():
     for i, (label, oracle, df) in enumerate(cases):
         sigma = min(0.01, 0.01 * oracle.feature_scale)
         rep = projection_concentration(oracle, sigma, trials=10_000, seed=(3, i))
-        ok &= rep.df == df and rep.ks_pvalue > 0.01
-        details.append(f"{label} p={rep.ks_pvalue:.3f}")
+        ok &= rep["df"] == df and rep["ks_pvalue"] > 0.01
+        details.append(f"{label} p={rep['ks_pvalue']:.3f}")
     r1 = projection_concentration(gaussian_on_axis(), 0.01, 10_000, (3, 10))
     r2 = projection_concentration(gaussian_on_axis(), 0.001, 10_000, (3, 11))
-    scale_p = stats.ks_2samp(r1.ratios, r2.ratios).pvalue
+    scale_p = stats.ks_2samp(r1["ratios"], r2["ratios"]).pvalue
     ok &= scale_p > 0.01
     assert verdict_line(3, ok, "; ".join(details) + f"; scale p={scale_p:.3f}")
 
 
 def test_criterion_4_roundtrip_bound():
-    radicand = chi_square_bound(2, 0.05).chi_bound
+    radicand = chi_square_bound(2, 0.05)
     ok = abs(radicand - 12.887) < 1e-3
     details = [f"radicand(2, 0.05)={radicand:.4f}"]
     oracles = {
@@ -148,7 +148,7 @@ def test_criterion_7_ill_posedness():
     mean_cos = float(gram[~np.eye(10, dtype=bool)].mean())
     _, ratios = singularity_trace(oracle, res.trajectory)
     c = float(ratios.max())
-    bound = c + np.sqrt(chi_square_bound(d, 0.05).chi_bound)
+    bound = c + np.sqrt(chi_square_bound(d, 0.05))
     x_hat = reconstruct(oracle, VE_KARRAS, res, TimeGrid(grid.times[::-1]))
     err_ratio = np.linalg.norm(x_hat - x0, axis=-1) / 0.1
     ok = mean_cos < 3 / np.sqrt(d) and np.all(err_ratio <= bound)

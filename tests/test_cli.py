@@ -202,6 +202,18 @@ class TestExitCodes:
             with pytest.raises(InvalidArgumentError):
                 build_oracle(resolve_config(command, data))
 
+    @pytest.mark.parametrize("extra", [{}, {"oracle": {"kind": "gaussian_on_axis"}}],
+                             ids=["circle", "axis"])
+    def test_sigma_below_data_resolution_is_2(self, tmp_path, extra):
+        # every pilot ratio is 0: on the circle the noise is lost in rounding,
+        # on the axis the squared distance underflows
+        cfg = write_config(tmp_path, {"seed": 1, "trials": 100,
+                                      "sigma_ladder": [1e-300], **extra})
+        out = tmp_path / "out"
+        assert main(["verify-projection", "--config", str(cfg), "--out", str(out),
+                     "--quiet"]) == 2
+        assert not (out / "report.json").exists()
+
     def test_verdict_failure_is_4(self, tmp_path):
         # an absurd manifold threshold forces a FAIL verdict
         cfg = write_config(tmp_path, {

@@ -164,7 +164,7 @@ class TestSampling:
     def test_sample_lands_near_manifold(self, axis):
         # descending grid from 80 down to 0.002 (drop the zero endpoint)
         grid = TimeGrid(karras_grid(0.002, 80.0, 7.0, 100).times[1:][::-1])
-        x0 = sample(VE_KARRAS, axis, Method.HEUN, grid, seed=(0, 1), count=64)
+        x0, _ = sample(VE_KARRAS, axis, Method.HEUN, grid, seed=(0, 1), count=64)
         resid = x0 - axis.nearest_manifold_point(x0)
         assert np.max(np.abs(resid)) < 1e-3
         # tangential spread close to the latent unit variance
@@ -172,8 +172,8 @@ class TestSampling:
 
     def test_sample_deterministic(self, axis):
         grid = TimeGrid(karras_grid(0.002, 80.0, 7.0, 50).times[1:][::-1])
-        a = sample(VE_KARRAS, axis, Method.EULER, grid, seed=(3, 4), count=8)
-        b = sample(VE_KARRAS, axis, Method.EULER, grid, seed=(3, 4), count=8)
+        a, _ = sample(VE_KARRAS, axis, Method.EULER, grid, seed=(3, 4), count=8)
+        b, _ = sample(VE_KARRAS, axis, Method.EULER, grid, seed=(3, 4), count=8)
         assert np.array_equal(a, b)
 
     def test_ascending_grid_rejected(self, axis):
