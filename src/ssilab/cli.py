@@ -82,15 +82,12 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args)
         report = run_command(cfg)
-    except ConfigError as exc:
+    except (ConfigError, InvalidArgumentError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except IntegrationDivergedError as exc:
         print(exc, file=sys.stderr)
         return EXIT_DIVERGED
-    except InvalidArgumentError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     if cfg["out"] is not None:
         write_outputs(report, pathlib.Path(cfg["out"]))
     if not cfg["quiet"]:

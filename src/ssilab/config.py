@@ -133,8 +133,8 @@ _ORACLES = {
 }
 
 _GRIDS = {
-    "karras": {"t_min": _ANY, "t_max": _ANY, "rho": _ANY, "steps": _INTEGER},
-    "uniform": {"t_min": _ANY, "t_max": _ANY, "steps": _INTEGER},
+    "karras": {"t_min": _ANY, "t_max": _ANY, "rho": _ANY, "steps": _COUNT},
+    "uniform": {"t_min": _ANY, "t_max": _ANY, "steps": _COUNT},
     "kappa": {"full_steps": _INTEGER, "stride": _INTEGER, "offset": _INTEGER},
 }
 

@@ -8,10 +8,16 @@ function as ``cmd_*(cfg, report, oracle, schedule)``.  That function fills in
 only ``seed_ledger``, ``trials``, ``aggregates``, ``verdict`` (PASS/FAIL where
 the command defines one) and ``notes``, and adds its table to ``csv``.
 ``run_command`` then stamps ``wall_clock_seconds`` and returns the report as
-plain JSON values.  All randomness flows through per-trial seed tuples
-derived from the base seed, so re-running a report's echoed config
-reproduces aggregates bit-identically.  Trials are reduced sequentially in
-trial order.
+plain JSON values.  All randomness flows through seed tuples derived from
+the base seed, so re-running a report's echoed config reproduces aggregates
+bit-identically.  Trials are reduced sequentially in trial order.
+
+Draw policy: each roundtrip command (``invert``, ``sweep-tssi``,
+``reconstruct``) draws one trial batch, clean data from ``(seed, 0xD0)`` and
+trial ``i``'s injected noise from ``(seed, i, 0x55)``, and records them in
+the ledger as ``data`` and ``trial_i``.  Every cell of the sweep reuses that
+batch, so two cells differ only by their ``(steps, t_ssi)``: a paired
+comparison (common random numbers), not one blurred by draw noise.
 """
 
 from __future__ import annotations
@@ -45,11 +51,6 @@ def _rng(seed) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed))
 
 
-def _trial_noise(seed_tuples, shape_tail) -> np.ndarray:
-    rows = [_rng(s).standard_normal(shape_tail) for s in seed_tuples]
-    return np.stack(rows)
-
-
 def _jsonify(value):
     if isinstance(value, dict):
         return {k: _jsonify(v) for k, v in value.items()}
@@ -76,6 +77,28 @@ def _ssi_grid(cfg: dict, t_ssi: float = None, steps: int = None) -> TimeGrid:
                 "kappa grid must start at t_ssi; set t_ssi to offset/full_steps")
         return grid
     return build_grid(cfg, t_min=t_ssi, steps=steps)
+
+
+def _trial_batch(cfg: dict, report: dict, oracle, shared: bool = False):
+    """The command's one trial batch: clean data ``x0`` and injected noise.
+
+    Data comes from ``(seed, _TAG_DATA)`` and trial ``i``'s noise row from
+    ``(seed, i, _TAG_NOISE)``; both seeds go into the ledger as ``data`` and
+    ``trial_i``.  With ``shared`` every trial starts from one data draw.
+    """
+    trials = cfg["trials"]
+    data_seed = (cfg["seed"], _TAG_DATA)
+    noise_seeds = [(cfg["seed"], i, _TAG_NOISE) for i in range(trials)]
+    report["seed_ledger"].append({"role": "data", "seed": list(data_seed)})
+    report["seed_ledger"] += [{"role": f"trial_{i}", "seed": list(s)}
+                              for i, s in enumerate(noise_seeds)]
+    if shared:
+        x0 = np.broadcast_to(oracle.sample_data(data_seed, 1),
+                             (trials, oracle.dim)).copy()
+    else:
+        x0 = oracle.sample_data(data_seed, trials)
+    noise = np.stack([_rng(s).standard_normal(oracle.dim) for s in noise_seeds])
+    return x0, noise
 
 
 def _ssi_invert_batch(oracle, schedule, grid, x0, noise,
@@ -202,22 +225,10 @@ def cmd_invert(cfg: dict, report: dict, oracle, schedule) -> None:
     if run_base and schedule.family is not Family.VP_LINEAR_BETA:
         raise ConfigError("baseline DDIM inversion needs the VP schedule")
 
-    data_seed = (cfg["seed"], _TAG_DATA)
-    report["seed_ledger"].append({"role": "data", "seed": list(data_seed)})
-    if cfg["shared_input"]:
-        x0 = np.broadcast_to(oracle.sample_data(data_seed, 1),
-                             (trials, oracle.dim)).copy()
-    else:
-        x0 = oracle.sample_data(data_seed, trials)
-
-    noise_seeds = [(cfg["seed"], i, _TAG_NOISE) for i in range(trials)]
-    report["seed_ledger"] += [{"role": f"trial_{i}", "seed": list(s)}
-                              for i, s in enumerate(noise_seeds)]
-
+    x0, noise = _trial_batch(cfg, report, oracle, shared=cfg["shared_input"])
     aggregates = report["aggregates"]
     if run_ssi:
         grid = _ssi_grid(cfg)
-        noise = _trial_noise(noise_seeds, (oracle.dim,))
         res = _ssi_invert_batch(oracle, schedule, grid, x0, noise)
         sigma_T = float(schedule.sigma(res.final_time))
         aggregates["ssi_metrics"] = _gaussianity(res.noise / sigma_T, oracle)
@@ -264,14 +275,8 @@ def cmd_invert(cfg: dict, report: dict, oracle, schedule) -> None:
                                              "vert_se"])
 
 
-def _roundtrip_batch(oracle, schedule, cfg, t_ssi, steps, cell_tag):
+def _roundtrip_batch(oracle, schedule, cfg, t_ssi, steps, x0, noise):
     """Invert a batch, reconstruct it, and return errors plus the trace max."""
-    trials = cfg["trials"]
-    data_seed = (cfg["seed"], cell_tag, _TAG_DATA)
-    noise_seeds = [(cfg["seed"], cell_tag, i, _TAG_NOISE)
-                   for i in range(trials)]
-    x0 = oracle.sample_data(data_seed, trials)
-    noise = _trial_noise(noise_seeds, (oracle.dim,))
     grid = _ssi_grid(cfg, t_ssi=t_ssi, steps=steps)
     res = _ssi_invert_batch(oracle, schedule, grid, x0, noise,
                             keep_trajectory=True)
@@ -285,7 +290,6 @@ def _roundtrip_batch(oracle, schedule, cfg, t_ssi, steps, cell_tag):
         "x_hat": x_hat, "errors": err, "mse": per_trial_mse,
         "trace_max": float(ratios.max()),
         "sigma_ssi": float(schedule.sigma(float(grid.times[0]))),
-        "data_seed": data_seed, "noise_seeds": noise_seeds,
     }
 
 
@@ -295,13 +299,11 @@ def cmd_sweep_tssi(cfg: dict, report: dict, oracle, schedule) -> None:
         raise ConfigError("the sweep varies t_ssi; use a karras or uniform grid")
     ladder = cfg["t_ssi_ladder"]
     steps_ladder = cfg["steps_ladder"]
+    x0, noise = _trial_batch(cfg, report, oracle)
     table = []
-    cell_tag = 0
     for steps in steps_ladder:
         for t_ssi in ladder:
-            out = _roundtrip_batch(oracle, schedule, cfg, t_ssi, steps, cell_tag)
-            report["seed_ledger"].append({"role": f"cell_{cell_tag}",
-                                          "seed": list(out["data_seed"])})
+            out = _roundtrip_batch(oracle, schedule, cfg, t_ssi, steps, x0, noise)
             x_hat = out["x_hat"]
             dist = np.linalg.norm(x_hat - oracle.nearest_manifold_point(x_hat), axis=-1)
             table.append({
@@ -309,7 +311,6 @@ def cmd_sweep_tssi(cfg: dict, report: dict, oracle, schedule) -> None:
                 "mse": float(out["mse"].mean()),
                 "manifold_dist": float(dist.mean()),
             })
-            cell_tag += 1
     best = min(table, key=lambda row: row["mse"])
     degenerate = len(ladder) < 3
     interior = None
@@ -370,10 +371,8 @@ def cmd_interpolate(cfg: dict, report: dict, oracle, schedule) -> None:
 
 def cmd_reconstruct(cfg: dict, report: dict, oracle, schedule) -> None:
     """Roundtrip trials and check the high-probability error bound."""
-    out = _roundtrip_batch(oracle, schedule, cfg, cfg["t_ssi"], None, 0)
-    report["seed_ledger"].append({"role": "data", "seed": list(out["data_seed"])})
-    report["seed_ledger"] += [{"role": f"trial_{i}", "seed": list(s)}
-                              for i, s in enumerate(out["noise_seeds"])]
+    x0, noise = _trial_batch(cfg, report, oracle)
+    out = _roundtrip_batch(oracle, schedule, cfg, cfg["t_ssi"], None, x0, noise)
     delta = cfg["delta"]
     radicand = chi_square_bound(oracle.dim, delta)
     bound = out["trace_max"] + np.sqrt(radicand)

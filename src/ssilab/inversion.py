@@ -170,8 +170,8 @@ def pf_ode_sigma_euler_step(oracle, u, sigma_a: float, sigma_b: float):
     return u - sigma_a * oracle.score(u, sigma_a) * (sigma_b - sigma_a)
 
 
-def ddim_invert_baseline(oracle, schedule: NoiseSchedule, x0, grid_ascending: TimeGrid,
-                         keep_states: bool = False) -> InversionResult:
+def ddim_invert_baseline(oracle, schedule: NoiseSchedule, x0,
+                         grid_ascending: TimeGrid) -> InversionResult:
     """Explicit DDIM inversion with the one-step-lagged denoiser input.
 
     The clean input is treated as the state at the grid's first (smallest
@@ -187,16 +187,10 @@ def ddim_invert_baseline(oracle, schedule: NoiseSchedule, x0, grid_ascending: Ti
     plan = ((1.0 - psi / s[:-1]) / phi, -psi * sig[1:] ** 2 / phi, 1.0 / s[:-1],
             sig[1:])
     x0 = np.asarray(x0, dtype=float)
-    x_tilde = s[0] * x0
-    scaled = np.empty((times.size,) + x0.shape) if keep_states else None
-    x_tilde = _run_plan(oracle, x_tilde, plan, out=scaled)
+    x_tilde = _run_plan(oracle, s[0] * x0, plan)
     cfg = InversionConfig(t_ssi=float(times[0]), grid=grid_ascending,
                           noise_seed=None)
-    noise = x_tilde / s[-1]
-    result = InversionResult(noise=noise, config=cfg)
-    if keep_states:
-        return result, scaled / s.reshape((-1,) + (1,) * x0.ndim)
-    return result
+    return InversionResult(noise=x_tilde / s[-1], config=cfg)
 
 
 def reconstruct(oracle, schedule: NoiseSchedule, result: InversionResult,

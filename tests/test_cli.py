@@ -175,6 +175,8 @@ class TestExitCodes:
         # the stddevs fit no latent dimension: the oracle factory rejects them
         ("invert", {"kind": "subspace", "dim": 8, "latent_stddevs": [1, 2]}, False),
         ("invert", {"seed": 1, "grid": {"kind": ["x"]}}, True),
+        ("invert", {"seed": 1, "trials": 4, "grid": {
+            "kind": "uniform", "t_min": 0.1, "t_max": 1.0, "steps": -2}}, True),
         ("interpolate", {"seed": 1, "data_seed_a": -1}, True),
         ("invert", {"seed": 1, "trials": 1}, True),
         ("invert", {"seed": 1, "perturbation_floor": -1.0}, True),
@@ -185,7 +187,8 @@ class TestExitCodes:
             "latent_dim-string", "basis_seed-1.5", "basis_seed-negative",
             "dim-8.5", "latent_stddevs-abc", "latent_stddevs-empty",
             "grid_shape-string-entry", "grid_shape-5", "oracle-kind-list",
-            "latent_stddevs-mismatch", "grid-kind-list", "data_seed_a-negative",
+            "latent_stddevs-mismatch", "grid-kind-list", "uniform-steps-negative",
+            "data_seed_a-negative",
             "invert-one-trial", "perturbation_floor-negative", "config-list", "config-string"])
     def test_malformed_value_is_2(self, tmp_path, command, data, config_check):
         if isinstance(data, dict) and "seed" not in data:  # an oracle section
@@ -309,6 +312,19 @@ def test_replay_bit_identical(command, raw):
     assert json.dumps(report["trials"], sort_keys=True) == \
         json.dumps(again["trials"], sort_keys=True)
     assert report["seed_ledger"] == again["seed_ledger"]
+
+
+def test_sweep_cells_share_one_trial_batch():
+    # a repeated ladder value reruns one cell on the same data and noise
+    trials = 4
+    report = run_command(resolve_config("sweep-tssi", {
+        "seed": 5, "trials": trials, "oracle": {"kind": "gaussian_on_axis"},
+        "t_ssi_ladder": [0.01, 0.1, 0.1], "steps_ladder": [20]}))
+    rows = report["csv"]["sweep"]["rows"]
+    assert rows[1] == rows[2]
+    assert rows[0] != rows[1]
+    roles = [entry["role"] for entry in report["seed_ledger"]]
+    assert roles == ["data"] + [f"trial_{i}" for i in range(trials)]
 
 
 def test_shared_input_mode():

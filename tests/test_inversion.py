@@ -210,15 +210,18 @@ class TestDdim:
         grid = TimeGrid(np.linspace(0.05, 0.9, 20))
         phi, psi, s, sig = ddim_coefficients(VP_LINEAR_BETA, grid)
         x0 = np.array([0.7, 0.0])
-        res, states = ddim_invert_baseline(axis, VP_LINEAR_BETA, x0, grid,
-                                           keep_states=True)
+        res = ddim_invert_baseline(axis, VP_LINEAR_BETA, x0, grid)
+        # the state before the last step ends a run on the grid minus its
+        # last time
+        before = ddim_invert_baseline(axis, VP_LINEAR_BETA, x0,
+                                      TimeGrid(grid.times[:-1])).noise
         # invert one step back by the explicit formula using the same lagged
         # denoiser call: x_hi known, reconstruct x_lo
         i = len(grid) - 2
-        x_hi = states[-1] * s[-1]
-        lagged = axis.denoise(states[-2], float(sig[i + 1]))
+        x_hi = res.noise * s[-1]
+        lagged = axis.denoise(before, float(sig[i + 1]))
         x_lo = phi[i] * x_hi + psi[i] * lagged
-        np.testing.assert_allclose(x_lo / s[i], states[-2], rtol=1e-10)
+        np.testing.assert_allclose(x_lo / s[i], before, rtol=1e-10)
 
     def test_baseline_structured_noise_on_manifold_input(self, axis):
         # inverting an on-axis state keeps the normal component exactly zero,
