@@ -15,7 +15,7 @@ from .inversion import (InversionConfig, InversionResult, ddim_coefficients,
                         ddim_invert_baseline, ddim_sample,
                         pf_ode_sigma_euler_step, reconstruct, ssi_invert_ve,
                         ssi_invert_vp)
-from .interp import SlerpPair, interpolate_and_decode, slerp
+from .interp import interpolate_and_decode, slerp
 from .diagnostics import (chi_square_bound, correlation_metrics, mse,
                           projection_concentration, singularity_trace, ssim,
                           trace_rms)

@@ -13,6 +13,9 @@ import numpy as np
 
 from .errors import InvalidArgumentError, UndefinedCorrelationError
 from .flow import Trajectory
+from .oracles import _rng
+
+_COVERAGE_EPSILON = 0.05  # tail mass outside the calibrated coverage band
 
 
 def _abs_pearson_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -147,8 +150,7 @@ def trace_rms(ratios: np.ndarray) -> np.ndarray:
     return np.sqrt(np.mean(ratios**2, axis=tuple(range(1, ratios.ndim))))
 
 
-def projection_concentration(oracle, sigma: float, trials: int, seed,
-                             epsilon: float = 0.05) -> dict:
+def projection_concentration(oracle, sigma: float, trials: int, seed) -> dict:
     """Distribution of the projection distance over ``sigma`` at small noise.
 
     Draws ``x = x0 + sigma * n`` from the forward process, measures
@@ -169,8 +171,7 @@ def projection_concentration(oracle, sigma: float, trials: int, seed,
     if sigma <= 0:
         raise InvalidArgumentError("sigma must be positive")
     x0 = oracle.sample_data((seed, 0xDA7A), trials)
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x401)))
-    x = x0 + sigma * rng.standard_normal(x0.shape)
+    x = x0 + sigma * _rng((seed, 0x401)).standard_normal(x0.shape)
     proj = oracle.nearest_manifold_point(x)
     ratios = np.linalg.norm(x - proj, axis=-1) / sigma
     df = oracle.dim - oracle.manifold_dim
@@ -181,7 +182,7 @@ def projection_concentration(oracle, sigma: float, trials: int, seed,
     if pilot_var <= 0.0:
         raise InvalidArgumentError(f"sigma={sigma:g} is below the data's resolution")
     k_hat = 1.0 / (2.0 * pilot_var)
-    a_eps = float(np.sqrt(np.log(2.0 / epsilon) / k_hat))
+    a_eps = float(np.sqrt(np.log(2.0 / _COVERAGE_EPSILON) / k_hat))
     center = np.sqrt(df)
     lo, hi = center - a_eps, center + a_eps
     coverage = float(np.mean((fresh >= lo) & (fresh <= hi)))

@@ -36,6 +36,7 @@ from .flow import sample
 from .interp import interpolate_and_decode
 from .inversion import (InversionConfig, ddim_invert_baseline, reconstruct,
                         ssi_invert_ve, ssi_invert_vp)
+from .oracles import _rng
 from .schedules import Family, TimeGrid
 
 _TAG_DATA = 0xD0
@@ -47,8 +48,10 @@ _TAG_INIT = 0x5A
 _REGIME_FRACTION = 0.1
 
 
-def _rng(seed) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed))
+def _ledger_seed(report: dict, role: str, seed: tuple) -> tuple:
+    """Record ``seed`` under ``role`` in the report's seed ledger; return it."""
+    report["seed_ledger"].append({"role": role, "seed": list(seed)})
+    return seed
 
 
 def _jsonify(value):
@@ -87,11 +90,9 @@ def _trial_batch(cfg: dict, report: dict, oracle, shared: bool = False):
     ``trial_i``.  With ``shared`` every trial starts from one data draw.
     """
     trials = cfg["trials"]
-    data_seed = (cfg["seed"], _TAG_DATA)
-    noise_seeds = [(cfg["seed"], i, _TAG_NOISE) for i in range(trials)]
-    report["seed_ledger"].append({"role": "data", "seed": list(data_seed)})
-    report["seed_ledger"] += [{"role": f"trial_{i}", "seed": list(s)}
-                              for i, s in enumerate(noise_seeds)]
+    data_seed = _ledger_seed(report, "data", (cfg["seed"], _TAG_DATA))
+    noise_seeds = [_ledger_seed(report, f"trial_{i}", (cfg["seed"], i, _TAG_NOISE))
+                   for i in range(trials)]
     if shared:
         x0 = np.broadcast_to(oracle.sample_data(data_seed, 1),
                              (trials, oracle.dim)).copy()
@@ -118,8 +119,7 @@ def cmd_verify_singularity(cfg: dict, report: dict, oracle, schedule) -> None:
     if schedule.family is not Family.VE_KARRAS:
         raise ConfigError("singularity verification runs on the VE schedule")
     grid_down = build_grid(cfg).reversed()
-    init_seed = (cfg["seed"], _TAG_INIT)
-    report["seed_ledger"].append({"role": "init", "seed": list(init_seed)})
+    init_seed = _ledger_seed(report, "init", (cfg["seed"], _TAG_INIT))
     _, traj = sample(schedule, oracle, build_method(cfg), grid_down, init_seed,
                      cfg["trials"])
     sigmas, ratios = singularity_trace(oracle, traj)
@@ -156,9 +156,7 @@ def cmd_verify_projection(cfg: dict, report: dict, oracle, schedule) -> None:
     rungs = []
     judged = []
     for i, sigma in enumerate(cfg["sigma_ladder"]):
-        rung_seed = (cfg["seed"], i)
-        report["seed_ledger"].append({"role": f"rung_{i}",
-                                      "seed": list(rung_seed)})
+        rung_seed = _ledger_seed(report, f"rung_{i}", (cfg["seed"], i))
         in_regime = sigma <= _REGIME_FRACTION * oracle.feature_scale
         entry = projection_concentration(oracle, sigma, cfg["trials"], rung_seed)
         ratios = entry.pop("ratios")
@@ -241,8 +239,7 @@ def cmd_invert(cfg: dict, report: dict, oracle, schedule) -> None:
         aggregates["baseline_metrics"] = _gaussianity(res_b.noise / sigma_T, oracle)
         aggregates["baseline_mean_abs_cosine"] = _pairwise_abs_cosine(res_b.noise)
 
-    ref_seed = (cfg["seed"], _TAG_REFERENCE)
-    report["seed_ledger"].append({"role": "reference", "seed": list(ref_seed)})
+    ref_seed = _ledger_seed(report, "reference", (cfg["seed"], _TAG_REFERENCE))
     z_ref = _rng(ref_seed).standard_normal((trials, oracle.dim))
     ref = aggregates["reference_metrics"] = _gaussianity(z_ref, oracle)
 
@@ -281,7 +278,7 @@ def _roundtrip_batch(oracle, schedule, cfg, t_ssi, steps, x0, noise):
     res = _ssi_invert_batch(oracle, schedule, grid, x0, noise,
                             keep_trajectory=True)
     _, ratios = singularity_trace(oracle, res.trajectory)
-    grid_down = TimeGrid(grid.times[::-1])
+    grid_down = grid.reversed()
     x_hat = reconstruct(oracle, schedule, res, grid_down,
                         method=build_method(cfg))
     err = np.linalg.norm(x_hat - x0, axis=-1)
@@ -334,14 +331,13 @@ def cmd_sweep_tssi(cfg: dict, report: dict, oracle, schedule) -> None:
 def cmd_interpolate(cfg: dict, report: dict, oracle, schedule) -> None:
     """Invert two samples, slerp between their noises, decode every frame."""
     grid = _ssi_grid(cfg)
-    grid_down = TimeGrid(grid.times[::-1])
+    grid_down = grid.reversed()
     endpoints = []
     for which, data_seed in (("a", cfg["data_seed_a"]), ("b", cfg["data_seed_b"])):
-        seed = (cfg["seed"], data_seed, _TAG_DATA)
-        noise_seed = (cfg["seed"], data_seed, _TAG_NOISE)
-        report["seed_ledger"] += [
-            {"role": f"data_{which}", "seed": list(seed)},
-            {"role": f"noise_{which}", "seed": list(noise_seed)}]
+        seed = _ledger_seed(report, f"data_{which}",
+                            (cfg["seed"], data_seed, _TAG_DATA))
+        noise_seed = _ledger_seed(report, f"noise_{which}",
+                                  (cfg["seed"], data_seed, _TAG_NOISE))
         x0 = oracle.sample_data(seed, 1)[0]
         noise = _rng(noise_seed).standard_normal(oracle.dim)
         endpoints.append(_ssi_invert_batch(oracle, schedule, grid, x0, noise))

@@ -29,7 +29,7 @@ from itertools import repeat
 import numpy as np
 
 from .errors import IntegrationDivergedError, InvalidArgumentError
-from .oracles import SubspaceGaussianScore
+from .oracles import SubspaceGaussianScore, _rng
 from .schedules import NoiseSchedule, TimeGrid
 
 
@@ -205,10 +205,9 @@ def sample(schedule: NoiseSchedule, oracle, method: Method,
     """
     if grid_descending.times[0] <= grid_descending.times[-1]:
         raise InvalidArgumentError("sampling needs a descending grid")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
     # r maps the scaled state to the unscaled state the score sees
     _, _, r, sigma = _drift_coefficients(schedule, grid_descending.times[[0, -1]])
-    x_init = sigma[0] * rng.standard_normal((count, oracle.dim)) / r[0]
+    x_init = sigma[0] * _rng(seed).standard_normal((count, oracle.dim)) / r[0]
     traj = integrate(schedule, oracle, method, x_init, grid_descending)
     x0 = denoise_to_mean(oracle, traj.states[-1] * r[1], float(sigma[1]))
     return x0, traj

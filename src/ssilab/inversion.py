@@ -32,6 +32,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .flow import Method, Trajectory, _run_plan, denoise_to_mean, integrate
+from .oracles import _rng
 from .schedules import Family, NoiseSchedule, TimeGrid
 
 
@@ -93,8 +94,7 @@ def _ssi_invert(oracle, schedule, x0, cfg, keep_trajectory, injected_noise):
     """Shared SSI body: start at ``s (x0 + sigma n)`` and Euler-integrate."""
     x0 = np.asarray(x0, dtype=float)
     if injected_noise is None:
-        rng = np.random.default_rng(np.random.SeedSequence(cfg.noise_seed))
-        injected_noise = rng.standard_normal(x0.shape)
+        injected_noise = _rng(cfg.noise_seed).standard_normal(x0.shape)
     n = np.asarray(injected_noise, dtype=float)
     if n.shape != x0.shape:
         raise InvalidArgumentError("injected noise must match the data shape")

@@ -44,6 +44,7 @@ _UNIT_ROUNDOFF = 2.0 ** -53  # u of float64
 _LOGIT_TOL = 1e-11  # tau of PointCloudScore: largest logit error left unrefined
 _SCREEN_MARGIN = 60.0  # L of PointCloudScore: how far below a row's top an atom is dropped
 _PAIRS_PER_BLOCK = 64  # (row, atom) pairs per direct-sum block; bounds its temporaries
+_FIELD_SEED = (0, 0xF1E1D)  # PerturbedScoreOracle: the one frozen random-feature field
 
 
 def _rng(seed) -> np.random.Generator:
@@ -443,8 +444,7 @@ class SubspaceGaussianScore(_OracleBase):
 ScoreOracle = PointCloudScore | SubspaceGaussianScore
 
 
-def circle_point_cloud(radius: float = 2.0, count: int = 8,
-                       grid_shape=None) -> PointCloudScore:
+def circle_point_cloud(radius: float = 2.0, count: int = 8) -> PointCloudScore:
     """Uniform atoms on a circle, ordered from angle pi going clockwise.
 
     The default (radius 2, eight points) places the first atom at (-2, 0).
@@ -454,7 +454,7 @@ def circle_point_cloud(radius: float = 2.0, count: int = 8,
     theta = np.pi - 2.0 * np.pi * np.arange(count) / count
     points = radius * np.stack([np.cos(theta), np.sin(theta)], axis=1)
     weights = np.full(count, 1.0 / count)
-    return PointCloudScore(points=points, weights=weights, grid_shape=grid_shape)
+    return PointCloudScore(points=points, weights=weights)
 
 
 def gaussian_on_axis() -> SubspaceGaussianScore:
@@ -583,7 +583,6 @@ class PerturbedScoreOracle(_OracleBase):
     base: ScoreOracle
     magnitude: float = 1e-3
     sigma_floor: float = 1.0
-    field_seed: int = 0
     n_features: int = 64
     _weights: np.ndarray = field(init=False, repr=False)
     _phases: np.ndarray = field(init=False, repr=False)
@@ -595,7 +594,7 @@ class PerturbedScoreOracle(_OracleBase):
         if self.sigma_floor < 0:
             raise InvalidArgumentError("sigma_floor must be nonnegative")
         d, m = self.base.dim, self.n_features
-        rng = _rng((self.field_seed, 0xF1E1D))
+        rng = _rng(_FIELD_SEED)
         w = rng.standard_normal((m, d)) / np.sqrt(d)
         phases = rng.uniform(0.0, 2.0 * np.pi, size=m)
         proj_t = np.ascontiguousarray((rng.standard_normal((d, m)) * np.sqrt(2.0 / m)).T)

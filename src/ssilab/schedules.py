@@ -5,7 +5,8 @@ Two schedule families are supported:
 * ``VE_KARRAS``: variance-exploding with ``sigma(t) = t`` and unit scaling,
   defined for all ``t >= 0``.
 * ``VP_LINEAR_BETA``: variance-preserving with a linear rate
-  ``beta(t) = beta0 + beta1_slope * t`` on ``t in [0, 1]``.  The cumulative
+  ``beta(t) = beta0 + beta1_slope * t`` on ``t in [0, 1]``, with the fixed
+  constants ``beta0 = 0.1`` and ``beta1_slope = 19.9``.  The cumulative
   signal level has the closed form ``abar(t) = exp(-(beta0*t + beta1_slope*t^2/2))``,
   from which ``sigma = sqrt((1 - abar)/abar)`` and ``s = sqrt(abar)``, so that
   ``s(t)^2 * (1 + sigma(t)^2) = 1`` holds identically.
@@ -28,33 +29,38 @@ class Family(str, Enum):
     VP_LINEAR_BETA = "vp_linear_beta"
 
 
+_BETA0 = 0.1
+_BETA1_SLOPE = 19.9
+
+
 @dataclass(frozen=True)
 class NoiseSchedule:
     """Noise level sigma(t) and scaling s(t) with analytic derivatives."""
 
     family: Family
-    beta0: float = 0.1
-    beta1_slope: float = 19.9
 
     # -- domain ------------------------------------------------------------
 
     def _check_domain(self, t, interior: bool = False) -> np.ndarray:
+        """Checked times; a time out of range is named alone in the error."""
         t = np.asarray(t, dtype=float)
         if not np.all(np.isfinite(t)):
             raise InvalidArgumentError("time must be finite")
+        lo_ok = (t > 0) if interior else (t >= 0)
         if self.family is Family.VE_KARRAS:
-            lo_ok = (t > 0) if interior else (t >= 0)
             if not np.all(lo_ok):
-                raise InvalidArgumentError(f"VE schedule requires t >= 0, got {t}")
-        else:
-            lo_ok = (t > 0) if interior else (t >= 0)
-            if not np.all(lo_ok & (t <= 1.0)):
-                raise InvalidArgumentError(f"VP schedule requires t in [0, 1], got {t}")
+                raise InvalidArgumentError(
+                    f"VE schedule requires t >= 0, got t = {float(t.min())}")
+        elif not np.all(lo_ok & (t <= 1.0)):
+            bad = t.max() if t.max() > 1.0 else t.min()
+            raise InvalidArgumentError(
+                f"VP schedule requires t in {'(0' if interior else '[0'}, 1], "
+                f"got t = {float(bad)}")
         return t
 
     def _log_abar(self, t) -> np.ndarray:
         """log(abar(t)) = -(beta0*t + beta1_slope*t^2/2)."""
-        return -(self.beta0 * t + 0.5 * self.beta1_slope * t * t)
+        return -(_BETA0 * t + 0.5 * _BETA1_SLOPE * t * t)
 
     # -- schedule values ---------------------------------------------------
 
@@ -71,7 +77,7 @@ class NoiseSchedule:
             return np.ones_like(t) if t.shape else 1.0
         # d/dt sqrt(exp(B) - 1) with B(t) = beta0*t + beta1_slope*t^2/2
         big_b = -self._log_abar(t)
-        beta = self.beta0 + self.beta1_slope * t
+        beta = _BETA0 + _BETA1_SLOPE * t
         return beta * np.exp(big_b) / (2.0 * np.sqrt(np.expm1(big_b)))
 
     def scale(self, t):
@@ -84,7 +90,7 @@ class NoiseSchedule:
         t = self._check_domain(t)
         if self.family is Family.VE_KARRAS:
             return np.zeros_like(t) if t.shape else 0.0
-        beta = self.beta0 + self.beta1_slope * t
+        beta = _BETA0 + _BETA1_SLOPE * t
         return -0.5 * beta * np.exp(0.5 * self._log_abar(t))
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ssilab import (InversionConfig, Method, SlerpPair,
+from ssilab import (InversionConfig, Method,
                     TimeGrid, VE_KARRAS, VP_LINEAR_BETA, chi_square_bound,
                     ddim_kappa_grid, ddim_sample, gaussian_exact,
                     gaussian_on_axis, integrate,
@@ -186,14 +186,14 @@ def test_criterion_9_slerp_exactness():
         a = rng.standard_normal(8)
         b = rng.standard_normal(8)
         b *= np.linalg.norm(a) / np.linalg.norm(b)
-        pair = SlerpPair(a, b)
-        endpoints_exact &= np.array_equal(slerp(pair, 0.0), a)
-        endpoints_exact &= np.array_equal(slerp(pair, 1.0), b)
+        ends = slerp(a, b, [0.0, 1.0])
+        endpoints_exact &= np.array_equal(ends[0], a)
+        endpoints_exact &= np.array_equal(ends[1], b)
         lam = rng.uniform(0.05, 0.95)
-        out = slerp(pair, lam)
+        out = slerp(a, b, [lam])[0]
         worst_norm = max(worst_norm,
                          abs(np.linalg.norm(out) - np.linalg.norm(a)))
-        rev = slerp(SlerpPair(b, a), 1.0 - lam)
+        rev = slerp(b, a, [1.0 - lam])[0]
         worst_sym = max(worst_sym, float(np.max(np.abs(out - rev))))
     ok = endpoints_exact and worst_norm < 1e-10 and worst_sym < 1e-12
     assert verdict_line(9, ok, f"endpoints exact={endpoints_exact}, "

@@ -232,8 +232,8 @@ class TestPerturbed:
         assert denoiser_rms[0.01] > 10 * denoiser_rms[1.0]
 
     def test_deterministic_replay(self, circle):
-        a = PerturbedScoreOracle(base=circle, magnitude=1e-3, field_seed=5)
-        b = PerturbedScoreOracle(base=circle, magnitude=1e-3, field_seed=5)
+        a = PerturbedScoreOracle(base=circle, magnitude=1e-3)
+        b = PerturbedScoreOracle(base=circle, magnitude=1e-3)
         x = np.array([0.2, -0.9])
         assert np.array_equal(a.score(x, 0.3), b.score(x, 0.3))
 

@@ -30,6 +30,18 @@ class TestSigma:
         with pytest.raises(InvalidArgumentError):
             VP_LINEAR_BETA.sigma(1.5)
 
+    def test_domain_error_names_only_the_offending_time(self):
+        # a 200-point Karras grid runs to t = 80, far outside VP's [0, 1]
+        times = karras_grid(0.002, 80.0, 7.0, 199).times
+        with pytest.raises(InvalidArgumentError, match=r"got t = 80\.0$") as err:
+            VP_LINEAR_BETA.sigma(times)
+        assert len(str(err.value)) < 200
+        with pytest.raises(InvalidArgumentError, match=r"got t = -1\.0$") as err:
+            VE_KARRAS.sigma(np.linspace(-1.0, 1.0, 200))
+        assert len(str(err.value)) < 200
+        with pytest.raises(InvalidArgumentError, match=r"\(0, 1\], got t = 0\.0$"):
+            VP_LINEAR_BETA.sigma_dot(np.linspace(0.0, 1.0, 200))
+
     def test_strictly_increasing(self):
         t = np.linspace(0, 1, 500)
         assert np.all(np.diff(VP_LINEAR_BETA.sigma(t)) > 0)
