@@ -7,6 +7,7 @@ verdict came back FAIL.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import pathlib
 import sys
@@ -21,6 +22,7 @@ EXIT_DIVERGED = 3
 EXIT_VERDICT = 4
 
 
+@functools.cache  # built on the first main call, then reused
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ssilab",

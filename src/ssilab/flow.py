@@ -29,7 +29,7 @@ from itertools import repeat
 import numpy as np
 
 from .errors import IntegrationDivergedError, InvalidArgumentError
-from .oracles import SubspaceGaussianScore, _rng
+from .oracles import SubspaceGaussianScore, _all_finite, _rng
 from .schedules import NoiseSchedule, TimeGrid
 
 
@@ -81,27 +81,29 @@ def _drift_coefficients(schedule: NoiseSchedule, times):
 
 
 def _rows(plan):
-    """Per-step ``(a, b, c, sigma_hat)`` floats; scalar entries broadcast."""
+    """Per-step floats of the plan's columns; scalar entries broadcast."""
     return zip(*(v.tolist() for v in np.broadcast_arrays(*plan)))
 
 
-def _scaled_score(score, x, c, sigma, step, sigma_hat):
+def _scaled_score(score, x, c, sigma, step, sigma_hat, t):
     """``score(c x, sigma)``; step ``step`` diverged if it raises on an overflowed ``c x``."""
     scaled = x if c == 1.0 else c * x
     try:
         return score(scaled, sigma)
     except Exception as exc:
         if np.isfinite(x).all() and not np.isfinite(scaled).all():
-            raise IntegrationDivergedError(step, sigma_hat) from exc
+            raise IntegrationDivergedError(step, sigma_hat, t) from exc
         raise
 
 
 def _run_plan(oracle, x, plan, corrector=None, out=None):
     """Step ``x`` through ``plan`` and, for Heun, ``corrector``; return the end state.
 
-    Fills ``out`` with every state when given.  Raises
-    :class:`IntegrationDivergedError` at the first non-finite state, prediction
-    or score input, with the step index and the ``sigma_hat`` of its plan row.
+    ``plan`` has the columns ``(a, b, c, sigma_hat, t)``, ``t`` the time of
+    ``sigma_hat``; ``corrector`` has ``(a, b, c, sigma_hat)``.  Fills ``out``
+    with every state when given.  Raises :class:`IntegrationDivergedError` at
+    the first non-finite state, prediction or score input, with the step
+    index and the ``sigma_hat`` and ``t`` of its plan row.
     Floating-point warnings are silenced: that check is the whole contract.
     Each state is written once, into its slot of ``out``, a fresh array or the
     one ``score`` returned, and a product by exactly 1 (VE's and DDIM's ``a``
@@ -112,23 +114,23 @@ def _run_plan(oracle, x, plan, corrector=None, out=None):
     score = oracle.score
     fixes = _rows(corrector) if corrector is not None else repeat(None)
     with np.errstate(all="ignore"):
-        for i, ((a, b, c, sigma), fix) in enumerate(zip(_rows(plan), fixes)):
+        for i, ((a, b, c, sigma, t), fix) in enumerate(zip(_rows(plan), fixes)):
             # x_next = a x + b score(c x, sigma); a Heun prediction keeps out of the slot
             slot = out[i + 1] if out is not None and fix is None else None
-            step = _scaled_score(score, x, c, sigma, i, sigma)
+            step = _scaled_score(score, x, c, sigma, i, sigma, t)
             step *= b
             ax = x if a == 1.0 else np.multiply(a, x, out=slot)
             x_next = np.add(ax, step, out=step if slot is None else slot)
-            if fix is not None and np.isfinite(x_next).all():
+            if fix is not None and _all_finite(x_next):
                 # x_next = x/2 + fa pred + fb score(fc pred, fsigma), pred = x_next
                 fa, fb, fc, fsigma = fix
-                fixed = _scaled_score(score, x_next, fc, fsigma, i, sigma)
+                fixed = _scaled_score(score, x_next, fc, fsigma, i, sigma, t)
                 fixed *= fb
                 x_next = np.multiply(fa, x_next, out=None if out is None else out[i + 1])
                 x_next += 0.5 * x
                 x_next += fixed
-            if not np.isfinite(x_next).all():
-                raise IntegrationDivergedError(i, sigma)
+            if not _all_finite(x_next):
+                raise IntegrationDivergedError(i, sigma, t)
             x = x_next
     return x
 
@@ -150,7 +152,7 @@ def integrate(schedule: NoiseSchedule, oracle, method: Method,
     # Euler never evaluates the drift at the grid's last time
     p, q, r, sigma = _drift_coefficients(schedule, times if heun else times[:n])
     h = np.diff(times)
-    plan = (1.0 + h * p[:n], h * q[:n], r[:n], sigma[:n])
+    plan = (1.0 + h * p[:n], h * q[:n], r[:n], sigma[:n], times[:n])
     corrector = ((0.5 + 0.5 * h * p[1:], 0.5 * h * q[1:], r[1:], sigma[1:])
                  if heun else None)
     x_start = np.asarray(x_start, dtype=float)

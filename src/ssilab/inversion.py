@@ -155,7 +155,7 @@ def ddim_sample(oracle, schedule: NoiseSchedule, x_start, grid_descending: TimeG
     if times[0] <= times[-1]:
         raise InvalidArgumentError("sampling grid must descend")
     _, sig = _vp_levels(schedule, times)
-    plan = (1.0, -sig[:-1] * np.diff(sig), 1.0, sig[:-1])
+    plan = (1.0, -sig[:-1] * np.diff(sig), 1.0, sig[:-1], times[:-1])
     return _run_plan(oracle, np.asarray(x_start, dtype=float), plan)
 
 
@@ -185,7 +185,7 @@ def ddim_invert_baseline(oracle, schedule: NoiseSchedule, x0,
         raise InvalidArgumentError("baseline grid must start at a positive time")
     phi, psi, s, sig = ddim_coefficients(schedule, grid_ascending)
     plan = ((1.0 - psi / s[:-1]) / phi, -psi * sig[1:] ** 2 / phi, 1.0 / s[:-1],
-            sig[1:])
+            sig[1:], times[1:])
     x0 = np.asarray(x0, dtype=float)
     x_tilde = _run_plan(oracle, s[0] * x0, plan)
     cfg = InversionConfig(t_ssi=float(times[0]), grid=grid_ascending,

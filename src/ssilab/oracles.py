@@ -16,10 +16,14 @@ vectorised over leading batch axes.
 
 Each public method validates its inputs once, on entry (real, finite states
 with last axis ``d``, a real, finite ``sigma > 0``; else
-``InvalidArgumentError``).  ``posterior_mean`` calls ``score`` first and lets it
-check.  Each ``score`` is that check plus a private ``_score``; the perturbed
-``score`` checks once and calls its base oracle's ``_score``.  Private helpers
-take checked arguments and check nothing.
+``InvalidArgumentError``).  A float64 ``ndarray`` is checked as given; any
+other state is converted to one first.  ``_all_finite`` tests a state in one
+pass: ``x.x`` is finite only if every entry is, and only when it is not (a
+non-finite entry, or finite entries whose squares overflow) does it test each
+entry.  ``posterior_mean`` calls ``score`` first and lets it check.  Each
+``score`` is that check plus a private ``_score``; the perturbed ``score``
+checks once and calls its base oracle's ``_score``.  Private helpers take
+checked arguments and check nothing.
 
 The contract of ``_score(x, sigma)``, kept by every oracle kind: ``x`` is a
 finite float array whose last axis is ``d``, and ``sigma`` is a finite
@@ -45,6 +49,7 @@ _LOGIT_TOL = 1e-11  # tau of PointCloudScore: largest logit error left unrefined
 _SCREEN_MARGIN = 60.0  # L of PointCloudScore: how far below a row's top an atom is dropped
 _PAIRS_PER_BLOCK = 64  # (row, atom) pairs per direct-sum block; bounds its temporaries
 _FIELD_SEED = (0, 0xF1E1D)  # PerturbedScoreOracle: the one frozen random-feature field
+_KAPPA_MEMO_CAP = 1024  # SubspaceGaussianScore: kappa vectors kept; a 200-step grid's sigmas fit
 
 
 def _rng(seed) -> np.random.Generator:
@@ -63,17 +68,23 @@ def _by_pairs(reduce, x, points, rows, atoms) -> np.ndarray:
     return out
 
 
+def _all_finite(x) -> bool:
+    """Whether every entry of the float array ``x`` is finite; never warns."""
+    return math.isfinite(np.vdot(x, x)) or bool(np.isfinite(x).all())
+
+
 def _check_state(x, d: int) -> np.ndarray:
-    try:
-        x = np.asarray(x)
-    except ValueError as exc:  # a ragged nested sequence
-        raise InvalidArgumentError("state must be an array of real numbers") from exc
-    if x.dtype.kind not in "biuf":  # strings, objects and complex numbers
-        raise InvalidArgumentError("state must be an array of real numbers")
-    x = x.astype(float, copy=False)
+    if type(x) is not np.ndarray or x.dtype != np.float64:
+        try:
+            x = np.asarray(x)
+        except ValueError as exc:  # a ragged nested sequence
+            raise InvalidArgumentError("state must be an array of real numbers") from exc
+        if x.dtype.kind not in "biuf":  # strings, objects and complex numbers
+            raise InvalidArgumentError("state must be an array of real numbers")
+        x = x.astype(float, copy=False)
     if x.ndim == 0 or x.shape[-1] != d:
         raise InvalidArgumentError(f"state shape {x.shape} does not end in oracle dimension {d}")
-    if not np.isfinite(x).all():
+    if not _all_finite(x):
         raise InvalidArgumentError("state must be finite")
     return x
 
@@ -342,6 +353,13 @@ class SubspaceGaussianScore(_OracleBase):
     one in its last subtraction, so each row of either errs by a small
     multiple of ``u |y| / sigma^2``; ``kappa`` adds a few ``u`` relative to
     the tangential term.
+
+    Memo.  ``kappa`` depends on ``sigma`` alone, and a run scores every state
+    of a grid at the same few sigmas, so ``_score`` keeps each read-only
+    ``kappa`` vector in a per-instance dict keyed by the checked float
+    ``sigma``, computed by the same expression and so the same bits.  The
+    dict holds at most ``_KAPPA_MEMO_CAP`` (1024) entries and is emptied when
+    full; it takes no part in equality or ``repr``.
     """
 
     basis: np.ndarray  # (d, n), column-orthonormal
@@ -351,6 +369,7 @@ class SubspaceGaussianScore(_OracleBase):
     _basis_t: np.ndarray = field(init=False, repr=False, compare=False)
     _lam: np.ndarray = field(init=False, repr=False, compare=False)  # stddevs**2
     _shifted: bool = field(init=False, repr=False, compare=False)  # offset != +0.0
+    _kappa: dict = field(init=False, repr=False, compare=False)  # sigma -> kappa
 
     def __post_init__(self):
         basis = np.asarray(self.basis, dtype=float)
@@ -385,6 +404,7 @@ class SubspaceGaussianScore(_OracleBase):
         object.__setattr__(self, "_lam", lam)
         # x - (+0.0) is x to the bit; x - (-0.0) turns -0.0 into +0.0
         object.__setattr__(self, "_shifted", bool(offset.view(np.uint64).any()))
+        object.__setattr__(self, "_kappa", {})
 
     @property
     def dim(self) -> int:
@@ -412,7 +432,14 @@ class SubspaceGaussianScore(_OracleBase):
         s2 = sigma * sigma
         y = x - self.offset if self._shifted else x
         coef = y @ self.basis
-        coef *= self._lam / ((self._lam + s2) * s2)
+        kappa = self._kappa.get(sigma)
+        if kappa is None:
+            if len(self._kappa) >= _KAPPA_MEMO_CAP:
+                self._kappa.clear()
+            kappa = self._lam / ((self._lam + s2) * s2)
+            kappa.flags.writeable = False
+            self._kappa[sigma] = kappa
+        coef *= kappa
         score = coef @ self._basis_t
         score -= np.divide(y, s2, out=y if self._shifted else None)
         return score

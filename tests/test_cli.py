@@ -280,6 +280,22 @@ class TestOutputs:
         report = json.loads((out / "report.json").read_text())
         assert report["config"]["seed"] == 9
 
+    def test_parser_reuse_carries_no_flag_over(self, tmp_path, capsys):
+        # the parser is built once per process; a flag of one call must not
+        # leak into the next
+        cfg = write_config(tmp_path, {"seed": 2, "trials": 10})
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(["verify-singularity", "--config", str(cfg), "--quiet",
+                     "--seed", "3", "--out", str(first)]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(["verify-singularity", "--config", str(cfg),
+                     "--out", str(second)]) == 0
+        assert capsys.readouterr().out.startswith("verify-singularity: verdict=")
+        for out, seed in ((first, 3), (second, 2)):
+            report = json.loads((out / "report.json").read_text())
+            assert report["config"]["seed"] == seed
+            assert report["config"]["quiet"] == (seed == 3)
+
 
 def small_configs():
     return [

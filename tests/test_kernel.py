@@ -205,23 +205,42 @@ class InfAfter(_OracleBase):
 _UP = TimeGrid(np.linspace(0.1, 0.9, 11))
 
 
-@pytest.mark.parametrize("run,k,step,sigma", [
+@pytest.mark.parametrize("run,k,step,sigma,t", [
     (lambda o: integrate(VE_KARRAS, o, Method.EULER, np.ones(2), _UP),
-     3, 3, _UP.times[3]),
+     3, 3, _UP.times[3], _UP.times[3]),
     # call 5 is step 2's predictor; its corrector must not see the inf state
     (lambda o: integrate(VE_KARRAS, o, Method.HEUN, np.ones(2), _UP),
-     4, 2, _UP.times[2]),
+     4, 2, _UP.times[2], _UP.times[2]),
     (lambda o: ddim_sample(o, VP_LINEAR_BETA, np.ones(2), _UP.reversed()),
-     5, 5, VP_LINEAR_BETA.sigma(_UP.reversed().times)[5]),
+     5, 5, VP_LINEAR_BETA.sigma(_UP.reversed().times)[5], _UP.reversed().times[5]),
     # the lagged baseline evaluates step i at the next time's sigma
     (lambda o: ddim_invert_baseline(o, VP_LINEAR_BETA, np.ones(2), _UP),
-     2, 2, VP_LINEAR_BETA.sigma(_UP.times)[3]),
+     2, 2, VP_LINEAR_BETA.sigma(_UP.times)[3], _UP.times[3]),
 ], ids=["euler", "heun-predictor", "ddim-sample", "ddim-baseline"])
-def test_divergence_raises_with_step_index(run, k, step, sigma):
+def test_divergence_raises_with_step_index(run, k, step, sigma, t):
     with pytest.raises(IntegrationDivergedError) as exc:
         run(InfAfter(k))
     assert exc.value.step_index == step
     assert exc.value.sigma == sigma
+    assert exc.value.t == t
+    assert str(exc.value).endswith(f"at t={float(t)!r}")
+
+
+class ZeroScore(_OracleBase):
+    """A score that is zero everywhere, so every step keeps its state."""
+
+    dim = 2
+
+    def score(self, x, sigma):
+        return np.zeros(np.shape(x))
+
+
+@pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
+def test_finite_states_whose_sum_overflows_do_not_diverge(method):
+    # every entry is finite, but the sum of the entries overflows
+    x = np.full((2, 2), 1e308)
+    traj = integrate(VE_KARRAS, ZeroScore(), method, x, _UP)
+    assert np.array_equal(traj.states, np.broadcast_to(x, traj.states.shape))
 
 
 _VP_UP = TimeGrid(np.linspace(0.5, 0.9, 5))
@@ -240,6 +259,7 @@ def test_overflowing_score_input_diverges(method, value):
         integrate(VP_LINEAR_BETA, axis, method, np.full((2, axis.dim), value), _VP_UP)
     assert exc.value.step_index == 0
     assert exc.value.sigma == VP_LINEAR_BETA.sigma(0.5)
+    assert exc.value.t == 0.5
     assert isinstance(exc.value.__cause__, InvalidArgumentError)
 
 
@@ -279,6 +299,7 @@ def test_cli_baseline_divergence_exits_3(tmp_path, monkeypatch, capsys):
         match = re.search(r"step 0, sigma=(\S+)", err)
         assert match is not None, (command, err)
         assert float(match.group(1)) == pytest.approx(float(sigma), rel=1e-12), command
+        assert " at t=" in err, (command, err)
 
 
 class Recording(_OracleBase):

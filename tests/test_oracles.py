@@ -1,3 +1,4 @@
+import copy
 import warnings
 from unittest import mock
 
@@ -329,6 +330,108 @@ def test_perturbed_oracle_checks_the_state_once(monkeypatch):
         calls.clear()
         getattr(p, method)(x, 0.4)
         assert len(calls) == 1, method
+
+
+def converting_check_state(x, d):
+    """The state check that converts every input, a float64 array included."""
+    try:
+        x = np.asarray(x)
+    except ValueError as exc:
+        raise InvalidArgumentError("state must be an array of real numbers") from exc
+    if x.dtype.kind not in "biuf":
+        raise InvalidArgumentError("state must be an array of real numbers")
+    x = x.astype(float, copy=False)
+    if x.ndim == 0 or x.shape[-1] != d:
+        raise InvalidArgumentError(f"state shape {x.shape} does not end in oracle dimension {d}")
+    if not np.isfinite(x).all():
+        raise InvalidArgumentError("state must be finite")
+    return x
+
+
+class _SubArray(np.ndarray):
+    pass
+
+
+def _read_only(x):
+    x.flags.writeable = False
+    return x
+
+
+_D = 4
+_GRID = np.arange(3.0 * _D).reshape(3, _D) - 5.5
+_STATES = {
+    "c-order": _GRID.copy(),
+    "f-order": np.asfortranarray(_GRID),
+    "non-contiguous": np.arange(6.0 * _D).reshape(3, 2 * _D)[:, ::2],
+    "read-only": _read_only(_GRID.copy()),
+    "byte-swapped": _GRID.astype(">f8"),
+    "float32": _GRID.astype(np.float32),
+    "int": np.arange(3 * _D).reshape(3, _D),
+    "bool": np.ones((2, _D), dtype=bool),
+    "subclass": _GRID.copy().view(_SubArray),
+    "list": [[1.0, 2.0, 3.0, 4.0]],
+    "0-d": np.array(1.0),
+    "wrong-last-dim": np.zeros((2, _D + 1)),
+    "nan": np.array([1.0, np.nan, 0.0, 2.0]),
+    "inf": np.array([[1.0, 2.0, np.inf, 0.0]]),
+    "-inf": np.array([[1.0, 2.0, 3.0, -np.inf]]),
+    "inf-minus-inf": np.array([np.inf, -np.inf, 0.0, 1.0]),
+    "sum-overflows": np.full((3, _D), 1e308),
+    "signed-sum-overflows": np.array([1e308, -1e308, 1e308, 1e308]),
+    "squares-overflow": np.full((2, _D), -1e200),
+}
+
+
+@pytest.mark.parametrize("label", list(_STATES))
+def test_state_check_matches_the_converting_check(label):
+    # a float64 ndarray skips the conversion; every result, error message
+    # and returned object must stay what converting every input gives
+    x = _STATES[label]
+    try:
+        want = converting_check_state(x, _D)
+    except InvalidArgumentError as exc:
+        with pytest.raises(InvalidArgumentError) as got:
+            oracles._check_state(x, _D)
+        assert str(got.value) == str(exc)
+        return
+    got = oracles._check_state(x, _D)
+    assert type(got) is type(want) and got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    assert (got is x) == (want is x)
+
+
+# -- the per-sigma kappa memo of the subspace score ------------------------
+
+
+@pytest.mark.parametrize("sigma", [0.002, 0.1, 1.0, 80.0])
+def test_memoised_kappa_leaves_the_score_bits(sigma):
+    oracle = toy_image_subspace()
+    x = np.random.default_rng(4).standard_normal((3, oracle.dim))
+    first = oracle.score(x, sigma)
+    assert sigma in oracle._kappa
+    again = oracle.score(x, sigma)
+    fresh = toy_image_subspace().score(x, sigma)
+    assert np.array_equal(first, fresh) and np.array_equal(again, fresh)
+    assert not oracle._kappa[sigma].flags.writeable
+
+
+def test_kappa_memo_stays_within_its_cap():
+    axis = gaussian_on_axis()
+    x = np.ones((1, 2))
+    sigmas = np.geomspace(0.01, 10.0, oracles._KAPPA_MEMO_CAP + 5).tolist()
+    for sigma in sigmas:
+        assert np.array_equal(axis.score(x, sigma), gaussian_on_axis().score(x, sigma))
+        assert len(axis._kappa) <= oracles._KAPPA_MEMO_CAP
+    assert sigmas[-1] in axis._kappa
+
+
+def test_kappa_memo_is_not_part_of_equality_or_repr():
+    a = toy_image_subspace()
+    b = copy.copy(a)  # shares the arrays, which == compares by identity
+    object.__setattr__(b, "_kappa", {})
+    a.score(np.zeros(a.dim), 0.5)
+    assert a._kappa and not b._kappa
+    assert a == b and repr(a) == repr(b)
 
 
 # -- in-place subspace and perturbed scores against the plain expressions ---
