@@ -376,6 +376,7 @@ _STATES = {
     "inf": np.array([[1.0, 2.0, np.inf, 0.0]]),
     "-inf": np.array([[1.0, 2.0, 3.0, -np.inf]]),
     "inf-minus-inf": np.array([np.inf, -np.inf, 0.0, 1.0]),
+    "non-contiguous-nan": np.array([[1.0, 9.0, np.nan, 9.0, 0.0, 9.0, 2.0, 9.0]])[:, ::2],
     "sum-overflows": np.full((3, _D), 1e308),
     "signed-sum-overflows": np.array([1e308, -1e308, 1e308, 1e308]),
     "squares-overflow": np.full((2, _D), -1e200),
