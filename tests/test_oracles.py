@@ -1,4 +1,5 @@
 import copy
+import pickle
 import warnings
 from unittest import mock
 
@@ -413,23 +414,42 @@ def test_memoised_kappa_leaves_the_score_bits(sigma):
     again = oracle.score(x, sigma)
     fresh = toy_image_subspace().score(x, sigma)
     assert np.array_equal(first, fresh) and np.array_equal(again, fresh)
-    assert not oracle._kappa[sigma].flags.writeable
+    lam = oracle.latent_stddevs**2
+    assert np.array_equal(oracle._kappa_rows[oracle._kappa[sigma]],
+                          lam / ((lam + sigma * sigma) * sigma * sigma))
+    assert not np.shares_memory(again, oracle._kappa_rows)
 
 
-def test_kappa_memo_stays_within_its_cap():
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                   lambda o: pickle.loads(pickle.dumps(o))])
+def test_kappa_memo_survives_copies(clone):
+    oracle = toy_image_subspace()
+    x = np.ones((2, oracle.dim))
+    oracle.score(x, 0.3)
+    twin = clone(oracle)
+    for sigma in (0.3, 0.7, 0.3):
+        assert np.array_equal(twin.score(x, sigma), toy_image_subspace().score(x, sigma))
+
+
+def test_kappa_memo_keeps_its_first_sigmas_up_to_its_cap():
     axis = gaussian_on_axis()
     x = np.ones((1, 2))
-    sigmas = np.geomspace(0.01, 10.0, oracles._KAPPA_MEMO_CAP + 5).tolist()
+    cap = oracles._KAPPA_MEMO_CAP
+    sigmas = np.geomspace(0.01, 10.0, cap + 5).tolist()
     for sigma in sigmas:
         assert np.array_equal(axis.score(x, sigma), gaussian_on_axis().score(x, sigma))
-        assert len(axis._kappa) <= oracles._KAPPA_MEMO_CAP
-    assert sigmas[-1] in axis._kappa
+        assert len(axis._kappa) <= cap
+    # full: the first sigmas stay, later ones are computed each call and not kept
+    assert list(axis._kappa) == sigmas[:cap]
+    assert np.array_equal(axis.score(x, sigmas[-1]), gaussian_on_axis().score(x, sigmas[-1]))
+    assert sigmas[-1] not in axis._kappa
 
 
 def test_kappa_memo_is_not_part_of_equality_or_repr():
     a = toy_image_subspace()
     b = copy.copy(a)  # shares the arrays, which == compares by identity
     object.__setattr__(b, "_kappa", {})
+    object.__setattr__(b, "_kappa_rows", a._kappa_rows.copy())
     a.score(np.zeros(a.dim), 0.5)
     assert a._kappa and not b._kappa
     assert a == b and repr(a) == repr(b)
