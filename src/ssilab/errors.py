@@ -8,12 +8,14 @@ class InvalidArgumentError(ValueError):
 class IntegrationDivergedError(RuntimeError):
     """Raised when an ODE trajectory produces a non-finite state.
 
-    Carries the failing step's index, its noise level ``sigma`` (its plan
-    row's ``sigma_hat``) and that level's time ``t``, so the caller can report
-    where the blow-up happened instead of silently propagating NaNs.
+    Carries the index of the failing step, its noise level ``sigma`` (the
+    ``sigma_hat`` of the step's plan row) and the time ``t`` of that level, so
+    the caller can report where the blow-up happened instead of silently
+    propagating NaNs.
     """
 
-    def __init__(self, step_index: int, sigma: float, t: float, message: str | None = None):
+    def __init__(self, step_index: int, sigma: float, t: float,
+                 message: str | None = None):
         self.step_index = step_index
         self.sigma = sigma
         self.t = t

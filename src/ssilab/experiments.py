@@ -293,8 +293,9 @@ def _roundtrip_batch(oracle, schedule, cfg, t_ssi, steps, x0, noise):
 def cmd_sweep_tssi(cfg: dict, report: dict, oracle, schedule) -> None:
     """Map the roundtrip error over the skipping-time / step-count grid.
 
-    PASS needs an interior minimum over ``t_ssi``, so ``perturbation > 0``: the
-    exact score's error falls with ``t_ssi`` (the default config FAILs).
+    The PASS verdict asks for an interior minimum over ``t_ssi``, which needs
+    a score error, ``perturbation > 0``: with the exact score the error falls
+    with ``t_ssi``, so the default config (exact circle) FAILs at every seed.
     """
     if cfg["grid"]["kind"] == "kappa":
         raise ConfigError("the sweep varies t_ssi; use a karras or uniform grid")

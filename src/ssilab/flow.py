@@ -99,11 +99,12 @@ def _scaled_score(score, x, c, sigma, step, sigma_hat, t):
 def _run_plan(oracle, x, plan, corrector=None, out=None):
     """Step ``x`` through ``plan`` and, for Heun, ``corrector``; return the end state.
 
-    ``plan`` has the columns ``(a, b, c, sigma_hat, t)``, ``t`` the time of ``sigma_hat``;
-    ``corrector`` has ``(a, b, c, sigma_hat)``.  Fills ``out`` with every state when
-    given.  Raises :class:`IntegrationDivergedError` at the first non-finite state,
-    prediction or score input, with the step index and its plan row's ``sigma_hat``
-    and ``t``.  Floating-point warnings are silenced: that check is the whole contract.
+    ``plan`` has the columns ``(a, b, c, sigma_hat, t)``, ``t`` the time of
+    ``sigma_hat``; ``corrector`` has ``(a, b, c, sigma_hat)``.  Fills ``out``
+    with every state when given.  Raises :class:`IntegrationDivergedError` at
+    the first non-finite state, prediction or score input, with the step
+    index and the ``sigma_hat`` and ``t`` of its plan row.
+    Floating-point warnings are silenced: that check is the whole contract.
     Each state is written once, into its slot of ``out``, a fresh array or the
     one ``score`` returned, and a product by exactly 1 (VE's and DDIM's ``a``
     and ``c``) is skipped; ``x`` and the arrays given to ``score`` are never written.

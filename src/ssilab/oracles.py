@@ -19,8 +19,8 @@ with last axis ``d``, a real, finite ``sigma > 0``; else
 ``InvalidArgumentError``).  A float64 ``ndarray`` is checked as given; any
 other state is converted to one first.  ``_all_finite`` tests a state in one
 pass: ``x.x`` is finite only if every entry is, and only when it is not (a
-non-finite entry, or squares that overflow) is each entry tested.
-``posterior_mean`` calls ``score`` first and lets it check.  Each
+non-finite entry, or finite entries whose squares overflow) does it test each
+entry.  ``posterior_mean`` calls ``score`` first and lets it check.  Each
 ``score`` is that check plus a private ``_score``; the perturbed ``score``
 checks once and calls its base oracle's ``_score``.  Private helpers take
 checked arguments and check nothing.
@@ -369,7 +369,7 @@ class SubspaceGaussianScore(_OracleBase):
     _basis_t: np.ndarray = field(init=False, repr=False, compare=False)
     _lam: np.ndarray = field(init=False, repr=False, compare=False)  # stddevs**2
     _shifted: bool = field(init=False, repr=False, compare=False)  # offset != +0.0
-    _kappa: dict = field(init=False, repr=False, compare=False)  # sigma -> row; not in == or repr
+    _kappa: dict = field(init=False, repr=False, compare=False)  # sigma -> row of _kappa_rows
     _kappa_rows: np.ndarray = field(init=False, repr=False, compare=False)  # (cap, n)
 
     def __post_init__(self):
