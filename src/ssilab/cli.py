@@ -1,7 +1,7 @@
 """Command-line front end: config in, report.json and CSV tables out.
 
-Exit codes: 0 success, 2 config error, 3 numerical divergence, 4 a command
-verdict came back FAIL.
+Exit codes: 0 success, 2 config error (an unreadable config or unwritable
+outputs among them), 3 numerical divergence, 4 a command verdict came back FAIL.
 """
 
 from __future__ import annotations
@@ -84,14 +84,17 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args)
         report = run_command(cfg)
+        if cfg["out"] is not None:
+            try:
+                write_outputs(report, pathlib.Path(cfg["out"]))
+            except OSError as exc:  # --out names a file, or a directory we cannot write
+                raise ConfigError(f"cannot write outputs: {exc}")
     except (ConfigError, InvalidArgumentError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except IntegrationDivergedError as exc:
         print(exc, file=sys.stderr)
         return EXIT_DIVERGED
-    if cfg["out"] is not None:
-        write_outputs(report, pathlib.Path(cfg["out"]))
     if not cfg["quiet"]:
         verdict = report["verdict"] if report["verdict"] is not None else "n/a"
         print(f"{cfg['command']}: verdict={verdict} "

@@ -31,9 +31,6 @@ from .oracles import (PerturbedScoreOracle, circle_point_cloud, gaussian_on_axis
 from .schedules import (NoiseSchedule, TimeGrid, VE_KARRAS, VP_LINEAR_BETA,
                         ddim_kappa_grid, karras_grid)
 
-COMMANDS = ("verify-singularity", "verify-projection", "invert", "sweep-tssi",
-            "interpolate", "reconstruct")
-
 _FLOAT_MAX = float(np.finfo(float).max)
 _REQUIRED = object()  # default of a key the config must give
 
@@ -172,6 +169,7 @@ _COMMANDS = {
                     "manifold_threshold": (0.1, _POSITIVE)},
     "reconstruct": {"delta": (0.05, _number(lo=0, hi=1, open_=True))},
 }
+COMMANDS = tuple(_COMMANDS)
 
 
 def resolve_config(command: str, raw: dict) -> dict:

@@ -144,10 +144,8 @@ def cmd_verify_singularity(cfg: dict, report: dict, oracle, schedule) -> None:
         "target_rel_deviation": deviation,
     }
     report["verdict"] = "PASS" if ok else "FAIL"
-    report["csv"]["trace"] = {
-        "columns": ["sigma", "rms_ratio"],
-        "rows": np.column_stack([sigmas, rms]),
-    }
+    report["csv"]["trace"] = _table(
+        [{"sigma": s, "rms_ratio": r} for s, r in zip(sigmas, rms)], ["sigma", "rms_ratio"])
 
 
 def cmd_verify_projection(cfg: dict, report: dict, oracle, schedule) -> None:
@@ -215,58 +213,47 @@ def _pairwise_abs_cosine(noises: np.ndarray) -> float:
     return float(off.mean())
 
 
+def _excess_se(rep: dict, ref: dict) -> dict:
+    """Each correlation's excess over the reference, in combined standard errors."""
+    out = {}
+    for name in ("chan", "hori", "vert"):
+        se = float(np.hypot(rep[name + "_se"], ref[name + "_se"]))
+        diff = rep[name + "_corr"] - ref[name + "_corr"]
+        out[name] = diff / se if se > 0 else np.inf
+    return out
+
+
+_INVERSIONS = {"ssi": ("ssi",), "baseline_ddim": ("baseline",), "both": ("ssi", "baseline")}
+
+
 def cmd_invert(cfg: dict, report: dict, oracle, schedule) -> None:
     """Invert oracle samples and measure how Gaussian the noise looks."""
-    trials = cfg["trials"]
-    run_ssi = cfg["method"] in ("ssi", "both")
-    run_base = cfg["method"] in ("baseline_ddim", "both")
-    if run_base and schedule.family is not Family.VP_LINEAR_BETA:
+    labels = _INVERSIONS[cfg["method"]]
+    if "baseline" in labels and schedule.family is not Family.VP_LINEAR_BETA:
         raise ConfigError("baseline DDIM inversion needs the VP schedule")
 
     x0, noise = _trial_batch(cfg, report, oracle, shared=cfg["shared_input"])
     aggregates = report["aggregates"]
-    if run_ssi:
-        grid = _ssi_grid(cfg)
-        res = _ssi_invert_batch(oracle, schedule, grid, x0, noise)
+    for label in labels:
+        res = (_ssi_invert_batch(oracle, schedule, _ssi_grid(cfg), x0, noise) if label == "ssi"
+               else ddim_invert_baseline(oracle, schedule, x0, build_grid(cfg)))
         sigma_T = float(schedule.sigma(res.final_time))
-        aggregates["ssi_metrics"] = _gaussianity(res.noise / sigma_T, oracle)
-        aggregates["ssi_mean_abs_cosine"] = _pairwise_abs_cosine(res.noise)
-
-    if run_base:
-        grid = build_grid(cfg)
-        res_b = ddim_invert_baseline(oracle, schedule, x0, grid)
-        sigma_T = float(schedule.sigma(res_b.final_time))
-        aggregates["baseline_metrics"] = _gaussianity(res_b.noise / sigma_T, oracle)
-        aggregates["baseline_mean_abs_cosine"] = _pairwise_abs_cosine(res_b.noise)
+        aggregates[label + "_metrics"] = _gaussianity(res.noise / sigma_T, oracle)
+        aggregates[label + "_mean_abs_cosine"] = _pairwise_abs_cosine(res.noise)
 
     ref_seed = _ledger_seed(report, "reference", (cfg["seed"], _TAG_REFERENCE))
-    z_ref = _rng(ref_seed).standard_normal((trials, oracle.dim))
+    z_ref = _rng(ref_seed).standard_normal((cfg["trials"], oracle.dim))
     ref = aggregates["reference_metrics"] = _gaussianity(z_ref, oracle)
-
-    verdict = None
-    if ref is not None:
-        def _excess(rep):
-            out = {}
-            for name in ("chan", "hori", "vert"):
-                se = float(np.hypot(rep[name + "_se"], ref[name + "_se"]))
-                diff = rep[name + "_corr"] - ref[name + "_corr"]
-                out[name] = diff / se if se > 0 else np.inf
-            return out
-        if run_ssi:
-            aggregates["ssi_excess_se"] = _excess(aggregates["ssi_metrics"])
-            ssi_ok = all(abs(v) <= 2.0
-                         for v in aggregates["ssi_excess_se"].values())
-            verdict = "PASS" if ssi_ok else "FAIL"
-        if run_base:
-            aggregates["baseline_excess_se"] = _excess(aggregates["baseline_metrics"])
-            base_fails = max(aggregates["baseline_excess_se"].values()) > 5.0
-            if cfg["method"] == "both":
-                verdict = ("PASS" if (verdict == "PASS" and base_fails)
-                           else "FAIL")
-    report["verdict"] = verdict
+    if ref is not None:  # correlations need an image grid
+        for label in labels:
+            aggregates[label + "_excess_se"] = _excess_se(aggregates[label + "_metrics"], ref)
+        if "ssi" in labels:
+            ok = all(abs(v) <= 2.0 for v in aggregates["ssi_excess_se"].values())
+            if "baseline" in labels:
+                ok = ok and max(aggregates["baseline_excess_se"].values()) > 5.0
+            report["verdict"] = "PASS" if ok else "FAIL"
     rows = [{"which": label, **aggregates[label + "_metrics"]}
-            for label in ("ssi", "baseline", "reference")
-            if aggregates.get(label + "_metrics") is not None]
+            for label in (*labels, "reference")] if ref is not None else []
     report["csv"]["metrics"] = _table(rows, ["which", "chan_corr", "hori_corr",
                                              "vert_corr", "chan_se", "hori_se",
                                              "vert_se"])

@@ -38,12 +38,13 @@ class Method(str, Enum):
     HEUN = "heun"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Time-indexed path of states; ``states[i]`` matches ``grid.times[i]``.
 
     ``states`` has shape ``(len(grid), ..., d)`` so a batch of trajectories
-    shares one grid.
+    shares one grid.  States are checked finite where they are used:
+    ``singularity_trace`` hands each to the oracle's checked ``posterior_mean``.
     """
 
     states: np.ndarray
@@ -52,21 +53,9 @@ class Trajectory:
 
     def __post_init__(self):
         states = np.asarray(self.states, dtype=float)
-        if states.shape[0] != len(self.grid):
+        if states.shape[:1] != (len(self.grid),):
             raise InvalidArgumentError("states and grid lengths differ")
-        if not np.all(np.isfinite(states)):
-            raise InvalidArgumentError("trajectory contains non-finite states")
         object.__setattr__(self, "states", states)
-
-    @classmethod
-    def _from_kernel(cls, states, grid, schedule):
-        """The trajectory of ``integrate``'s own float buffer, unchecked: the
-        kernel shaped it ``(len(grid), ..., d)`` and raised at its first
-        non-finite state, so a second full pass would find nothing."""
-        traj = object.__new__(cls)
-        for name, value in (("states", states), ("grid", grid), ("schedule", schedule)):
-            object.__setattr__(traj, name, value)
-        return traj
 
 
 def _drift_coefficients(schedule: NoiseSchedule, times):
@@ -160,7 +149,7 @@ def integrate(schedule: NoiseSchedule, oracle, method: Method,
         return _run_plan(oracle, x_start, plan, corrector)
     out = np.empty((times.size,) + x_start.shape)
     _run_plan(oracle, x_start, plan, corrector, out)
-    return Trajectory._from_kernel(out, grid, schedule)
+    return Trajectory(out, grid, schedule)
 
 
 def gaussian_exact(oracle: SubspaceGaussianScore, x_start, t_start: float,

@@ -36,7 +36,7 @@ from .oracles import _rng
 from .schedules import Family, NoiseSchedule, TimeGrid
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InversionConfig:
     t_ssi: float
     grid: TimeGrid
@@ -51,7 +51,7 @@ class InversionConfig:
             raise InvalidArgumentError("SSI grid must start at the skipping time")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InversionResult:
     noise: np.ndarray  # unscaled state at the final time
     config: InversionConfig

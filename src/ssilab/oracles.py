@@ -32,6 +32,9 @@ positive float.  A caller that has not checked its arguments calls ``score``.
 ``score`` never writes into its input and returns a fresh array that the
 caller owns: the perturbed ``score``, ``posterior_mean`` and the step kernel
 of :mod:`ssilab.flow` each write into the result they are given.
+
+Oracles are frozen dataclasses whose equality is identity: an oracle equals
+and hashes as only itself, not as one rebuilt from equal arrays.
 """
 
 from __future__ import annotations
@@ -113,7 +116,7 @@ class _OracleBase:
         return self.posterior_mean(x, sigma)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointCloudScore(_OracleBase):
     """Mixture of point masses; smoothed density is an isotropic Gaussian mixture.
 
@@ -178,9 +181,9 @@ class PointCloudScore(_OracleBase):
     points: np.ndarray  # (K, d)
     weights: np.ndarray  # (K,)
     grid_shape: tuple[int, int, int] | None = None
-    _log_weights: np.ndarray = field(init=False, repr=False, compare=False)
-    _half_sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
-    _max_norm: float = field(init=False, repr=False, compare=False)
+    _log_weights: np.ndarray = field(init=False, repr=False)
+    _half_sq_norms: np.ndarray = field(init=False, repr=False)
+    _max_norm: float = field(init=False, repr=False)
 
     def __post_init__(self):
         points = np.atleast_2d(np.asarray(self.points, dtype=float))
@@ -332,7 +335,7 @@ class PointCloudScore(_OracleBase):
         return self.points[idx]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubspaceGaussianScore(_OracleBase):
     """Gaussian supported on an affine subspace ``b + span(A)``.
 
@@ -366,11 +369,11 @@ class SubspaceGaussianScore(_OracleBase):
     offset: np.ndarray  # (d,)
     latent_stddevs: np.ndarray  # (n,)
     grid_shape: tuple[int, int, int] | None = None
-    _basis_t: np.ndarray = field(init=False, repr=False, compare=False)
-    _lam: np.ndarray = field(init=False, repr=False, compare=False)  # stddevs**2
-    _shifted: bool = field(init=False, repr=False, compare=False)  # offset != +0.0
-    _kappa: dict = field(init=False, repr=False, compare=False)  # sigma -> row of _kappa_rows
-    _kappa_rows: np.ndarray = field(init=False, repr=False, compare=False)  # (cap, n)
+    _basis_t: np.ndarray = field(init=False, repr=False)
+    _lam: np.ndarray = field(init=False, repr=False)  # stddevs**2
+    _shifted: bool = field(init=False, repr=False)  # offset != +0.0
+    _kappa: dict = field(init=False, repr=False)  # sigma -> row of _kappa_rows
+    _kappa_rows: np.ndarray = field(init=False, repr=False)  # (cap, n)
 
     def __post_init__(self):
         basis = np.asarray(self.basis, dtype=float)
@@ -420,12 +423,6 @@ class SubspaceGaussianScore(_OracleBase):
     def feature_scale(self) -> float:
         return np.inf  # affine support: the projection law is exact at every sigma
 
-    def _split(self, x):
-        y = x - self.offset
-        coef = y @ self.basis  # (..., n)
-        normal = y - coef @ self.basis.T
-        return coef, normal
-
     def score(self, x, sigma):
         return self._score(_check_state(x, self.dim), _check_sigma(sigma))
 
@@ -446,7 +443,9 @@ class SubspaceGaussianScore(_OracleBase):
 
     def log_density(self, x, sigma):
         x, sigma = _check_state(x, self.dim), _check_sigma(sigma)
-        coef, normal = self._split(x)
+        y = x - self.offset
+        coef = y @ self.basis  # (..., n)
+        normal = y - coef @ self.basis.T
         var_t = self._lam + sigma * sigma
         d, n = self.dim, self.manifold_dim
         quad = np.sum(coef * coef / var_t, axis=-1) + np.sum(normal * normal, axis=-1) / (
@@ -456,8 +455,7 @@ class SubspaceGaussianScore(_OracleBase):
         return -0.5 * (quad + logdet + d * _LOG_2PI)
 
     def nearest_manifold_point(self, x):
-        x = _check_state(x, self.dim)
-        coef, _ = self._split(x)
+        coef = (_check_state(x, self.dim) - self.offset) @ self.basis
         return self.offset + coef @ self.basis.T
 
     def sample_data(self, seed, count: int):
@@ -585,7 +583,7 @@ def toy_image_subspace(latent_dim: int = 8, basis_seed=0,
                                  grid_shape=grid_shape)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PerturbedScoreOracle(_OracleBase):
     """Wraps an exact oracle with a frozen deterministic denoiser error.
 
@@ -610,7 +608,7 @@ class PerturbedScoreOracle(_OracleBase):
     base: ScoreOracle
     magnitude: float = 1e-3
     sigma_floor: float = 1.0
-    n_features: int = 64
+    n_features = 64  # m, the number of random features
     _weights: np.ndarray = field(init=False, repr=False)
     _phases: np.ndarray = field(init=False, repr=False)
     _proj_t: np.ndarray = field(init=False, repr=False)  # (m, d)

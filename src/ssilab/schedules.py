@@ -98,7 +98,7 @@ VE_KARRAS = NoiseSchedule(Family.VE_KARRAS)
 VP_LINEAR_BETA = NoiseSchedule(Family.VP_LINEAR_BETA)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeGrid:
     """Strictly monotone sequence of time values."""
 

@@ -94,6 +94,11 @@ class TestConfigValidation:
         assert repr(list(resolve_config(command, {"seed": 1}).items())) == repr(want)
 
 
+# VP on the uniform 1000-step ladder's every fifth time from 0.001
+_VP_KAPPA = {"schedule": "vp_linear_beta", "oracle": {"kind": "toy_image"},
+             "grid": {"kind": "kappa", "full_steps": 1000, "stride": 5, "offset": 1}}
+
+
 class TestExitCodes:
     def test_success(self, tmp_path):
         cfg = write_config(tmp_path, {"seed": 1, "trials": 20})
@@ -115,6 +120,28 @@ class TestExitCodes:
         path = tmp_path / "config.json"
         path.write_bytes(b"\xff\xfe{}")
         assert main(["invert", "--config", str(path), "--quiet"]) == 2
+
+    def test_unwritable_out_is_2(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("a file where the output directory should go\n")
+        assert main(["verify-projection", "--seed", "1", "--trials", "200",
+                     "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot write outputs: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command,t_ssi,message", [
+        ("invert", 0.1, "kappa grid must start at t_ssi"),
+        ("sweep-tssi", 0.001, "the sweep varies t_ssi"),
+    ], ids=["invert-t_ssi-off-grid", "sweep-tssi"])
+    def test_kappa_grid_it_cannot_use_is_2(self, tmp_path, capsys, command, t_ssi,
+                                           message):
+        data = {"seed": 4, "trials": 4, "t_ssi": t_ssi, **_VP_KAPPA}
+        if command == "invert":
+            data["method"] = "both"
+        cfg = write_config(tmp_path, data)
+        assert main([command, "--config", str(cfg), "--quiet"]) == 2
+        assert message in capsys.readouterr().err
 
     def test_descending_grid_is_2(self, tmp_path):
         cfg = write_config(tmp_path, {
@@ -371,6 +398,13 @@ def test_invert_both_builds_each_gaussianity_report_once(monkeypatch):
         "t_ssi": 0.1}))
     # SSI noise, baseline noise and the Gaussian reference: one report each
     assert len(calls) == 3
+
+
+def test_invert_both_on_a_kappa_grid_gives_a_verdict():
+    rep = run_command(resolve_config("invert", {
+        "seed": 4, "method": "both", "t_ssi": 0.001, **_VP_KAPPA}))
+    assert rep["verdict"] in ("PASS", "FAIL")
+    json.dumps(rep["aggregates"], allow_nan=False)  # raises on NaN or inf
 
 
 def test_baseline_requires_vp():

@@ -5,7 +5,8 @@ from ssilab import (IntegrationDivergedError, InvalidArgumentError, Method,
                     PerturbedScoreOracle, TimeGrid, Trajectory, VE_KARRAS,
                     VP_LINEAR_BETA, denoise_to_mean, gaussian_exact,
                     gaussian_on_axis, integrate, karras_grid,
-                    random_subspace, sample, toy_image_subspace)
+                    random_subspace, sample, singularity_trace,
+                    toy_image_subspace)
 from ssilab.flow import _drift_coefficients
 
 
@@ -191,16 +192,20 @@ def test_trajectory_length_mismatch_rejected(axis):
     grid = uniform_grid(0.5, 1.0, 5)
     with pytest.raises(InvalidArgumentError):
         Trajectory(states=np.zeros((3, 2)), grid=grid, schedule=VE_KARRAS)
-
-
-def test_trajectory_constructor_rejects_a_non_finite_state():
-    # integrate skips this check on the states its kernel made; the public
-    # constructor keeps it
-    grid = uniform_grid(0.5, 1.0, 5)
-    states = np.zeros((len(grid), 3, 2))
-    states[2, 1, 0] = np.nan
     with pytest.raises(InvalidArgumentError):
-        Trajectory(states=states, grid=grid, schedule=VE_KARRAS)
+        Trajectory(states=np.float64(0.0), grid=grid, schedule=VE_KARRAS)
+
+
+def test_singularity_trace_rejects_a_non_finite_user_built_trajectory(axis):
+    # the constructor checks shapes only; the trace's oracle calls check values
+    for schedule in (VE_KARRAS, VP_LINEAR_BETA):
+        grid = uniform_grid(0.5, 0.9, 5)
+        for bad in (np.nan, np.inf, -np.inf):
+            states = np.zeros((len(grid), 3, 2))
+            states[2, 1, 0] = bad
+            traj = Trajectory(states=states, grid=grid, schedule=schedule)
+            with pytest.raises(InvalidArgumentError):
+                singularity_trace(axis, traj)
 
 
 def test_vp_convergence_order_euler():

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ssilab import (InvalidArgumentError, PerturbedScoreOracle, PointCloudScore,
-                    SubspaceGaussianScore, circle_point_cloud, gaussian_on_axis,
-                    karras_grid, random_subspace, toy_image_subspace)
+from ssilab import (InvalidArgumentError, InversionConfig, InversionResult,
+                    PerturbedScoreOracle, PointCloudScore, SubspaceGaussianScore,
+                    TimeGrid, Trajectory, VE_KARRAS, circle_point_cloud,
+                    gaussian_on_axis, karras_grid, random_subspace,
+                    toy_image_subspace)
 from ssilab import oracles
 
 
@@ -447,12 +449,34 @@ def test_kappa_memo_keeps_its_first_sigmas_up_to_its_cap():
 
 def test_kappa_memo_is_not_part_of_equality_or_repr():
     a = toy_image_subspace()
-    b = copy.copy(a)  # shares the arrays, which == compares by identity
+    b = copy.copy(a)  # shares the arrays; equality is identity, so a != b
     object.__setattr__(b, "_kappa", {})
     object.__setattr__(b, "_kappa_rows", a._kappa_rows.copy())
     a.score(np.zeros(a.dim), 0.5)
     assert a._kappa and not b._kappa
-    assert a == b and repr(a) == repr(b)
+    assert a != b and repr(a) == repr(b)
+
+
+def _grid():
+    return TimeGrid(np.linspace(0.5, 1.0, 6))
+
+
+@pytest.mark.parametrize("build", [
+    circle_point_cloud,
+    toy_image_subspace,
+    lambda: PerturbedScoreOracle(base=toy_image_subspace()),
+    _grid,
+    lambda: Trajectory(np.zeros((6, 2)), _grid(), VE_KARRAS),
+    lambda: InversionConfig(t_ssi=0.5, grid=_grid(), noise_seed=None),
+    lambda: InversionResult(noise=np.zeros((3, 2)), config=InversionConfig(
+        t_ssi=0.5, grid=_grid(), noise_seed=None)),
+], ids=["PointCloudScore", "SubspaceGaussianScore", "PerturbedScoreOracle",
+        "TimeGrid", "Trajectory", "InversionConfig", "InversionResult"])
+def test_array_holding_dataclasses_compare_by_identity(build):
+    a = build()
+    assert a == a
+    assert a != build()  # a generated __eq__ would compare arrays and raise
+    assert {a: "kept"}[a] == "kept"
 
 
 # -- in-place subspace and perturbed scores against the plain expressions ---
