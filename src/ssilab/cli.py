@@ -83,11 +83,14 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _load_config(args)
+        out = None if cfg["out"] is None else pathlib.Path(cfg["out"])
+        if out is not None and out.exists() and not out.is_dir():  # fail before the run
+            raise ConfigError(f"cannot write outputs: {out} exists and is not a directory")
         report = run_command(cfg)
-        if cfg["out"] is not None:
+        if out is not None:
             try:
-                write_outputs(report, pathlib.Path(cfg["out"]))
-            except OSError as exc:  # --out names a file, or a directory we cannot write
+                write_outputs(report, out)
+            except OSError as exc:  # what only the write finds, such as permissions
                 raise ConfigError(f"cannot write outputs: {exc}")
     except (ConfigError, InvalidArgumentError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

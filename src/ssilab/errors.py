@@ -6,21 +6,22 @@ class InvalidArgumentError(ValueError):
 
 
 class IntegrationDivergedError(RuntimeError):
-    """Raised when an ODE trajectory produces a non-finite state.
+    """Raised when an ODE integration blows up (exit 3).
 
-    Carries the index of the failing step, its noise level ``sigma`` (the
-    ``sigma_hat`` of the step's plan row) and the time ``t`` of that level, so
-    the caller can report where the blow-up happened instead of silently
-    propagating NaNs.
+    The step kernel checks the caller's start state once (a bad one is an
+    :class:`InvalidArgumentError`, exit 2).  After that, a non-finite state
+    the kernel made, or any rejection by ``score`` inside the loop, is
+    divergence.  Carries the index of the failing step, its noise level
+    ``sigma`` (the ``sigma_hat`` of the step's plan row) and the time ``t`` of
+    that level, so the caller can report where the blow-up happened instead
+    of silently propagating NaNs.
     """
 
-    def __init__(self, step_index: int, sigma: float, t: float,
-                 message: str | None = None):
+    def __init__(self, step_index: int, sigma: float, t: float):
         self.step_index = step_index
         self.sigma = sigma
         self.t = t
-        super().__init__(
-            message or f"integration diverged at step {step_index}, sigma={sigma!r} at t={t!r}")
+        super().__init__(f"integration diverged at step {step_index}, sigma={sigma!r} at t={t!r}")
 
 
 class UndefinedCorrelationError(ValueError):

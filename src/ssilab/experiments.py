@@ -182,13 +182,9 @@ def cmd_verify_projection(cfg: dict, report: dict, oracle, schedule) -> None:
     if not judged_entries:
         report["notes"].append("no rung inside the asymptotic regime; "
                                "no verdict claimed")
-    report["csv"]["concentration"] = {
-        "columns": ["sigma", "ks_statistic", "ks_pvalue", "coverage_fraction",
-                    "ratio_mean", "in_regime"],
-        "rows": [[r["sigma"], r["ks_statistic"], r["ks_pvalue"],
-                  r["coverage_fraction"], r["ratio_mean"],
-                  int(r["asymptotic_regime"])] for r in rungs],
-    }
+    report["csv"]["concentration"] = _table(
+        [r | {"in_regime": int(r["asymptotic_regime"])} for r in rungs],
+        ["sigma", "ks_statistic", "ks_pvalue", "coverage_fraction", "ratio_mean", "in_regime"])
 
 
 def _gaussianity(z, oracle):

@@ -29,7 +29,7 @@ from itertools import repeat
 import numpy as np
 
 from .errors import IntegrationDivergedError, InvalidArgumentError
-from .oracles import SubspaceGaussianScore, _all_finite, _rng
+from .oracles import SubspaceGaussianScore, _all_finite, _check_state, _rng
 from .schedules import NoiseSchedule, TimeGrid
 
 
@@ -74,31 +74,27 @@ def _rows(plan):
     return zip(*(v.tolist() for v in np.broadcast_arrays(*plan)))
 
 
-def _scaled_score(score, x, c, sigma, step, sigma_hat, t):
-    """``score(c x, sigma)``; step ``step`` diverged if it raises on an overflowed ``c x``."""
-    scaled = x if c == 1.0 else c * x
-    try:
-        return score(scaled, sigma)
-    except Exception as exc:
-        if np.isfinite(x).all() and not np.isfinite(scaled).all():
-            raise IntegrationDivergedError(step, sigma_hat, t) from exc
-        raise
-
-
-def _run_plan(oracle, x, plan, corrector=None, out=None):
+def _run_plan(oracle, x, plan, corrector=None, keep_states=False):
     """Step ``x`` through ``plan`` and, for Heun, ``corrector``; return the end state.
 
     ``plan`` has the columns ``(a, b, c, sigma_hat, t)``, ``t`` the time of
-    ``sigma_hat``; ``corrector`` has ``(a, b, c, sigma_hat)``.  Fills ``out``
-    with every state when given.  Raises :class:`IntegrationDivergedError` at
-    the first non-finite state, prediction or score input, with the step
-    index and the ``sigma_hat`` and ``t`` of its plan row.
-    Floating-point warnings are silenced: that check is the whole contract.
-    Each state is written once, into its slot of ``out``, a fresh array or the
-    one ``score`` returned, and a product by exactly 1 (VE's and DDIM's ``a``
-    and ``c``) is skipped; ``x`` and the arrays given to ``score`` are never written.
+    ``sigma_hat``; ``corrector`` has ``(a, b, c, sigma_hat)``.  With
+    ``keep_states``, returns every state as one ``(steps + 1, ..., d)`` array.
+    The caller's start state is checked once (:class:`InvalidArgumentError`,
+    exit 2).  After that ``score`` sees only checked kernel states, their
+    scaled copies and Heun predictions, so a non-finite state made by step
+    ``i``, or any ``InvalidArgumentError`` from ``score`` during it, is
+    :class:`IntegrationDivergedError` (exit 3) with ``i`` and the
+    ``sigma_hat`` and ``t`` of its plan row.  Floating-point warnings are
+    silenced: that check is the whole contract.  Each state is written once,
+    into its kept slot, a fresh array or the one ``score`` returned; a
+    product by exactly 1 (VE's and DDIM's ``a`` and ``c``) is skipped; ``x``
+    and the arrays given to ``score`` are never written.
     """
-    if out is not None:
+    x = _check_state(x, oracle.dim)
+    out = None
+    if keep_states:
+        out = np.empty((np.broadcast(*plan).size + 1,) + x.shape)
         out[0] = x
     score = oracle.score
     fixes = _rows(corrector) if corrector is not None else repeat(None)
@@ -106,22 +102,25 @@ def _run_plan(oracle, x, plan, corrector=None, out=None):
         for i, ((a, b, c, sigma, t), fix) in enumerate(zip(_rows(plan), fixes)):
             # x_next = a x + b score(c x, sigma); a Heun prediction keeps out of the slot
             slot = out[i + 1] if out is not None and fix is None else None
-            step = _scaled_score(score, x, c, sigma, i, sigma, t)
-            step *= b
-            ax = x if a == 1.0 else np.multiply(a, x, out=slot)
-            x_next = np.add(ax, step, out=step if slot is None else slot)
-            if fix is not None and _all_finite(x_next):
-                # x_next = x/2 + fa pred + fb score(fc pred, fsigma), pred = x_next
-                fa, fb, fc, fsigma = fix
-                fixed = _scaled_score(score, x_next, fc, fsigma, i, sigma, t)
-                fixed *= fb
-                x_next = np.multiply(fa, x_next, out=None if out is None else out[i + 1])
-                x_next += 0.5 * x
-                x_next += fixed
+            try:
+                step = score(x if c == 1.0 else c * x, sigma)
+                step *= b
+                ax = x if a == 1.0 else np.multiply(a, x, out=slot)
+                x_next = np.add(ax, step, out=step if slot is None else slot)
+                if fix is not None:
+                    # x_next = x/2 + fa pred + fb score(fc pred, fsigma), pred = x_next
+                    fa, fb, fc, fsigma = fix
+                    fixed = score(x_next if fc == 1.0 else fc * x_next, fsigma)
+                    fixed *= fb
+                    x_next = np.multiply(fa, x_next, out=None if out is None else out[i + 1])
+                    x_next += 0.5 * x
+                    x_next += fixed
+            except InvalidArgumentError as exc:
+                raise IntegrationDivergedError(i, sigma, t) from exc
             if not _all_finite(x_next):
                 raise IntegrationDivergedError(i, sigma, t)
             x = x_next
-    return x
+    return x if out is None else out
 
 
 def integrate(schedule: NoiseSchedule, oracle, method: Method,
@@ -132,8 +131,10 @@ def integrate(schedule: NoiseSchedule, oracle, method: Method,
     Returns the :class:`Trajectory` of every state, or with
     ``keep_states=False`` only the end state, bit-identical to the
     trajectory's last one and without the ``(len(grid), ..., d)`` array.
-    ``x_start`` is not modified.  Raises :class:`IntegrationDivergedError`
-    with the failing step index if a state goes non-finite.
+    ``x_start`` is not modified.  Raises :class:`InvalidArgumentError` for a
+    start state that is not a finite ``(..., d)`` array, and
+    :class:`IntegrationDivergedError` with the failing step index if the
+    integration diverges (see :func:`_run_plan`).
     """
     times = grid.times
     n = times.size - 1
@@ -144,12 +145,8 @@ def integrate(schedule: NoiseSchedule, oracle, method: Method,
     plan = (1.0 + h * p[:n], h * q[:n], r[:n], sigma[:n], times[:n])
     corrector = ((0.5 + 0.5 * h * p[1:], 0.5 * h * q[1:], r[1:], sigma[1:])
                  if heun else None)
-    x_start = np.asarray(x_start, dtype=float)
-    if not keep_states:
-        return _run_plan(oracle, x_start, plan, corrector)
-    out = np.empty((times.size,) + x_start.shape)
-    _run_plan(oracle, x_start, plan, corrector, out)
-    return Trajectory(out, grid, schedule)
+    run = _run_plan(oracle, x_start, plan, corrector, keep_states)
+    return Trajectory(run, grid, schedule) if keep_states else run
 
 
 def gaussian_exact(oracle: SubspaceGaussianScore, x_start, t_start: float,

@@ -156,7 +156,7 @@ def ddim_sample(oracle, schedule: NoiseSchedule, x_start, grid_descending: TimeG
         raise InvalidArgumentError("sampling grid must descend")
     _, sig = _vp_levels(schedule, times)
     plan = (1.0, -sig[:-1] * np.diff(sig), 1.0, sig[:-1], times[:-1])
-    return _run_plan(oracle, np.asarray(x_start, dtype=float), plan)
+    return _run_plan(oracle, x_start, plan)
 
 
 def pf_ode_sigma_euler_step(oracle, u, sigma_a: float, sigma_b: float):

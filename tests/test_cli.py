@@ -130,6 +130,19 @@ class TestExitCodes:
         assert err.startswith("config error: cannot write outputs: ")
         assert err.count("\n") == 1
 
+    def test_taken_out_fails_before_the_run(self, tmp_path, capsys, monkeypatch):
+        # an --out that names a file is found before the command runs
+        def run_command(cfg):
+            raise AssertionError("the command ran although --out is taken")
+        monkeypatch.setattr("ssilab.cli.run_command", run_command)
+        out = tmp_path / "taken"
+        out.write_text("a file where the output directory should go\n")
+        assert main(["verify-projection", "--seed", "1", "--trials", "200",
+                     "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot write outputs: ")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("command,t_ssi,message", [
         ("invert", 0.1, "kappa grid must start at t_ssi"),
         ("sweep-tssi", 0.001, "the sweep varies t_ssi"),

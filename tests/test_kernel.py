@@ -205,25 +205,75 @@ class InfAfter(_OracleBase):
 _UP = TimeGrid(np.linspace(0.1, 0.9, 11))
 
 
-@pytest.mark.parametrize("run,k,step,sigma,t", [
+_NO_CAUSE = type(None)
+
+
+@pytest.mark.parametrize("run,k,step,sigma,t,cause", [
     (lambda o: integrate(VE_KARRAS, o, Method.EULER, np.ones(2), _UP),
-     3, 3, _UP.times[3], _UP.times[3]),
-    # call 5 is step 2's predictor; its corrector must not see the inf state
+     3, 3, _UP.times[3], _UP.times[3], _NO_CAUSE),
+    # call 5 is step 2's predictor; its corrector is handed the inf prediction,
+    # and the base oracle's own check rejects it, which is divergence at step 2
     (lambda o: integrate(VE_KARRAS, o, Method.HEUN, np.ones(2), _UP),
-     4, 2, _UP.times[2], _UP.times[2]),
+     4, 2, _UP.times[2], _UP.times[2], InvalidArgumentError),
     (lambda o: ddim_sample(o, VP_LINEAR_BETA, np.ones(2), _UP.reversed()),
-     5, 5, VP_LINEAR_BETA.sigma(_UP.reversed().times)[5], _UP.reversed().times[5]),
+     5, 5, VP_LINEAR_BETA.sigma(_UP.reversed().times)[5], _UP.reversed().times[5],
+     _NO_CAUSE),
     # the lagged baseline evaluates step i at the next time's sigma
     (lambda o: ddim_invert_baseline(o, VP_LINEAR_BETA, np.ones(2), _UP),
-     2, 2, VP_LINEAR_BETA.sigma(_UP.times)[3], _UP.times[3]),
+     2, 2, VP_LINEAR_BETA.sigma(_UP.times)[3], _UP.times[3], _NO_CAUSE),
 ], ids=["euler", "heun-predictor", "ddim-sample", "ddim-baseline"])
-def test_divergence_raises_with_step_index(run, k, step, sigma, t):
+def test_divergence_raises_with_step_index(run, k, step, sigma, t, cause):
     with pytest.raises(IntegrationDivergedError) as exc:
         run(InfAfter(k))
     assert exc.value.step_index == step
     assert exc.value.sigma == sigma
     assert exc.value.t == t
     assert str(exc.value).endswith(f"at t={float(t)!r}")
+    assert isinstance(exc.value.__cause__, cause)
+
+
+_EVERY_PATH = pytest.mark.parametrize("run", [
+    lambda o, x: integrate(VE_KARRAS, o, Method.EULER, x, _UP),
+    lambda o, x: integrate(VE_KARRAS, o, Method.HEUN, x, _UP),
+    lambda o, x: ddim_sample(o, VP_LINEAR_BETA, x, _UP.reversed()),
+    lambda o, x: ddim_invert_baseline(o, VP_LINEAR_BETA, x, _UP),
+], ids=["euler", "heun", "ddim-sample", "ddim-baseline"])
+
+
+@_EVERY_PATH
+def test_misshapen_start_state_is_an_invalid_argument(run):
+    # the caller's state is checked once, before any score call: exit 2, not 3
+    oracle = InfAfter(100)
+    with pytest.raises(InvalidArgumentError, match="oracle dimension 2"):
+        run(oracle, np.ones((4, 3)))
+    assert oracle.calls == 0
+
+
+class RaiseAfter(InfAfter):
+    """Exact score on the axis Gaussian, except that call ``k + 1`` raises ``error``."""
+
+    def __init__(self, k, error):
+        super().__init__(k)
+        self.error = error
+
+    def score(self, x, sigma):
+        if self.calls == self.k:
+            self.calls += 1
+            raise self.error
+        return super().score(x, sigma)
+
+
+@_EVERY_PATH
+@pytest.mark.parametrize("error_type", [ValueError, RuntimeError, ZeroDivisionError])
+def test_other_score_errors_propagate_unchanged(run, error_type):
+    # only InvalidArgumentError means divergence; any other error is the
+    # oracle's own and leaves the kernel as it was raised (call 4 is Heun's
+    # step 1 corrector)
+    error = error_type("an oracle fault")
+    with pytest.raises(error_type) as exc:
+        run(RaiseAfter(3, error), np.ones(2))
+    assert exc.value is error
+    assert exc.value.__cause__ is None
 
 
 class ZeroScore(_OracleBase):
