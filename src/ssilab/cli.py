@@ -59,10 +59,6 @@ def _load_config(args) -> dict:
         raw["seed"] = args.seed
     if args.trials is not None:
         raw["trials"] = args.trials
-    if args.out is not None:
-        raw["out"] = str(args.out)
-    if args.quiet:
-        raw["quiet"] = True
     return resolve_config(args.command, raw)
 
 
@@ -83,7 +79,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _load_config(args)
-        out = None if cfg["out"] is None else pathlib.Path(cfg["out"])
+        out = args.out
         if out is not None and out.exists() and not out.is_dir():  # fail before the run
             raise ConfigError(f"cannot write outputs: {out} exists and is not a directory")
         report = run_command(cfg)
@@ -98,7 +94,7 @@ def main(argv=None) -> int:
     except IntegrationDivergedError as exc:
         print(exc, file=sys.stderr)
         return EXIT_DIVERGED
-    if not cfg["quiet"]:
+    if not args.quiet:
         verdict = report["verdict"] if report["verdict"] is not None else "n/a"
         print(f"{cfg['command']}: verdict={verdict} "
               f"wall={report['wall_clock_seconds']:.2f}s")

@@ -3,9 +3,9 @@
 Configs are flat JSON objects with two nested sections, ``oracle`` and
 ``grid``.  Four tables hold every key a config may give, each with its check:
 
-- ``_COMMON`` maps each key every command takes to ``(default, check)``;
+- ``_COMMON`` maps each key the commands share to ``(default, check)``;
 - ``_COMMANDS`` maps each command to the ``(default, check)`` entries it adds
-  or overrides;
+  or overrides, and to ``None`` for each ``_COMMON`` key it does not read;
 - ``_ORACLES`` maps each oracle kind to ``(factory, {key: check})``; a key the
   section leaves out takes the factory's own default;
 - ``_GRIDS`` maps each grid kind to ``{key: check}``; a grid gives every key.
@@ -14,7 +14,8 @@ A check returns the value as stored (a checked number becomes an int or a
 float) or raises ``ConfigError``.  Unknown keys anywhere are rejected, every
 run starts from a fully resolved config, and the resolved config is echoed
 verbatim into the run report so that any report can be replayed
-bit-identically.
+bit-identically.  A config holds only what its command's result reads (the
+output options are CLI flags), so its hash names the experiment.
 """
 
 from __future__ import annotations
@@ -75,12 +76,6 @@ def _one_of(*choices):
 def _boolean(value, name):
     if not isinstance(value, bool):
         raise ConfigError(f"{name} must be a boolean")
-    return value
-
-
-def _path_or_null(value, name):
-    if value is not None and not isinstance(value, str):
-        raise ConfigError(f"{name} must be a path string or null")
     return value
 
 
@@ -146,27 +141,29 @@ _COMMON = {
               "steps": 200}, _section(_GRIDS, complete=True)),
     "t_ssi": (0.1, _POSITIVE),
     "trials": (100, _COUNT),
-    "out": (None, _path_or_null),
     "perturbation": (0.0, _NONNEGATIVE),
     "perturbation_floor": (1.0, _NONNEGATIVE),
-    "quiet": (False, _boolean),
     "seed": (_REQUIRED, _SEED),
 }
 
+# ``None`` marks a ``_COMMON`` key the command does not read, so it neither
+# takes nor echoes that key
 _COMMANDS = {
-    "verify-singularity": {"integrator": ("heun", _INTEGRATOR)},
-    "verify-projection": {"sigma_ladder": ([0.1, 0.01, 0.001], _list_of(_POSITIVE))},
+    "verify-singularity": {"integrator": ("heun", _INTEGRATOR), "t_ssi": None},
+    "verify-projection": {"sigma_ladder": ([0.1, 0.01, 0.001], _list_of(_POSITIVE)),
+                          **dict.fromkeys(["schedule", "integrator", "grid", "t_ssi",
+                                           "perturbation", "perturbation_floor"])},
     # correlation standard errors and excesses need two noises
     "invert": {"method": ("ssi", _one_of("ssi", "baseline_ddim", "both")),
                "shared_input": (False, _boolean),
-               "trials": (100, _number(lo=2, integer=True))},
+               "trials": (100, _number(lo=2, integer=True)), "integrator": None},
     "sweep-tssi": {"t_ssi_ladder": ([0.001, 0.01, 0.1, 0.2], _list_of(_POSITIVE)),
                    "steps_ladder": ([40, 100, 200], _list_of(_COUNT)),
-                   "trials": (16, _COUNT)},
+                   "trials": (16, _COUNT), "t_ssi": None},
     "interpolate": {"lambdas": ([0.1, 0.3, 0.5, 0.7, 0.9],
                                 _list_of(_number(lo=0, hi=1))),
                     "data_seed_a": (1, _SEED), "data_seed_b": (2, _SEED),
-                    "manifold_threshold": (0.1, _POSITIVE)},
+                    "manifold_threshold": (0.1, _POSITIVE), "trials": None},
     "reconstruct": {"delta": (0.05, _number(lo=0, hi=1, open_=True))},
 }
 COMMANDS = tuple(_COMMANDS)
@@ -180,7 +177,8 @@ def resolve_config(command: str, raw: dict) -> dict:
         raise ConfigError("config must be a JSON object")
     if raw.get("command", command) != command:
         raise ConfigError(f"config is for {raw['command']!r}, not {command!r}")
-    table = {**_COMMON, **_COMMANDS[command]}
+    table = {k: entry for k, entry in {**_COMMON, **_COMMANDS[command]}.items()
+             if entry is not None}
     cfg = {k: default for k, (default, _) in table.items()
            if default is not _REQUIRED}
     cfg.update((k, v) for k, v in raw.items() if k != "command")

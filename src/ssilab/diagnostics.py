@@ -162,7 +162,8 @@ def projection_concentration(oracle, sigma: float, trials: int, seed) -> dict:
 
     Returns the ``ratios`` array followed by the summary values a report
     stores.  A sigma so small that the pilot ratios do not vary (the noise is
-    lost in rounding, or the distance underflows) is rejected.
+    lost in rounding, or the distance underflows), or so large that a
+    distance overflows, is rejected.
     """
     from scipy import stats
 
@@ -173,7 +174,10 @@ def projection_concentration(oracle, sigma: float, trials: int, seed) -> dict:
     x0 = oracle.sample_data((seed, 0xDA7A), trials)
     x = x0 + sigma * _rng((seed, 0x401)).standard_normal(x0.shape)
     proj = oracle.nearest_manifold_point(x)
-    ratios = np.linalg.norm(x - proj, axis=-1) / sigma
+    with np.errstate(over="ignore"):
+        ratios = np.linalg.norm(x - proj, axis=-1) / sigma
+    if not np.all(np.isfinite(ratios)):
+        raise InvalidArgumentError(f"sigma={sigma:g} overflows the projection distance")
     df = oracle.dim - oracle.manifold_dim
     ks = stats.kstest(ratios, stats.chi(df).cdf)
     half = trials // 2

@@ -3,14 +3,16 @@
 ``run_command`` is the one entry point, and it owns the run report.  It
 starts the clock, creates the report (tool version, echoed config and its
 hash, then an empty seed ledger, trials, aggregates, verdict, notes and CSV
-tables), builds the oracle and the schedule once, and calls the command's
-function as ``cmd_*(cfg, report, oracle, schedule)``.  That function fills in
-only ``seed_ledger``, ``trials``, ``aggregates``, ``verdict`` (PASS/FAIL where
-the command defines one) and ``notes``, and adds its table to ``csv``.
+tables), builds the oracle and the schedule (``None`` for a config without
+one) once, and calls the command's function as
+``cmd_*(cfg, report, oracle, schedule)``.  That function fills in only
+``seed_ledger``, ``trials``, ``aggregates``, ``verdict`` (PASS/FAIL where the
+command defines one) and ``notes``, and adds its table to ``csv``.
 ``run_command`` then stamps ``wall_clock_seconds`` and returns the report as
 plain JSON values.  All randomness flows through seed tuples derived from
-the base seed, so re-running a report's echoed config reproduces aggregates
-bit-identically.  Trials are reduced sequentially in trial order.
+the base seed, so re-running a report's echoed config reproduces all of it
+but ``wall_clock_seconds`` bit-identically.  Trials are reduced sequentially
+in trial order.
 
 Draw policy: each roundtrip command (``invert``, ``sweep-tssi``,
 ``reconstruct``) draws one trial batch, clean data from ``(seed, 0xD0)`` and
@@ -403,13 +405,12 @@ def run_command(cfg: dict) -> dict:
         "notes": [],
         "csv": {},
     }
-    _COMMAND_FUNCS[cfg["command"]](cfg, report, build_oracle(cfg), build_schedule(cfg))
+    schedule = build_schedule(cfg) if "schedule" in cfg else None
+    _COMMAND_FUNCS[cfg["command"]](cfg, report, build_oracle(cfg), schedule)
     report["wall_clock_seconds"] = time.perf_counter() - t0
     return _jsonify(report)
 
 
 def replay(report: dict) -> dict:
     """Re-run a report from its echoed config (without writing outputs)."""
-    cfg = dict(report["config"])
-    cfg["out"] = None
-    return run_command(cfg)
+    return run_command(dict(report["config"]))

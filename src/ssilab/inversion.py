@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .flow import Method, Trajectory, _run_plan, denoise_to_mean, integrate
-from .oracles import _rng
+from .oracles import _check_state, _rng
 from .schedules import Family, NoiseSchedule, TimeGrid
 
 
@@ -92,10 +92,10 @@ def ssi_invert_vp(oracle, schedule: NoiseSchedule, x0, cfg: InversionConfig,
 
 def _ssi_invert(oracle, schedule, x0, cfg, keep_trajectory, injected_noise):
     """Shared SSI body: start at ``s (x0 + sigma n)`` and Euler-integrate."""
-    x0 = np.asarray(x0, dtype=float)
+    x0 = _check_state(x0, oracle.dim)
     if injected_noise is None:
         injected_noise = _rng(cfg.noise_seed).standard_normal(x0.shape)
-    n = np.asarray(injected_noise, dtype=float)
+    n = _check_state(injected_noise, oracle.dim)
     if n.shape != x0.shape:
         raise InvalidArgumentError("injected noise must match the data shape")
     s0 = float(schedule.scale(cfg.t_ssi))
@@ -186,8 +186,7 @@ def ddim_invert_baseline(oracle, schedule: NoiseSchedule, x0,
     phi, psi, s, sig = ddim_coefficients(schedule, grid_ascending)
     plan = ((1.0 - psi / s[:-1]) / phi, -psi * sig[1:] ** 2 / phi, 1.0 / s[:-1],
             sig[1:], times[1:])
-    x0 = np.asarray(x0, dtype=float)
-    x_tilde = _run_plan(oracle, s[0] * x0, plan)
+    x_tilde = _run_plan(oracle, s[0] * _check_state(x0, oracle.dim), plan)
     cfg = InversionConfig(t_ssi=float(times[0]), grid=grid_ascending,
                           noise_seed=None)
     return InversionResult(noise=x_tilde / s[-1], config=cfg)

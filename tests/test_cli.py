@@ -15,6 +15,18 @@ def write_config(tmp_path, data):
     return path
 
 
+# the common keys each command does not read, so neither takes nor echoes
+UNREAD_KEYS = {
+    "verify-singularity": ["t_ssi"],
+    "verify-projection": ["schedule", "integrator", "grid", "t_ssi",
+                          "perturbation", "perturbation_floor"],
+    "invert": ["integrator"],
+    "sweep-tssi": ["t_ssi"],
+    "interpolate": ["trials"],
+    "reconstruct": [],
+}
+
+
 class TestConfigValidation:
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigError, match="unknown keys"):
@@ -76,7 +88,8 @@ class TestConfigValidation:
         ("reconstruct", [("delta", 0.05)]),
     ])
     def test_resolved_defaults_keep_order_and_types(self, command, tail):
-        # report.json echoes the resolved config in this order and these types
+        # report.json echoes the resolved config in this order and these
+        # types, without the common keys the command does not read
         head = [
             ("oracle", {"kind": "circle", "radius": 2.0, "count": 8}),
             ("schedule", "ve_karras"),
@@ -85,13 +98,28 @@ class TestConfigValidation:
                       "rho": 7.0, "steps": 200}),
             ("t_ssi", 0.1),
             ("trials", 16 if command == "sweep-tssi" else 100),
-            ("out", None),
             ("perturbation", 0.0),
             ("perturbation_floor", 1.0),
-            ("quiet", False),
         ]
-        want = head + tail + [("seed", 1), ("command", command)]
+        unread = UNREAD_KEYS[command]
+        want = ([(k, v) for k, v in head if k not in unread] + tail
+                + [("seed", 1), ("command", command)])
         assert repr(list(resolve_config(command, {"seed": 1}).items())) == repr(want)
+
+    @pytest.mark.parametrize("command,key", [
+        (command, key) for command in COMMANDS
+        for key in ["out", "quiet", *UNREAD_KEYS[command]]])
+    def test_key_the_result_does_not_read_is_unknown(self, command, key):
+        # out and quiet are flags only; every other key takes a value another
+        # command accepts
+        value = {"out": "run", "quiet": True,
+                 **resolve_config("reconstruct", {"seed": 1})}[key]
+        with pytest.raises(ConfigError, match="unknown keys"):
+            resolve_config(command, {"seed": 1, key: value})
+
+    def test_trials_flag_on_interpolate_is_2(self, capsys):
+        assert main(["interpolate", "--seed", "1", "--trials", "5", "--quiet"]) == 2
+        assert "unknown keys" in capsys.readouterr().err
 
 
 # VP on the uniform 1000-step ladder's every fifth time from 0.001
@@ -145,13 +173,13 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command,t_ssi,message", [
         ("invert", 0.1, "kappa grid must start at t_ssi"),
-        ("sweep-tssi", 0.001, "the sweep varies t_ssi"),
+        ("sweep-tssi", None, "the sweep varies t_ssi"),
     ], ids=["invert-t_ssi-off-grid", "sweep-tssi"])
     def test_kappa_grid_it_cannot_use_is_2(self, tmp_path, capsys, command, t_ssi,
                                            message):
-        data = {"seed": 4, "trials": 4, "t_ssi": t_ssi, **_VP_KAPPA}
+        data = {"seed": 4, "trials": 4, **_VP_KAPPA}
         if command == "invert":
-            data["method"] = "both"
+            data |= {"method": "both", "t_ssi": t_ssi}
         cfg = write_config(tmp_path, data)
         assert main([command, "--config", str(cfg), "--quiet"]) == 2
         assert message in capsys.readouterr().err
@@ -257,6 +285,22 @@ class TestExitCodes:
                      "--quiet"]) == 2
         assert not (out / "report.json").exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("data", [
+        {"sigma_ladder": [1e300]},
+        {"oracle": {"kind": "subspace", "dim": 4}, "sigma_ladder": [1e200]},
+    ], ids=["circle", "subspace"])
+    def test_sigma_whose_distance_overflows_is_2(self, tmp_path, capsys, data):
+        # the distance is finite but its norm is not: the ratios would be inf
+        cfg = write_config(tmp_path, {"seed": 1, **data})
+        out = tmp_path / "out"
+        assert main(["verify-projection", "--config", str(cfg), "--out", str(out),
+                     "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: sigma=")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_verdict_failure_is_4(self, tmp_path):
         # an absurd manifold threshold forces a FAIL verdict
         cfg = write_config(tmp_path, {
@@ -334,7 +378,7 @@ class TestOutputs:
         for out, seed in ((first, 3), (second, 2)):
             report = json.loads((out / "report.json").read_text())
             assert report["config"]["seed"] == seed
-            assert report["config"]["quiet"] == (seed == 3)
+            assert "quiet" not in report["config"]
 
 
 def small_configs():
@@ -368,6 +412,37 @@ def test_replay_bit_identical(command, raw):
     assert json.dumps(report["trials"], sort_keys=True) == \
         json.dumps(again["trials"], sort_keys=True)
     assert report["seed_ledger"] == again["seed_ledger"]
+
+
+def _without_wall_clock(report_json: str) -> list:
+    lines = report_json.splitlines()
+    assert sum('"wall_clock_seconds"' in line for line in lines) == 1
+    return [line for line in lines if '"wall_clock_seconds"' not in line]
+
+
+@pytest.mark.parametrize("command,raw", small_configs())
+def test_out_and_quiet_leave_the_outputs_unchanged(tmp_path, command, raw):
+    # the config hash names the experiment, not where it is written or
+    # whether a summary is printed
+    cfg = write_config(tmp_path, raw)
+    first, second = tmp_path / "first", tmp_path / "second"
+    code = main([command, "--config", str(cfg), "--out", str(first), "--quiet"])
+    assert main([command, "--config", str(cfg), "--out", str(second)]) == code
+    names = sorted(p.name for p in first.iterdir())
+    assert names == sorted(p.name for p in second.iterdir())
+    for name in names:
+        if name.endswith(".csv"):
+            assert (first / name).read_bytes() == (second / name).read_bytes()
+    text = (first / "report.json").read_text()
+    assert _without_wall_clock(text) == \
+        _without_wall_clock((second / "report.json").read_text())
+    # replay reproduces the whole report but its wall clock
+    report = json.loads(text)
+    again = replay(report)
+    for rep in (report, again):
+        del rep["wall_clock_seconds"]
+    del again["csv"]
+    assert json.dumps(again, sort_keys=True) == json.dumps(report, sort_keys=True)
 
 
 def test_sweep_cells_share_one_trial_batch():

@@ -256,3 +256,35 @@ class TestReconstruct:
         u = ddim_sample(axis, VP_LINEAR_BETA, res.noise, TimeGrid(grid.times[::-1]))
         xr = denoise_to_mean(axis, u, float(VP_LINEAR_BETA.sigma(0.01)))
         np.testing.assert_allclose(xr, x0, atol=0.1)
+
+
+_VP_GRID = TimeGrid(np.linspace(0.01, 0.98, 20))
+_INVERSIONS = {
+    "ssi_invert_ve": lambda oracle, x0, **kw: ssi_invert_ve(
+        oracle, VE_KARRAS, x0,
+        InversionConfig(t_ssi=0.002, grid=ve_grid_up(n=20), noise_seed=0), **kw),
+    "ssi_invert_vp": lambda oracle, x0, **kw: ssi_invert_vp(
+        oracle, VP_LINEAR_BETA, x0,
+        InversionConfig(t_ssi=0.01, grid=_VP_GRID, noise_seed=0), **kw),
+    "ddim_invert_baseline": lambda oracle, x0: ddim_invert_baseline(
+        oracle, VP_LINEAR_BETA, x0, _VP_GRID),
+}
+
+
+class TestStartState:
+    @pytest.mark.parametrize("x0", [
+        [["a", "b"]], [[1.0], [2.0, 3.0]], [[0.5, np.nan]], [[0.5, 0.0, 1.0]],
+    ], ids=["strings", "ragged", "nan", "wrong-dim"])
+    @pytest.mark.parametrize("invert", _INVERSIONS.values(), ids=_INVERSIONS)
+    def test_bad_start_state_is_invalid_argument(self, axis, invert, x0):
+        # every inversion rejects what integrate rejects, with the same error
+        with pytest.raises(InvalidArgumentError, match="state"):
+            invert(axis, x0)
+
+    @pytest.mark.parametrize("invert", ["ssi_invert_ve", "ssi_invert_vp"])
+    def test_bad_injected_noise_is_invalid_argument(self, axis, invert):
+        x0 = np.array([[0.5, 0.0]])
+        with pytest.raises(InvalidArgumentError, match="state"):
+            _INVERSIONS[invert](axis, x0, injected_noise=[["a", "b"]])
+        with pytest.raises(InvalidArgumentError, match="must match the data shape"):
+            _INVERSIONS[invert](axis, x0, injected_noise=np.zeros(2))
