@@ -8,7 +8,9 @@ Configs are flat JSON objects with two nested sections, ``oracle`` and
   or overrides, and to ``None`` for each ``_COMMON`` key it does not read;
 - ``_ORACLES`` maps each oracle kind to ``(factory, {key: check})``; a key the
   section leaves out takes the factory's own default;
-- ``_GRIDS`` maps each grid kind to ``{key: check}``; a grid gives every key.
+- ``_GRIDS`` maps each grid kind to ``{key: check}``; a grid gives every key
+  of its kind but those its command sets (``_grid``): an SSI-only grid starts
+  at ``t_ssi``, and the sweep's ladders also set ``steps`` and rule out kappa.
 
 A check returns the value as stored (a checked number becomes an int or a
 float) or raises ``ConfigError``.  Unknown keys anywhere are rejected, every
@@ -130,6 +132,15 @@ _GRIDS = {
     "kappa": {"full_steps": _INTEGER, "stride": _INTEGER, "offset": _INTEGER},
 }
 
+
+def _grid(unset=(), kinds=tuple(_GRIDS)):
+    """A complete grid section of ``kinds`` without the keys in ``unset``."""
+    default = {"kind": "karras", "t_min": 0.002, "t_max": 80.0, "rho": 7.0, "steps": 200}
+    checks = {kind: {k: c for k, c in _GRIDS[kind].items() if k not in unset} for kind in kinds}
+    return ({k: v for k, v in default.items() if k not in unset},
+            _section(checks, complete=True))
+
+
 # the resolved config keeps this key order, then user keys, then "command"
 _COMMON = {
     "oracle": ({"kind": "circle", "radius": 2.0, "count": 8},
@@ -137,8 +148,7 @@ _COMMON = {
                         complete=False)),
     "schedule": ("ve_karras", _one_of("ve_karras", "vp_linear_beta")),
     "integrator": ("euler", _INTEGRATOR),
-    "grid": ({"kind": "karras", "t_min": 0.002, "t_max": 80.0, "rho": 7.0,
-              "steps": 200}, _section(_GRIDS, complete=True)),
+    "grid": _grid(),
     "t_ssi": (0.1, _POSITIVE),
     "trials": (100, _COUNT),
     "perturbation": (0.0, _NONNEGATIVE),
@@ -159,12 +169,15 @@ _COMMANDS = {
                "trials": (100, _number(lo=2, integer=True)), "integrator": None},
     "sweep-tssi": {"t_ssi_ladder": ([0.001, 0.01, 0.1, 0.2], _list_of(_POSITIVE)),
                    "steps_ladder": ([40, 100, 200], _list_of(_COUNT)),
-                   "trials": (16, _COUNT), "t_ssi": None},
+                   "trials": (16, _COUNT), "t_ssi": None,
+                   "grid": _grid(("t_min", "steps"), ("karras", "uniform"))},
     "interpolate": {"lambdas": ([0.1, 0.3, 0.5, 0.7, 0.9],
                                 _list_of(_number(lo=0, hi=1))),
                     "data_seed_a": (1, _SEED), "data_seed_b": (2, _SEED),
-                    "manifold_threshold": (0.1, _POSITIVE), "trials": None},
-    "reconstruct": {"delta": (0.05, _number(lo=0, hi=1, open_=True))},
+                    "manifold_threshold": (0.1, _POSITIVE), "trials": None,
+                    "grid": _grid(("t_min",))},
+    "reconstruct": {"delta": (0.05, _number(lo=0, hi=1, open_=True)),
+                    "grid": _grid(("t_min",))},
 }
 COMMANDS = tuple(_COMMANDS)
 
@@ -203,19 +216,16 @@ def build_schedule(cfg: dict) -> NoiseSchedule:
     return VE_KARRAS if cfg["schedule"] == "ve_karras" else VP_LINEAR_BETA
 
 
-def build_grid(cfg: dict, t_min: float = None, steps: int = None) -> TimeGrid:
-    """Ascending grid from the config spec; optional t_min/steps overrides.
+def build_grid(spec: dict) -> TimeGrid:
+    """Ascending grid from a complete grid spec (every key of its kind).
 
     Karras grids drop the zero anchor so every grid time has positive sigma.
     """
-    spec = cfg["grid"]
-    kind = spec["kind"]
-    lo = t_min if t_min is not None else spec.get("t_min")
-    n = steps if steps is not None else spec.get("steps")
-    if kind == "karras":
-        return TimeGrid(karras_grid(lo, spec["t_max"], spec["rho"], n).times[1:])
-    if kind == "uniform":
-        return TimeGrid(np.linspace(lo, spec["t_max"], n + 1))
+    if spec["kind"] == "karras":
+        return TimeGrid(karras_grid(spec["t_min"], spec["t_max"], spec["rho"],
+                                    spec["steps"]).times[1:])
+    if spec["kind"] == "uniform":
+        return TimeGrid(np.linspace(spec["t_min"], spec["t_max"], spec["steps"] + 1))
     return ddim_kappa_grid(spec["full_steps"], spec["stride"], spec["offset"])
 
 

@@ -163,7 +163,7 @@ def projection_concentration(oracle, sigma: float, trials: int, seed) -> dict:
     Returns the ``ratios`` array followed by the summary values a report
     stores.  A sigma so small that the pilot ratios do not vary (the noise is
     lost in rounding, or the distance underflows), or so large that a
-    distance overflows, is rejected.
+    noisy state or a distance overflows, is rejected.
     """
     from scipy import stats
 
@@ -172,10 +172,10 @@ def projection_concentration(oracle, sigma: float, trials: int, seed) -> dict:
     if sigma <= 0:
         raise InvalidArgumentError("sigma must be positive")
     x0 = oracle.sample_data((seed, 0xDA7A), trials)
-    x = x0 + sigma * _rng((seed, 0x401)).standard_normal(x0.shape)
-    proj = oracle.nearest_manifold_point(x)
     with np.errstate(over="ignore"):
-        ratios = np.linalg.norm(x - proj, axis=-1) / sigma
+        x = x0 + sigma * _rng((seed, 0x401)).standard_normal(x0.shape)
+        ratios = (np.linalg.norm(x - oracle.nearest_manifold_point(x), axis=-1) / sigma
+                  if np.all(np.isfinite(x)) else np.inf)
     if not np.all(np.isfinite(ratios)):
         raise InvalidArgumentError(f"sigma={sigma:g} overflows the projection distance")
     df = oracle.dim - oracle.manifold_dim

@@ -74,14 +74,17 @@ def _table(rows, columns) -> dict:
 
 
 def _ssi_grid(cfg: dict, t_ssi: float = None, steps: int = None) -> TimeGrid:
+    """The config's grid from ``t_ssi`` (default the config's), with a sweep cell's ``steps``."""
     t_ssi = cfg["t_ssi"] if t_ssi is None else t_ssi
-    if cfg["grid"]["kind"] == "kappa":
-        grid = build_grid(cfg)
+    spec = cfg["grid"]
+    if spec["kind"] == "kappa":
+        grid = build_grid(spec)
         if abs(float(grid.times[0]) - t_ssi) > 1e-12:
-            raise ConfigError(
-                "kappa grid must start at t_ssi; set t_ssi to offset/full_steps")
+            raise ConfigError("kappa grid must start at t_ssi; set t_ssi to offset/full_steps")
         return grid
-    return build_grid(cfg, t_min=t_ssi, steps=steps)
+    if not t_ssi < spec["t_max"]:
+        raise ConfigError(f"t_ssi={t_ssi} must lie below the grid's t_max={spec['t_max']}")
+    return build_grid(spec | {"t_min": t_ssi} | ({} if steps is None else {"steps": steps}))
 
 
 def _trial_batch(cfg: dict, report: dict, oracle, shared: bool = False):
@@ -120,7 +123,7 @@ def cmd_verify_singularity(cfg: dict, report: dict, oracle, schedule) -> None:
     """Sample trajectories and check the trace sigma * ||score|| stabilizes."""
     if schedule.family is not Family.VE_KARRAS:
         raise ConfigError("singularity verification runs on the VE schedule")
-    grid_down = build_grid(cfg).reversed()
+    grid_down = build_grid(cfg["grid"]).reversed()
     init_seed = _ledger_seed(report, "init", (cfg["seed"], _TAG_INIT))
     _, traj = sample(schedule, oracle, build_method(cfg), grid_down, init_seed,
                      cfg["trials"])
@@ -234,7 +237,7 @@ def cmd_invert(cfg: dict, report: dict, oracle, schedule) -> None:
     aggregates = report["aggregates"]
     for label in labels:
         res = (_ssi_invert_batch(oracle, schedule, _ssi_grid(cfg), x0, noise) if label == "ssi"
-               else ddim_invert_baseline(oracle, schedule, x0, build_grid(cfg)))
+               else ddim_invert_baseline(oracle, schedule, x0, build_grid(cfg["grid"])))
         sigma_T = float(schedule.sigma(res.final_time))
         aggregates[label + "_metrics"] = _gaussianity(res.noise / sigma_T, oracle)
         aggregates[label + "_mean_abs_cosine"] = _pairwise_abs_cosine(res.noise)
@@ -257,15 +260,12 @@ def cmd_invert(cfg: dict, report: dict, oracle, schedule) -> None:
                                              "vert_se"])
 
 
-def _roundtrip_batch(oracle, schedule, cfg, t_ssi, steps, x0, noise):
-    """Invert a batch, reconstruct it, and return errors plus the trace max."""
-    grid = _ssi_grid(cfg, t_ssi=t_ssi, steps=steps)
+def _roundtrip_batch(oracle, schedule, cfg, grid, x0, noise):
+    """Invert a batch on ``grid``, reconstruct it; return errors and the trace max."""
     res = _ssi_invert_batch(oracle, schedule, grid, x0, noise,
                             keep_trajectory=True)
     _, ratios = singularity_trace(oracle, res.trajectory)
-    grid_down = grid.reversed()
-    x_hat = reconstruct(oracle, schedule, res, grid_down,
-                        method=build_method(cfg))
+    x_hat = reconstruct(oracle, schedule, res, grid.reversed(), method=build_method(cfg))
     err = np.linalg.norm(x_hat - x0, axis=-1)
     per_trial_mse = np.mean((x_hat - x0) ** 2, axis=-1)
     return {
@@ -282,22 +282,21 @@ def cmd_sweep_tssi(cfg: dict, report: dict, oracle, schedule) -> None:
     a score error, ``perturbation > 0``: with the exact score the error falls
     with ``t_ssi``, so the default config (exact circle) FAILs at every seed.
     """
-    if cfg["grid"]["kind"] == "kappa":
-        raise ConfigError("the sweep varies t_ssi; use a karras or uniform grid")
     ladder = cfg["t_ssi_ladder"]
-    steps_ladder = cfg["steps_ladder"]
+    # every cell's grid is checked before any cell runs
+    cells = [(steps, t_ssi, _ssi_grid(cfg, t_ssi, steps))
+             for steps in cfg["steps_ladder"] for t_ssi in ladder]
     x0, noise = _trial_batch(cfg, report, oracle)
     table = []
-    for steps in steps_ladder:
-        for t_ssi in ladder:
-            out = _roundtrip_batch(oracle, schedule, cfg, t_ssi, steps, x0, noise)
-            x_hat = out["x_hat"]
-            dist = np.linalg.norm(x_hat - oracle.nearest_manifold_point(x_hat), axis=-1)
-            table.append({
-                "steps": steps, "t_ssi": t_ssi,
-                "mse": float(out["mse"].mean()),
-                "manifold_dist": float(dist.mean()),
-            })
+    for steps, t_ssi, grid in cells:
+        out = _roundtrip_batch(oracle, schedule, cfg, grid, x0, noise)
+        x_hat = out["x_hat"]
+        dist = np.linalg.norm(x_hat - oracle.nearest_manifold_point(x_hat), axis=-1)
+        table.append({
+            "steps": steps, "t_ssi": t_ssi,
+            "mse": float(out["mse"].mean()),
+            "manifold_dist": float(dist.mean()),
+        })
     best = min(table, key=lambda row: row["mse"])
     degenerate = len(ladder) < 3
     interior = None
@@ -357,8 +356,9 @@ def cmd_interpolate(cfg: dict, report: dict, oracle, schedule) -> None:
 
 def cmd_reconstruct(cfg: dict, report: dict, oracle, schedule) -> None:
     """Roundtrip trials and check the high-probability error bound."""
+    grid = _ssi_grid(cfg)
     x0, noise = _trial_batch(cfg, report, oracle)
-    out = _roundtrip_batch(oracle, schedule, cfg, cfg["t_ssi"], None, x0, noise)
+    out = _roundtrip_batch(oracle, schedule, cfg, grid, x0, noise)
     delta = cfg["delta"]
     radicand = chi_square_bound(oracle.dim, delta)
     bound = out["trace_max"] + np.sqrt(radicand)

@@ -98,8 +98,8 @@ def test_criterion_4_roundtrip_bound():
         for delta in (0.05, 0.2):
             rep = run_command(resolve_config("reconstruct", {
                 "seed": 4, "trials": 1000, "delta": delta, "oracle": oracle,
-                "grid": {"kind": "karras", "t_min": 0.002, "t_max": 80.0,
-                         "rho": 7.0, "steps": 100}}))
+                "grid": {"kind": "karras", "t_max": 80.0, "rho": 7.0,
+                         "steps": 100}}))
             frac = rep["aggregates"]["fraction_within"]
             ok &= frac >= 1.0 - delta
             details.append(f"d={d} delta={delta}: {frac:.3f}")
@@ -213,12 +213,12 @@ def test_criterion_10_replayability():
                         "t_ssi_ladder": [0.01, 0.1, 0.2],
                         "steps_ladder": [20]}),
         ("interpolate", {"seed": 10, "oracle": {"kind": "gaussian_on_axis"},
-                         "grid": {"kind": "karras", "t_min": 0.002,
-                                  "t_max": 80.0, "rho": 7.0, "steps": 30}}),
+                         "grid": {"kind": "karras", "t_max": 80.0, "rho": 7.0,
+                                  "steps": 30}}),
         ("reconstruct", {"seed": 10, "trials": 150,
                          "oracle": {"kind": "gaussian_on_axis"},
-                         "grid": {"kind": "karras", "t_min": 0.002,
-                                  "t_max": 80.0, "rho": 7.0, "steps": 40}}),
+                         "grid": {"kind": "karras", "t_max": 80.0, "rho": 7.0,
+                                  "steps": 40}}),
     ]
     ok = True
     for command, raw in configs:

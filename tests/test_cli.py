@@ -7,6 +7,7 @@ from ssilab import (COMMANDS, ConfigError, InvalidArgumentError, build_oracle,
                     replay, resolve_config, run_command)
 from ssilab.cli import main
 from ssilab.experiments import _pairwise_abs_cosine
+from ssilab.oracles import PointCloudScore
 
 
 def write_config(tmp_path, data):
@@ -25,6 +26,11 @@ UNREAD_KEYS = {
     "interpolate": ["trials"],
     "reconstruct": [],
 }
+
+# the grid keys an SSI command sets itself: the grid starts at t_ssi, and a
+# sweep cell sets its own steps
+SET_GRID_KEYS = {"sweep-tssi": ["t_min", "steps"], "interpolate": ["t_min"],
+                 "reconstruct": ["t_min"]}
 
 
 class TestConfigValidation:
@@ -94,8 +100,10 @@ class TestConfigValidation:
             ("oracle", {"kind": "circle", "radius": 2.0, "count": 8}),
             ("schedule", "ve_karras"),
             ("integrator", "heun" if command == "verify-singularity" else "euler"),
-            ("grid", {"kind": "karras", "t_min": 0.002, "t_max": 80.0,
-                      "rho": 7.0, "steps": 200}),
+            ("grid", {k: v for k, v in {"kind": "karras", "t_min": 0.002,
+                                        "t_max": 80.0, "rho": 7.0,
+                                        "steps": 200}.items()
+                      if k not in SET_GRID_KEYS.get(command, [])}),
             ("t_ssi", 0.1),
             ("trials", 16 if command == "sweep-tssi" else 100),
             ("perturbation", 0.0),
@@ -116,6 +124,21 @@ class TestConfigValidation:
                  **resolve_config("reconstruct", {"seed": 1})}[key]
         with pytest.raises(ConfigError, match="unknown keys"):
             resolve_config(command, {"seed": 1, key: value})
+
+    @pytest.mark.parametrize("command,key", [
+        (command, key) for command, keys in SET_GRID_KEYS.items() for key in keys])
+    def test_grid_key_the_command_sets_is_unknown(self, command, key):
+        grid = resolve_config(command, {"seed": 1})["grid"]
+        assert key not in grid
+        resolve_config(command, {"seed": 1, "grid": grid})
+        value = resolve_config("invert", {"seed": 1})["grid"][key]
+        with pytest.raises(ConfigError, match="unknown keys in grid"):
+            resolve_config(command, {"seed": 1, "grid": grid | {key: value}})
+
+    def test_kappa_grid_on_the_sweep_is_unknown(self):
+        resolve_config("sweep-tssi", {"seed": 1, "grid": {"kind": "uniform", "t_max": 1.0}})
+        with pytest.raises(ConfigError, match="unknown grid kind 'kappa'"):
+            resolve_config("sweep-tssi", {"seed": 1, "grid": _VP_KAPPA["grid"]})
 
     def test_trials_flag_on_interpolate_is_2(self, capsys):
         assert main(["interpolate", "--seed", "1", "--trials", "5", "--quiet"]) == 2
@@ -173,7 +196,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command,t_ssi,message", [
         ("invert", 0.1, "kappa grid must start at t_ssi"),
-        ("sweep-tssi", None, "the sweep varies t_ssi"),
+        ("sweep-tssi", None, "unknown grid kind 'kappa'"),
     ], ids=["invert-t_ssi-off-grid", "sweep-tssi"])
     def test_kappa_grid_it_cannot_use_is_2(self, tmp_path, capsys, command, t_ssi,
                                            message):
@@ -289,9 +312,11 @@ class TestExitCodes:
     @pytest.mark.parametrize("data", [
         {"sigma_ladder": [1e300]},
         {"oracle": {"kind": "subspace", "dim": 4}, "sigma_ladder": [1e200]},
-    ], ids=["circle", "subspace"])
+        {"sigma_ladder": [1e308]},
+    ], ids=["circle", "subspace", "circle-state"])
     def test_sigma_whose_distance_overflows_is_2(self, tmp_path, capsys, data):
-        # the distance is finite but its norm is not: the ratios would be inf
+        # the distance is finite but its norm is not, so the ratios would be
+        # inf; at 1e308 the noisy state itself overflows
         cfg = write_config(tmp_path, {"seed": 1, **data})
         out = tmp_path / "out"
         assert main(["verify-projection", "--config", str(cfg), "--out", str(out),
@@ -301,19 +326,41 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,data,start", [
+        ("reconstruct", {"t_ssi": 5, "grid": {"kind": "uniform", "t_max": 1, "steps": 10}},
+         "t_ssi=5.0 must lie below the grid's t_max=1.0"),
+        ("interpolate", {"t_ssi": 80}, "t_ssi=80.0 must lie below the grid's t_max=80.0"),
+        ("sweep-tssi", {"t_ssi_ladder": [0.01, 80.0, 0.2]},
+         "t_ssi=80.0 must lie below the grid's t_max=80.0"),
+    ], ids=["reconstruct", "interpolate", "sweep-tssi"])
+    def test_ssi_start_past_t_max_is_2(self, tmp_path, capsys, monkeypatch, command, data,
+                                       start):
+        # the error names t_ssi, and the sweep finds it before any cell runs
+        calls = []
+        score = PointCloudScore.score
+
+        def counting(self, x, sigma):
+            calls.append(1)
+            return score(self, x, sigma)
+
+        monkeypatch.setattr(PointCloudScore, "score", counting)
+        cfg = write_config(tmp_path, {"seed": 1, **data})
+        assert main([command, "--config", str(cfg), "--quiet"]) == 2
+        assert capsys.readouterr().err == f"config error: {start}\n"
+        assert calls == []
+
     def test_verdict_failure_is_4(self, tmp_path):
         # an absurd manifold threshold forces a FAIL verdict
         cfg = write_config(tmp_path, {
             "seed": 1, "oracle": {"kind": "gaussian_on_axis"},
-            "grid": {"kind": "karras", "t_min": 0.002, "t_max": 80.0,
-                     "rho": 7.0, "steps": 40},
+            "grid": {"kind": "karras", "t_max": 80.0, "rho": 7.0, "steps": 40},
             "manifold_threshold": 1e-300})
         assert main(["interpolate", "--config", str(cfg), "--quiet"]) == 4
 
 
 _AXIS_KARRAS_20 = {"oracle": {"kind": "gaussian_on_axis"},
-                   "grid": {"kind": "karras", "t_min": 0.002, "t_max": 80.0,
-                            "rho": 7.0, "steps": 20}}
+                   "grid": {"kind": "karras", "t_max": 80.0, "rho": 7.0,
+                            "steps": 20}}
 
 
 class TestOutputs:
@@ -327,7 +374,9 @@ class TestOutputs:
                              "steps": 10}},
          "metrics", "which,chan_corr,hori_corr,vert_corr,chan_se,hori_se,vert_se", 3),
         ("sweep-tssi", {"trials": 2, "t_ssi_ladder": [0.1, 0.2],
-                        "steps_ladder": [10, 20], **_AXIS_KARRAS_20},
+                        "steps_ladder": [10, 20],
+                        "oracle": {"kind": "gaussian_on_axis"},
+                        "grid": {"kind": "karras", "t_max": 80.0, "rho": 7.0}},
          "sweep", "steps,t_ssi,mse,manifold_dist", 4),
         ("interpolate", {"lambdas": [0.25, 0.5, 0.75], **_AXIS_KARRAS_20},
          "interpolation", "lambda,manifold_dist", 3),
@@ -394,12 +443,12 @@ def small_configs():
                         "t_ssi_ladder": [0.01, 0.1, 0.2],
                         "steps_ladder": [20]}),
         ("interpolate", {"seed": 5, "oracle": {"kind": "gaussian_on_axis"},
-                         "grid": {"kind": "karras", "t_min": 0.002,
-                                  "t_max": 80.0, "rho": 7.0, "steps": 30}}),
+                         "grid": {"kind": "karras", "t_max": 80.0, "rho": 7.0,
+                                  "steps": 30}}),
         ("reconstruct", {"seed": 5, "trials": 120,
                          "oracle": {"kind": "gaussian_on_axis"},
-                         "grid": {"kind": "karras", "t_min": 0.002,
-                                  "t_max": 80.0, "rho": 7.0, "steps": 40}}),
+                         "grid": {"kind": "karras", "t_max": 80.0, "rho": 7.0,
+                                  "steps": 40}}),
     ]
 
 
@@ -533,3 +582,28 @@ def test_invert_reports_the_cosine_at_the_largest_radius():
     cfg["oracle"]["radius"] = 1e160
     with pytest.raises(InvalidArgumentError):
         run_command(resolve_config("invert", cfg))
+
+
+@pytest.mark.parametrize("kind", ["karras", "uniform"])
+@pytest.mark.parametrize("command,raw", [
+    ("sweep-tssi", {"trials": 2, "t_ssi_ladder": [0.1, 0.2], "steps_ladder": [10]}),
+    ("interpolate", {"lambdas": [0.5]}),
+    ("reconstruct", {"trials": 4}),
+])
+def test_every_echoed_grid_key_is_read(command, raw, kind):
+    # a grid value the result does not read would give two stamps to one
+    # experiment; interpolate's frames keep their decoded states (d = 2),
+    # whose distance to the axis is 0 on every grid
+    raw = {"seed": 1, "oracle": {"kind": "gaussian_on_axis"}, **raw}
+    grid = resolve_config(command, raw)["grid"]
+    if kind == "uniform":
+        grid = {k: v for k, v in grid.items() if k != "rho"} | {"kind": "uniform"}
+
+    def result(grid):
+        report = run_command(resolve_config(command, raw | {"grid": grid}))
+        return report["aggregates"], report["trials"]
+
+    base = result(grid)
+    for key in grid.keys() - {"kind"}:
+        value = {"t_min": 0.01, "t_max": 40.0, "rho": 5.0, "steps": 30}[key]
+        assert result(grid | {key: value}) != base, key

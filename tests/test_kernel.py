@@ -329,13 +329,14 @@ def test_cli_baseline_divergence_exits_3(tmp_path, monkeypatch, capsys):
           "grid": {"kind": "uniform", "t_min": 0.1, "t_max": 0.9, "steps": 10}}
     ve = {"grid": {"kind": "karras", "t_min": 0.002, "t_max": 80.0, "rho": 7.0,
                    "steps": 40}}
+    ssi_ve = {"grid": {"kind": "karras", "t_max": 80.0, "rho": 7.0, "steps": 40}}
     cases = [
         ("invert", {"trials": 5, "method": "baseline_ddim", **vp},
          VP_LINEAR_BETA.sigma(0.18)),
         ("invert", {"trials": 5, "method": "ssi", "t_ssi": 0.1, **vp},
          VP_LINEAR_BETA.sigma(0.1)),
-        ("reconstruct", {"trials": 5, **ve}, 0.1),
-        ("interpolate", {"integrator": "heun", **ve}, 0.1),
+        ("reconstruct", {"trials": 5, **ssi_ve}, 0.1),
+        ("interpolate", {"integrator": "heun", **ssi_ve}, 0.1),
         ("verify-singularity", {"trials": 5, **ve}, 80.0),
         ("sweep-tssi", {"trials": 4, "t_ssi_ladder": [0.1],
                         "steps_ladder": [20]}, 0.1),
