@@ -7,10 +7,11 @@ Configs are flat JSON objects with two nested sections, ``oracle`` and
 - ``_COMMANDS`` maps each command to the ``(default, check)`` entries it adds
   or overrides, and to ``None`` for each ``_COMMON`` key it does not read;
 - ``_ORACLES`` maps each oracle kind to ``(factory, {key: check})``; a key the
-  section leaves out takes the factory's own default;
+  section leaves out is filled in from the factory's default, unless ``None``;
 - ``_GRIDS`` maps each grid kind to ``{key: check}``; a grid gives every key
-  of its kind but those its command sets (``_grid``): an SSI-only grid starts
-  at ``t_ssi``, and the sweep's ladders also set ``steps`` and rule out kappa.
+  of its kind but those its command sets (``_grid``): an SSI grid starts at
+  ``t_ssi`` (no ``t_min`` or kappa ``offset``), the sweep's ladders also set
+  ``steps`` and rule out kappa, and ``invert``'s ``method`` picks its grid.
 
 A check returns the value as stored (a checked number becomes an int or a
 float) or raises ``ConfigError``.  Unknown keys anywhere are rejected, every
@@ -23,6 +24,7 @@ output options are CLI flags), so its hash names the experiment.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 
 import numpy as np
@@ -81,29 +83,29 @@ def _boolean(value, name):
     return value
 
 
-def _checked(section: dict, checks: dict, where: str, required=(),
-             prefix="") -> dict:
-    """Reject keys not in ``checks``, require ``required``, check the rest."""
-    unknown = section.keys() - checks.keys()
+def _checked(section: dict, table: dict, where: str, prefix="") -> dict:
+    """Fill ``section`` from ``table``, ``{key: (default, check)}``, and check it;
+    a default of ``_REQUIRED`` must be given, one of ``None`` is left out."""
+    unknown = section.keys() - table.keys()
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
-    missing = set(required) - section.keys()
+    missing = {k for k, (d, _) in table.items() if d is _REQUIRED} - section.keys()
     if missing:
         raise ConfigError(f"missing keys in {where}: {sorted(missing)}")
-    return {k: checks[k](v, prefix + k) for k, v in section.items()}
+    full = {k: d for k, (d, _) in table.items() if d is not _REQUIRED and d is not None}
+    return {k: table[k][1](v, prefix + k) for k, v in (full | section).items()}
 
 
-def _section(checks_by_kind: dict, complete: bool):
-    """A nested section: a ``kind`` and the keys that kind takes."""
-    check_kind = _one_of(*checks_by_kind)
+def _section(tables: dict):
+    """A nested section: a ``kind`` and that kind's ``{key: (default, check)}``."""
+    check_kind = _one_of(*tables)
 
     def check(value, name):
         if not isinstance(value, dict) or "kind" not in value:
             raise ConfigError(f"{name} must be an object with a kind")
         kind = check_kind(value["kind"], f"{name} kind")
-        checks = {"kind": lambda v, _: v, **checks_by_kind[kind]}
-        return _checked(value, checks, name,
-                        required=checks if complete else (), prefix=f"{name} ")
+        return _checked(value, {"kind": (kind, lambda v, _: v), **tables[kind]}, name,
+                        prefix=f"{name} ")
     return check
 
 
@@ -136,35 +138,38 @@ _GRIDS = {
 def _grid(unset=(), kinds=tuple(_GRIDS)):
     """A complete grid section of ``kinds`` without the keys in ``unset``."""
     default = {"kind": "karras", "t_min": 0.002, "t_max": 80.0, "rho": 7.0, "steps": 200}
-    checks = {kind: {k: c for k, c in _GRIDS[kind].items() if k not in unset} for kind in kinds}
-    return ({k: v for k, v in default.items() if k not in unset},
-            _section(checks, complete=True))
+    tables = {kind: {k: (_REQUIRED, c) for k, c in _GRIDS[kind].items() if k not in unset}
+              for kind in kinds}
+    return ({k: v for k, v in default.items() if k not in unset}, _section(tables))
 
 
 # the resolved config keeps this key order, then user keys, then "command"
 _COMMON = {
-    "oracle": ({"kind": "circle", "radius": 2.0, "count": 8},
-               _section({k: checks for k, (_, checks) in _ORACLES.items()},
-                        complete=False)),
+    # an omitted oracle key takes the factory's default, if that is not None
+    "oracle": ({"kind": "circle"}, _section({
+        kind: {k: (inspect.signature(factory).parameters[k].default, check)
+               for k, check in checks.items()} for kind, (factory, checks) in _ORACLES.items()})),
     "schedule": ("ve_karras", _one_of("ve_karras", "vp_linear_beta")),
     "integrator": ("euler", _INTEGRATOR),
     "grid": _grid(),
     "t_ssi": (0.1, _POSITIVE),
     "trials": (100, _COUNT),
     "perturbation": (0.0, _NONNEGATIVE),
-    "perturbation_floor": (1.0, _NONNEGATIVE),
     "seed": (_REQUIRED, _SEED),
 }
 
 # ``None`` marks a ``_COMMON`` key the command does not read, so it neither
-# takes nor echoes that key
+# takes nor echoes that key; invert's method picks the SSI grid, which starts
+# at t_ssi, the baseline's grid as given with no t_ssi, or both
+_SSI_GRID = _grid(("t_min", "offset"))
+_INVERT_METHODS = {"ssi": {"grid": _SSI_GRID}, "baseline_ddim": {"t_ssi": None}, "both": {}}
 _COMMANDS = {
     "verify-singularity": {"integrator": ("heun", _INTEGRATOR), "t_ssi": None},
     "verify-projection": {"sigma_ladder": ([0.1, 0.01, 0.001], _list_of(_POSITIVE)),
                           **dict.fromkeys(["schedule", "integrator", "grid", "t_ssi",
-                                           "perturbation", "perturbation_floor"])},
+                                           "perturbation"])},
     # correlation standard errors and excesses need two noises
-    "invert": {"method": ("ssi", _one_of("ssi", "baseline_ddim", "both")),
+    "invert": {"method": ("ssi", _one_of(*_INVERT_METHODS)),
                "shared_input": (False, _boolean),
                "trials": (100, _number(lo=2, integer=True)), "integrator": None},
     "sweep-tssi": {"t_ssi_ladder": ([0.001, 0.01, 0.1, 0.2], _list_of(_POSITIVE)),
@@ -175,9 +180,9 @@ _COMMANDS = {
                                 _list_of(_number(lo=0, hi=1))),
                     "data_seed_a": (1, _SEED), "data_seed_b": (2, _SEED),
                     "manifold_threshold": (0.1, _POSITIVE), "trials": None,
-                    "grid": _grid(("t_min",))},
+                    "grid": _SSI_GRID},
     "reconstruct": {"delta": (0.05, _number(lo=0, hi=1, open_=True)),
-                    "grid": _grid(("t_min",))},
+                    "grid": _SSI_GRID},
 }
 COMMANDS = tuple(_COMMANDS)
 
@@ -190,13 +195,12 @@ def resolve_config(command: str, raw: dict) -> dict:
         raise ConfigError("config must be a JSON object")
     if raw.get("command", command) != command:
         raise ConfigError(f"config is for {raw['command']!r}, not {command!r}")
-    table = {k: entry for k, entry in {**_COMMON, **_COMMANDS[command]}.items()
-             if entry is not None}
-    cfg = {k: default for k, (default, _) in table.items()
-           if default is not _REQUIRED}
-    cfg.update((k, v) for k, v in raw.items() if k != "command")
-    cfg = _checked(cfg, {k: check for k, (_, check) in table.items()}, "config",
-                   required=[k for k, (d, _) in table.items() if d is _REQUIRED])
+    table = {**_COMMON, **_COMMANDS[command]}
+    if command == "invert":  # the method picks what the rest of the config holds
+        default, check = table["method"]
+        table |= _INVERT_METHODS[check(raw.get("method", default), "method")]
+    cfg = _checked({k: v for k, v in raw.items() if k != "command"},
+                   {k: entry for k, entry in table.items() if entry is not None}, "config")
     cfg["command"] = command
     return cfg
 
@@ -207,8 +211,7 @@ def build_oracle(cfg: dict):
     factory, _ = _ORACLES[spec.pop("kind")]
     base = factory(**spec)
     if cfg.get("perturbation", 0.0) > 0.0:
-        return PerturbedScoreOracle(base=base, magnitude=cfg["perturbation"],
-                                    sigma_floor=cfg["perturbation_floor"])
+        return PerturbedScoreOracle(base=base, magnitude=cfg["perturbation"])
     return base
 
 

@@ -206,8 +206,8 @@ def test_criterion_10_replayability():
         ("verify-singularity", {"seed": 10, "trials": 20}),
         ("verify-projection", {"seed": 10, "trials": 500}),
         ("invert", {"seed": 10, "trials": 12, "oracle": {"kind": "toy_image"},
-                    "grid": {"kind": "karras", "t_min": 0.002, "t_max": 80.0,
-                             "rho": 7.0, "steps": 40}}),
+                    "grid": {"kind": "karras", "t_max": 80.0, "rho": 7.0,
+                             "steps": 40}}),
         ("sweep-tssi", {"seed": 10, "trials": 4,
                         "oracle": {"kind": "gaussian_on_axis"},
                         "t_ssi_ladder": [0.01, 0.1, 0.2],

@@ -1,10 +1,11 @@
+import copy
 import json
 
 import numpy as np
 import pytest
 
 from ssilab import (COMMANDS, ConfigError, InvalidArgumentError, build_oracle,
-                    replay, resolve_config, run_command)
+                    config_hash, replay, resolve_config, run_command)
 from ssilab.cli import main
 from ssilab.experiments import _pairwise_abs_cosine
 from ssilab.oracles import PointCloudScore
@@ -19,18 +20,17 @@ def write_config(tmp_path, data):
 # the common keys each command does not read, so neither takes nor echoes
 UNREAD_KEYS = {
     "verify-singularity": ["t_ssi"],
-    "verify-projection": ["schedule", "integrator", "grid", "t_ssi",
-                          "perturbation", "perturbation_floor"],
+    "verify-projection": ["schedule", "integrator", "grid", "t_ssi", "perturbation"],
     "invert": ["integrator"],
     "sweep-tssi": ["t_ssi"],
     "interpolate": ["trials"],
     "reconstruct": [],
 }
 
-# the grid keys an SSI command sets itself: the grid starts at t_ssi, and a
-# sweep cell sets its own steps
-SET_GRID_KEYS = {"sweep-tssi": ["t_min", "steps"], "interpolate": ["t_min"],
-                 "reconstruct": ["t_min"]}
+# the grid keys an SSI command sets itself: the grid starts at t_ssi (so does
+# invert's under its default method, ssi), and a sweep cell sets its own steps
+SET_GRID_KEYS = {"invert": ["t_min"], "sweep-tssi": ["t_min", "steps"],
+                 "interpolate": ["t_min"], "reconstruct": ["t_min"]}
 
 
 class TestConfigValidation:
@@ -107,7 +107,6 @@ class TestConfigValidation:
             ("t_ssi", 0.1),
             ("trials", 16 if command == "sweep-tssi" else 100),
             ("perturbation", 0.0),
-            ("perturbation_floor", 1.0),
         ]
         unread = UNREAD_KEYS[command]
         want = ([(k, v) for k, v in head if k not in unread] + tail
@@ -131,7 +130,7 @@ class TestConfigValidation:
         grid = resolve_config(command, {"seed": 1})["grid"]
         assert key not in grid
         resolve_config(command, {"seed": 1, "grid": grid})
-        value = resolve_config("invert", {"seed": 1})["grid"][key]
+        value = resolve_config("verify-singularity", {"seed": 1})["grid"][key]
         with pytest.raises(ConfigError, match="unknown keys in grid"):
             resolve_config(command, {"seed": 1, "grid": grid | {key: value}})
 
@@ -144,6 +143,8 @@ class TestConfigValidation:
         assert main(["interpolate", "--seed", "1", "--trials", "5", "--quiet"]) == 2
         assert "unknown keys" in capsys.readouterr().err
 
+
+_OFF_LADDER = "t_ssi=%r must be i/full_steps for an integer i in 1..stride on the kappa grid"
 
 # VP on the uniform 1000-step ladder's every fifth time from 0.001
 _VP_KAPPA = {"schedule": "vp_linear_beta", "oracle": {"kind": "toy_image"},
@@ -195,14 +196,15 @@ class TestExitCodes:
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("command,t_ssi,message", [
-        ("invert", 0.1, "kappa grid must start at t_ssi"),
+        ("invert", 0.1, "t_ssi=0.1 must be i/full_steps"),
         ("sweep-tssi", None, "unknown grid kind 'kappa'"),
     ], ids=["invert-t_ssi-off-grid", "sweep-tssi"])
     def test_kappa_grid_it_cannot_use_is_2(self, tmp_path, capsys, command, t_ssi,
                                            message):
         data = {"seed": 4, "trials": 4, **_VP_KAPPA}
-        if command == "invert":
-            data |= {"method": "both", "t_ssi": t_ssi}
+        if command == "invert":  # an SSI grid starts at t_ssi, so it takes no offset
+            data |= {"t_ssi": t_ssi,
+                     "grid": {k: v for k, v in _VP_KAPPA["grid"].items() if k != "offset"}}
         cfg = write_config(tmp_path, data)
         assert main([command, "--config", str(cfg), "--quiet"]) == 2
         assert message in capsys.readouterr().err
@@ -210,18 +212,18 @@ class TestExitCodes:
     def test_descending_grid_is_2(self, tmp_path):
         cfg = write_config(tmp_path, {
             "seed": 1, "trials": 5, "t_ssi": 5.0,
-            "grid": {"kind": "uniform", "t_min": 5.0, "t_max": 1.0, "steps": 10}})
+            "grid": {"kind": "uniform", "t_max": 1.0, "steps": 10}})
         assert main(["invert", "--config", str(cfg), "--quiet"]) == 2
 
     @pytest.mark.parametrize("data", [
         {"seed": 1, "trials": float("inf")},
         {"seed": float("nan")},
         {"seed": 1, "trials": 4, "perturbation": float("inf")},
-        {"seed": 1, "trials": 4, "grid": {"kind": "karras", "t_min": 0.002,
-                                          "t_max": 80.0, "rho": 7.0,
+        {"seed": 1, "trials": 4, "grid": {"kind": "karras", "t_max": 80.0, "rho": 7.0,
                                           "steps": float("inf")}},
-        {"seed": 1, "trials": 4, "grid": {"kind": "karras", "t_min": float("nan"),
-                                          "t_max": 80.0, "rho": 7.0, "steps": 20}},
+        {"seed": 1, "trials": 4, "method": "both",
+         "grid": {"kind": "karras", "t_min": float("nan"), "t_max": 80.0, "rho": 7.0,
+                  "steps": 20}},
     ], ids=["trials-inf", "seed-nan", "perturbation-inf", "grid-steps-inf",
             "grid-t_min-nan"])
     def test_non_finite_number_is_2(self, tmp_path, data):
@@ -237,13 +239,15 @@ class TestExitCodes:
         {"kind": "uniform", "t_max": 1.0, "steps": 10},
     ], ids=["karras-no-t_max", "uniform-no-t_min"])
     def test_missing_grid_key_is_2(self, tmp_path, grid):
-        cfg = write_config(tmp_path, {"seed": 1, "trials": 4, "grid": grid})
+        # under method both, invert takes the full grid
+        data = {"seed": 1, "trials": 4, "method": "both", "grid": grid}
+        cfg = write_config(tmp_path, data)
         out = tmp_path / "out"
         assert main(["invert", "--config", str(cfg), "--out", str(out),
                      "--quiet"]) == 2
         assert not (out / "report.json").exists()
         with pytest.raises(ConfigError, match="missing keys in grid"):
-            resolve_config("invert", {"seed": 1, "grid": grid})
+            resolve_config("invert", data)
 
     @pytest.mark.parametrize("command,data,config_check", [
         ("invert", {"kind": "circle", "radius": "abc"}, True),
@@ -267,7 +271,7 @@ class TestExitCodes:
         ("invert", {"kind": "subspace", "dim": 8, "latent_stddevs": [1, 2]}, False),
         ("invert", {"seed": 1, "grid": {"kind": ["x"]}}, True),
         ("invert", {"seed": 1, "trials": 4, "grid": {
-            "kind": "uniform", "t_min": 0.1, "t_max": 1.0, "steps": -2}}, True),
+            "kind": "uniform", "t_max": 1.0, "steps": -2}}, True),
         ("interpolate", {"seed": 1, "data_seed_a": -1}, True),
         ("invert", {"seed": 1, "trials": 1}, True),
         ("invert", {"seed": 1, "perturbation_floor": -1.0}, True),
@@ -332,10 +336,25 @@ class TestExitCodes:
         ("interpolate", {"t_ssi": 80}, "t_ssi=80.0 must lie below the grid's t_max=80.0"),
         ("sweep-tssi", {"t_ssi_ladder": [0.01, 80.0, 0.2]},
          "t_ssi=80.0 must lie below the grid's t_max=80.0"),
-    ], ids=["reconstruct", "interpolate", "sweep-tssi"])
+        ("reconstruct", {"t_ssi": 0.015, "grid": {"kind": "kappa", "full_steps": 100,
+                                                  "stride": 10}}, _OFF_LADDER % 0.015),
+        ("interpolate", {"t_ssi": 0.2, "grid": {"kind": "kappa", "full_steps": 100,
+                                                "stride": 10}}, _OFF_LADDER % 0.2),
+        ("reconstruct", {"t_ssi": 1e300, "grid": {"kind": "kappa", "full_steps": 10**10,
+                                                  "stride": 10}}, _OFF_LADDER % 1e300),
+        ("reconstruct", {"t_ssi": 0.1, "grid": {"kind": "kappa", "full_steps": 0,
+                                                "stride": 10}}, _OFF_LADDER % 0.1),
+        ("reconstruct", {"t_ssi": 0.1, "grid": {"kind": "kappa", "full_steps": -100,
+                                                "stride": 10}}, _OFF_LADDER % 0.1),
+    ], ids=["reconstruct", "interpolate", "sweep-tssi", "kappa-off-ladder",
+            "kappa-past-stride", "kappa-overflow", "kappa-full_steps-0",
+            "kappa-full_steps-negative"])
     def test_ssi_start_past_t_max_is_2(self, tmp_path, capsys, monkeypatch, command, data,
                                        start):
-        # the error names t_ssi, and the sweep finds it before any cell runs
+        # the error names t_ssi, and the sweep finds it before any cell runs;
+        # on a kappa grid t_ssi must be i/full_steps with 1 <= i <= stride, and
+        # neither an overflowing t_ssi * full_steps nor full_steps <= 0 raises
+        # anything else
         calls = []
         score = PointCloudScore.score
 
@@ -350,11 +369,11 @@ class TestExitCodes:
         assert calls == []
 
     def test_verdict_failure_is_4(self, tmp_path):
-        # an absurd manifold threshold forces a FAIL verdict
+        # two steps from t_ssi 0.5 decode the circle's frames 0.2 to 0.57 off
+        # its atoms over seeds 0-5, past the 0.1 threshold
         cfg = write_config(tmp_path, {
-            "seed": 1, "oracle": {"kind": "gaussian_on_axis"},
-            "grid": {"kind": "karras", "t_max": 80.0, "rho": 7.0, "steps": 40},
-            "manifold_threshold": 1e-300})
+            "seed": 1, "grid": {"kind": "uniform", "t_max": 80.0, "steps": 2},
+            "t_ssi": 0.5})
         assert main(["interpolate", "--config", str(cfg), "--quiet"]) == 4
 
 
@@ -436,8 +455,7 @@ def small_configs():
         ("verify-projection", {"seed": 5, "trials": 400}),
         ("invert", {"seed": 5, "trials": 8,
                     "oracle": {"kind": "toy_image"},
-                    "grid": {"kind": "karras", "t_min": 0.002, "t_max": 80.0,
-                             "rho": 7.0, "steps": 40}}),
+                    "grid": {"kind": "karras", "t_max": 80.0, "rho": 7.0, "steps": 40}}),
         ("sweep-tssi", {"seed": 5, "trials": 4,
                         "oracle": {"kind": "gaussian_on_axis"},
                         "t_ssi_ladder": [0.01, 0.1, 0.2],
@@ -511,8 +529,7 @@ def test_shared_input_mode():
     cfg = resolve_config("invert", {
         "seed": 5, "trials": 6, "shared_input": True,
         "oracle": {"kind": "toy_image"},
-        "grid": {"kind": "karras", "t_min": 0.002, "t_max": 80.0,
-                 "rho": 7.0, "steps": 40}})
+        "grid": {"kind": "karras", "t_max": 80.0, "rho": 7.0, "steps": 40}})
     rep = run_command(cfg)
     # different seeds on one input still give near-orthogonal noises
     assert rep["aggregates"]["ssi_mean_abs_cosine"] < 3 / np.sqrt(192)
@@ -551,6 +568,24 @@ def test_baseline_requires_vp():
         run_command(cfg)
 
 
+@pytest.mark.parametrize("oracle", [
+    {"kind": "gaussian_on_axis"}, {"kind": "subspace", "dim": 8}, {"kind": "toy_image"}],
+    ids=["gaussian_on_axis", "subspace", "toy_image"])
+def test_interpolate_claims_no_verdict_on_an_exact_subspace(oracle):
+    # each frame decodes to a posterior mean, which an exact subspace score puts
+    # on the subspace, so its distance reads 0 even two steps from t_ssi 0.5
+    raw = {"seed": 1, "oracle": oracle, "t_ssi": 0.5,
+           "grid": {"kind": "uniform", "t_max": 80.0, "steps": 2}}
+    rep = run_command(resolve_config("interpolate", raw))
+    assert rep["verdict"] is None
+    assert rep["notes"] == ["every decoded frame is an exact subspace posterior mean, "
+                            "on the subspace; no verdict claimed"]
+    assert rep["aggregates"]["max_manifold_dist"] < 1e-15
+    perturbed = run_command(resolve_config("interpolate", raw | {"perturbation": 1e-3}))
+    assert perturbed["verdict"] in ("PASS", "FAIL")
+    assert perturbed["notes"] == []
+
+
 def test_projection_regime_guard():
     cfg = resolve_config("verify-projection", {
         "seed": 5, "trials": 400, "sigma_ladder": [2.0]})
@@ -584,26 +619,113 @@ def test_invert_reports_the_cosine_at_the_largest_radius():
         run_command(resolve_config("invert", cfg))
 
 
-@pytest.mark.parametrize("kind", ["karras", "uniform"])
-@pytest.mark.parametrize("command,raw", [
-    ("sweep-tssi", {"trials": 2, "t_ssi_ladder": [0.1, 0.2], "steps_ladder": [10]}),
-    ("interpolate", {"lambdas": [0.5]}),
-    ("reconstruct", {"trials": 4}),
-])
-def test_every_echoed_grid_key_is_read(command, raw, kind):
-    # a grid value the result does not read would give two stamps to one
-    # experiment; interpolate's frames keep their decoded states (d = 2),
-    # whose distance to the axis is 0 on every grid
-    raw = {"seed": 1, "oracle": {"kind": "gaussian_on_axis"}, **raw}
-    grid = resolve_config(command, raw)["grid"]
-    if kind == "uniform":
-        grid = {k: v for k, v in grid.items() if k != "rho"} | {"kind": "uniform"}
+_KARRAS = {"kind": "karras", "t_min": 0.002, "t_max": 0.9, "rho": 7.0, "steps": 10}
+_UNIFORM = {"kind": "uniform", "t_min": 0.1, "t_max": 0.9, "steps": 10}
+_KAPPA = {"kind": "kappa", "full_steps": 100, "stride": 10, "offset": 1}
+_SSI = {"t_min", "offset"}  # an SSI grid starts at t_ssi
+_VP = "vp_linear_beta"
 
-    def result(grid):
-        report = run_command(resolve_config(command, raw | {"grid": grid}))
-        return report["aggregates"], report["trials"]
+# per command and invert method: a small config (seed 1), and for every leaf
+# of its resolved config but command, method and section kinds, another value
+# its check accepts
+_EVERY_LEAF = {
+    "verify-singularity": ("verify-singularity", {"trials": 3, "grid": _KARRAS}, {
+        "schedule": _VP, "integrator": "euler", "grid.t_min": 0.01, "grid.t_max": 0.5,
+        "grid.rho": 5.0, "grid.steps": 12}),
+    "verify-projection": ("verify-projection", {"trials": 100, "sigma_ladder": [0.1, 0.01]}, {
+        "trials": 120, "sigma_ladder": [0.1, 0.02]}),
+    "invert-ssi": ("invert", {"trials": 3, "grid": {
+        k: v for k, v in _KARRAS.items() if k not in _SSI}}, {
+        "schedule": _VP, "grid.t_max": 0.5, "grid.rho": 5.0, "grid.steps": 12,
+        "t_ssi": 0.2, "shared_input": True}),
+    # the circle's symmetry makes the baseline's cosines independent of its grid
+    "invert-baseline_ddim": ("invert", {"trials": 3, "method": "baseline_ddim", "schedule": _VP,
+                                        "grid": _UNIFORM, "oracle": {"kind": "toy_image"}}, {
+        "schedule": "ve_karras", "grid.t_min": 0.2, "grid.t_max": 0.5, "grid.steps": 12,
+        "shared_input": True}),
+    "invert-both": ("invert", {"trials": 3, "method": "both", "schedule": _VP,
+                               "grid": _KAPPA, "t_ssi": 0.02}, {
+        "schedule": "ve_karras", "grid.full_steps": 50, "grid.stride": 5,
+        "grid.offset": 3, "t_ssi": 0.05, "shared_input": True}),
+    "sweep-tssi": ("sweep-tssi", {"trials": 2, "t_ssi_ladder": [0.1, 0.2], "steps_ladder": [10],
+                                  "grid": {"kind": "uniform", "t_max": 0.9}}, {
+        "schedule": _VP, "integrator": "heun", "grid.t_max": 0.5,
+        "t_ssi_ladder": [0.1, 0.3], "steps_ladder": [12]}),
+    # from t_ssi 0.1 the circle's frames decode onto its atoms, bit for bit
+    "interpolate": ("interpolate", {"lambdas": [0.5], "t_ssi": 0.5, "grid": {
+        k: v for k, v in _KARRAS.items() if k not in _SSI}}, {
+        "schedule": _VP, "integrator": "heun", "grid.t_max": 0.8, "grid.rho": 5.0,
+        "grid.steps": 12, "t_ssi": 0.6, "lambdas": [0.4], "data_seed_a": 3,
+        "data_seed_b": 4, "manifold_threshold": 0.2}),
+    "reconstruct": ("reconstruct", {"trials": 3, "t_ssi": 0.02, "grid": {
+        k: v for k, v in _KAPPA.items() if k not in _SSI}}, {
+        "schedule": _VP, "integrator": "heun", "grid.full_steps": 50, "grid.stride": 5,
+        "t_ssi": 0.05, "delta": 0.1}),
+}
+_COMMON_LEAVES = {"trials": 4, "perturbation": 1e-3, "seed": 2}
+_ORACLE_LEAVES = {"circle": {"oracle.radius": 3.0, "oracle.count": 6},
+                  "toy_image": {"oracle.latent_dim": 4, "oracle.basis_seed": 1,
+                                "oracle.smoothness": 1.0}}
 
-    base = result(grid)
-    for key in grid.keys() - {"kind"}:
-        value = {"t_min": 0.01, "t_max": 40.0, "rho": 5.0, "steps": 30}[key]
-        assert result(grid | {key: value}) != base, key
+
+def _leaves(cfg: dict, prefix="") -> set:
+    out = set()
+    for key, value in cfg.items():
+        if isinstance(value, dict):
+            out |= _leaves(value, f"{key}.")
+        elif key not in ("command", "method", "kind"):
+            out.add(prefix + key)
+    return out
+
+
+@pytest.mark.parametrize("case", list(_EVERY_LEAF))
+def test_every_echoed_key_is_read(case):
+    # a value the result does not read would give one experiment two stamps,
+    # so each leaf must move (aggregates, trials) or be refused with exit 2
+    command, raw, others = _EVERY_LEAF[case]
+    cfg = resolve_config(command, {"seed": 1, **raw})
+    others = (_ORACLE_LEAVES[cfg["oracle"]["kind"]]
+              | {k: v for k, v in _COMMON_LEAVES.items() if k in cfg} | others)
+
+    def result(cfg):
+        try:
+            report = run_command(resolve_config(command, cfg))
+        except (ConfigError, InvalidArgumentError):
+            return "exit 2"
+        return json.dumps([report["aggregates"], report["trials"]], sort_keys=True)
+
+    base = result(cfg)
+    assert base != "exit 2"
+    unread = []
+    for leaf, value in others.items():
+        changed = copy.deepcopy(cfg)
+        *section, key = leaf.split(".")
+        (changed[section[0]] if section else changed)[key] = value
+        if result(changed) == base:
+            unread.append(leaf)
+    assert sorted(_leaves(cfg) ^ others.keys()) == []
+    assert unread == [], unread
+
+
+@pytest.mark.parametrize("small", [False, True], ids=["default", "small"])
+@pytest.mark.parametrize("case", list(_EVERY_LEAF))
+def test_resolution_is_idempotent(case, small):
+    command, raw, _ = _EVERY_LEAF[case]
+    if not small:  # the command's defaults, under invert's method
+        raw = {k: v for k, v in raw.items() if k == "method"}
+    cfg = resolve_config(command, {"seed": 1, **raw})
+    assert resolve_config(command, cfg) == cfg
+
+
+@pytest.mark.parametrize("short,full", [
+    ({"kind": "circle"}, {"kind": "circle", "count": 8, "radius": 2}),
+    ({"kind": "gaussian_on_axis"}, {"kind": "gaussian_on_axis"}),
+    ({"kind": "subspace", "dim": 8}, {"kind": "subspace", "dim": 8, "latent_dim": 1,
+                                      "latent_stddevs": 1.0, "basis_seed": 0}),
+    ({"kind": "toy_image"}, {"kind": "toy_image", "latent_dim": 8, "basis_seed": 0,
+                             "smoothness": 1.5}),
+], ids=["circle", "gaussian_on_axis", "subspace", "toy_image"])
+def test_oracle_defaults_spelled_out_or_left_out_hash_alike(short, full):
+    # the section is filled in from the factory's own defaults
+    cfgs = [resolve_config("reconstruct", {"seed": 1, "oracle": o}) for o in (short, full)]
+    assert config_hash(cfgs[0]) == config_hash(cfgs[1])

@@ -27,14 +27,13 @@ def run(command, cfg, name):
                             "--out", str(out / name), "--quiet"])
 
 out = pathlib.Path(sys.argv[1])
-grid = {"kind": "karras", "t_min": 0.002, "t_max": 80.0, "rho": 7.0, "steps": 20}
-ssi_grid = {k: v for k, v in grid.items() if k != "t_min"}  # starts at t_ssi
+ssi_grid = {"kind": "karras", "t_max": 80.0, "rho": 7.0, "steps": 20}  # starts at t_ssi
 seen = {"import": scipy_modules()}
 codes = {
     "interpolate": run("interpolate", {"seed": 1, "oracle": {"kind": "toy_image"},
                                        "grid": ssi_grid, "lambdas": [0.5]}, "interp"),
     "invert": run("invert", {"seed": 1, "trials": 4, "oracle": {"kind": "toy_image"},
-                             "grid": grid}, "invert"),
+                             "grid": ssi_grid}, "invert"),
 }
 seen["toy_image"] = scipy_modules()
 cloud = ssilab.circle_point_cloud()

@@ -333,7 +333,8 @@ def test_cli_baseline_divergence_exits_3(tmp_path, monkeypatch, capsys):
     cases = [
         ("invert", {"trials": 5, "method": "baseline_ddim", **vp},
          VP_LINEAR_BETA.sigma(0.18)),
-        ("invert", {"trials": 5, "method": "ssi", "t_ssi": 0.1, **vp},
+        ("invert", {"trials": 5, "method": "ssi", "t_ssi": 0.1, "schedule": "vp_linear_beta",
+                    "grid": {"kind": "uniform", "t_max": 0.9, "steps": 10}},
          VP_LINEAR_BETA.sigma(0.1)),
         ("reconstruct", {"trials": 5, **ssi_ve}, 0.1),
         ("interpolate", {"integrator": "heun", **ssi_ve}, 0.1),
