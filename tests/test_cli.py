@@ -619,7 +619,32 @@ def test_invert_reports_the_cosine_at_the_largest_radius():
         run_command(resolve_config("invert", cfg))
 
 
-_KARRAS = {"kind": "karras", "t_min": 0.002, "t_max": 0.9, "rho": 7.0, "steps": 10}
+@pytest.mark.parametrize("kind", ["karras", "uniform"])
+@pytest.mark.parametrize("command,raw", [
+    ("sweep-tssi", {"trials": 2, "t_ssi_ladder": [0.1, 0.2], "steps_ladder": [10]}),
+    ("interpolate", {"lambdas": [0.5]}),
+    ("reconstruct", {"trials": 4}),
+])
+def test_every_echoed_grid_key_is_read(command, raw, kind):
+    # a grid value the result does not read would give two stamps to one
+    # experiment; interpolate's frames keep their decoded states (d = 2),
+    # whose distance to the axis is 0 on every grid
+    raw = {"seed": 1, "oracle": {"kind": "gaussian_on_axis"}, **raw}
+    grid = resolve_config(command, raw)["grid"]
+    if kind == "uniform":
+        grid = {k: v for k, v in grid.items() if k != "rho"} | {"kind": "uniform"}
+
+    def result(grid):
+        report = run_command(resolve_config(command, raw | {"grid": grid}))
+        return report["aggregates"], report["trials"]
+
+    base = result(grid)
+    for key in grid.keys() - {"kind"}:
+        value = {"t_min": 0.01, "t_max": 40.0, "rho": 5.0, "steps": 30}[key]
+        assert result(grid | {key: value}) != base, key
+
+
+_KARRAS ={"kind": "karras", "t_min": 0.002, "t_max": 0.9, "rho": 7.0, "steps": 10}
 _UNIFORM = {"kind": "uniform", "t_min": 0.1, "t_max": 0.9, "steps": 10}
 _KAPPA = {"kind": "kappa", "full_steps": 100, "stride": 10, "offset": 1}
 _SSI = {"t_min", "offset"}  # an SSI grid starts at t_ssi
