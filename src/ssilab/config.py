@@ -14,11 +14,13 @@ Configs are flat JSON objects with two nested sections, ``oracle`` and
   ``steps`` and rule out kappa, and ``invert``'s ``method`` picks its grid.
 
 A check returns the value as stored (a checked number becomes an int or a
-float) or raises ``ConfigError``.  Unknown keys anywhere are rejected, every
-run starts from a fully resolved config, and the resolved config is echoed
-verbatim into the run report so that any report can be replayed
-bit-identically.  A config holds only what its command's result reads (the
-output options are CLI flags), so its hash names the experiment.
+float) or raises ``ConfigError``.  Unknown keys anywhere are rejected, and
+``resolve_config`` builds the SSI grid at every start, so it is the only
+place a config is refused: one that resolves runs, up to the library's own
+domain checks.  The resolved config is echoed verbatim into the run report
+so that any report can be replayed bit-identically.  A config holds only
+what its command's result reads (the output options are CLI flags), so its
+hash names the experiment.
 """
 
 from __future__ import annotations
@@ -57,15 +59,18 @@ def _number(lo=None, hi=None, integer=False, open_=False):
     return check
 
 
-def _list_of(check, or_one=False):
-    """A nonempty list of values that pass ``check``; with ``or_one``, also
-    a single such value."""
+def _list_of(check, or_one=False, ascending=False):
+    """A nonempty list of values that pass ``check``, with ``ascending`` in
+    ascending order (repeats allowed); with ``or_one``, also a single value."""
     def check_list(value, name):
         if or_one and not isinstance(value, list):
             return check(value, name)
         if not isinstance(value, list) or not value:
             raise ConfigError(f"{name} must be a nonempty list")
-        return [check(v, f"{name} entry") for v in value]
+        values = [check(v, f"{name} entry") for v in value]
+        if ascending and values != sorted(values):
+            raise ConfigError(f"{name} must be in ascending order")
+        return values
     return check_list
 
 
@@ -133,11 +138,12 @@ _GRIDS = {
     "uniform": {"t_min": _ANY, "t_max": _ANY, "steps": _COUNT},
     "kappa": {"full_steps": _INTEGER, "stride": _INTEGER, "offset": _INTEGER},
 }
+_VE_GRID = {"kind": "karras", "t_min": 0.002, "t_max": 80.0, "rho": 7.0, "steps": 200}
+_VP_GRID = {"kind": "uniform", "t_min": 0.1, "t_max": 0.999, "steps": 200}  # criterion 5's
 
 
-def _grid(unset=(), kinds=tuple(_GRIDS)):
+def _grid(unset=(), kinds=tuple(_GRIDS), default=_VE_GRID):
     """A complete grid section of ``kinds`` without the keys in ``unset``."""
-    default = {"kind": "karras", "t_min": 0.002, "t_max": 80.0, "rho": 7.0, "steps": 200}
     tables = {kind: {k: (_REQUIRED, c) for k, c in _GRIDS[kind].items() if k not in unset}
               for kind in kinds}
     return ({k: v for k, v in default.items() if k not in unset}, _section(tables))
@@ -159,12 +165,14 @@ _COMMON = {
 }
 
 # ``None`` marks a ``_COMMON`` key the command does not read, so it neither
-# takes nor echoes that key; invert's method picks the SSI grid, which starts
-# at t_ssi, the baseline's grid as given with no t_ssi, or both
+# takes nor echoes that key; invert's method picks the SSI grid from t_ssi, the
+# DDIM baseline's VP grid (one schedule, still spelled) with no t_ssi, or both
 _SSI_GRID = _grid(("t_min", "offset"))
-_INVERT_METHODS = {"ssi": {"grid": _SSI_GRID}, "baseline_ddim": {"t_ssi": None}, "both": {}}
+_VP = {"schedule": ("vp_linear_beta", _one_of("vp_linear_beta")), "grid": _grid(default=_VP_GRID)}
+_INVERT_METHODS = {"ssi": {"grid": _SSI_GRID}, "baseline_ddim": {**_VP, "t_ssi": None},
+                   "both": _VP}
 _COMMANDS = {
-    "verify-singularity": {"integrator": ("heun", _INTEGRATOR), "t_ssi": None},
+    "verify-singularity": {"integrator": ("heun", _INTEGRATOR), "schedule": None, "t_ssi": None},
     "verify-projection": {"sigma_ladder": ([0.1, 0.01, 0.001], _list_of(_POSITIVE)),
                           **dict.fromkeys(["schedule", "integrator", "grid", "t_ssi",
                                            "perturbation"])},
@@ -172,8 +180,9 @@ _COMMANDS = {
     "invert": {"method": ("ssi", _one_of(*_INVERT_METHODS)),
                "shared_input": (False, _boolean),
                "trials": (100, _number(lo=2, integer=True)), "integrator": None},
-    "sweep-tssi": {"t_ssi_ladder": ([0.001, 0.01, 0.1, 0.2], _list_of(_POSITIVE)),
-                   "steps_ladder": ([40, 100, 200], _list_of(_COUNT)),
+    "sweep-tssi": {"t_ssi_ladder": ([0.001, 0.01, 0.1, 0.2],
+                                    _list_of(_POSITIVE, ascending=True)),
+                   "steps_ladder": ([40, 100, 200], _list_of(_COUNT, ascending=True)),
                    "trials": (16, _COUNT), "t_ssi": None,
                    "grid": _grid(("t_min", "steps"), ("karras", "uniform"))},
     "interpolate": {"lambdas": ([0.1, 0.3, 0.5, 0.7, 0.9],
@@ -202,6 +211,9 @@ def resolve_config(command: str, raw: dict) -> dict:
     cfg = _checked({k: v for k, v in raw.items() if k != "command"},
                    {k: entry for k, entry in table.items() if entry is not None}, "config")
     cfg["command"] = command
+    for steps in cfg.get("steps_ladder", [None]):
+        for t_ssi in cfg.get("t_ssi_ladder", [cfg["t_ssi"]] if "t_ssi" in cfg else []):
+            _ssi_grid(cfg, t_ssi, steps)
     return cfg
 
 
@@ -216,7 +228,7 @@ def build_oracle(cfg: dict):
 
 
 def build_schedule(cfg: dict) -> NoiseSchedule:
-    return VE_KARRAS if cfg["schedule"] == "ve_karras" else VP_LINEAR_BETA
+    return VP_LINEAR_BETA if cfg.get("schedule") == "vp_linear_beta" else VE_KARRAS
 
 
 def build_grid(spec: dict) -> TimeGrid:
@@ -230,6 +242,24 @@ def build_grid(spec: dict) -> TimeGrid:
     if spec["kind"] == "uniform":
         return TimeGrid(np.linspace(spec["t_min"], spec["t_max"], spec["steps"] + 1))
     return ddim_kappa_grid(spec["full_steps"], spec["stride"], spec["offset"])
+
+
+def _ssi_grid(cfg: dict, t_ssi: float = None, steps: int = None) -> TimeGrid:
+    """The config's grid from ``t_ssi`` (default the config's), with a sweep cell's ``steps``;
+    a kappa grid's ``offset`` is ``round(t_ssi * full_steps)``, which must be in
+    ``1..stride`` and give ``t_ssi`` back within 1e-12."""
+    t_ssi = cfg["t_ssi"] if t_ssi is None else t_ssi
+    spec = cfg["grid"]
+    if spec["kind"] == "kappa":
+        n, stride = spec["full_steps"], spec["stride"]
+        offset = round(t_ssi * n) if t_ssi * n < stride + 1 else 0  # round(inf) raises
+        if not (1 <= offset <= stride and abs(offset / n - t_ssi) <= 1e-12):
+            raise ConfigError(f"t_ssi={t_ssi} must be i/full_steps for an integer i "
+                              f"in 1..stride on the kappa grid")
+        return build_grid(spec | {"offset": offset})
+    if not t_ssi < spec["t_max"]:
+        raise ConfigError(f"t_ssi={t_ssi} must lie below the grid's t_max={spec['t_max']}")
+    return build_grid(spec | {"t_min": t_ssi} | ({} if steps is None else {"steps": steps}))
 
 
 def build_method(cfg: dict) -> Method:

@@ -3,8 +3,8 @@
 ``run_command`` is the one entry point, and it owns the run report.  It
 starts the clock, creates the report (tool version, echoed config and its
 hash, then an empty seed ledger, trials, aggregates, verdict, notes and CSV
-tables), builds the oracle and the schedule (``None`` for a config without
-one) once, and calls the command's function as
+tables), builds the oracle and the schedule (VE for a config without one)
+once, and calls the command's function as
 ``cmd_*(cfg, report, oracle, schedule)``.  That function fills in only
 ``seed_ledger``, ``trials``, ``aggregates``, ``verdict`` (PASS/FAIL where the
 command defines one) and ``notes``, and adds its table to ``csv``.
@@ -24,22 +24,22 @@ comparison (common random numbers), not one blurred by draw noise.
 
 from __future__ import annotations
 
+import itertools
 import time
 
 import numpy as np
 
 from . import __version__
-from .config import (build_grid, build_method, build_oracle, build_schedule,
-                     config_hash)
+from .config import (_ssi_grid, build_grid, build_method, build_oracle,
+                     build_schedule, config_hash)
 from .diagnostics import (chi_square_bound, correlation_metrics,
                           projection_concentration, singularity_trace, trace_rms)
-from .errors import ConfigError
 from .flow import sample
 from .interp import interpolate_and_decode
 from .inversion import (InversionConfig, ddim_invert_baseline, reconstruct,
                         ssi_invert_ve, ssi_invert_vp)
 from .oracles import SubspaceGaussianScore, _rng
-from .schedules import Family, TimeGrid
+from .schedules import Family
 
 _TAG_DATA = 0xD0
 _TAG_NOISE = 0x55
@@ -71,24 +71,6 @@ def _jsonify(value):
 def _table(rows, columns) -> dict:
     """A CSV table whose cells are ``columns`` read off each row dict."""
     return {"columns": columns, "rows": [[row[c] for c in columns] for row in rows]}
-
-
-def _ssi_grid(cfg: dict, t_ssi: float = None, steps: int = None) -> TimeGrid:
-    """The config's grid from ``t_ssi`` (default the config's), with a sweep cell's ``steps``;
-    a kappa grid's ``offset`` is ``round(t_ssi * full_steps)``, which must be in
-    ``1..stride`` and give ``t_ssi`` back within 1e-12."""
-    t_ssi = cfg["t_ssi"] if t_ssi is None else t_ssi
-    spec = cfg["grid"]
-    if spec["kind"] == "kappa":
-        n, stride = spec["full_steps"], spec["stride"]
-        offset = round(t_ssi * n) if t_ssi * n < stride + 1 else 0  # round(inf) raises
-        if not (1 <= offset <= stride and abs(offset / n - t_ssi) <= 1e-12):
-            raise ConfigError(f"t_ssi={t_ssi} must be i/full_steps for an integer i "
-                              f"in 1..stride on the kappa grid")
-        return build_grid(spec | {"offset": offset})
-    if not t_ssi < spec["t_max"]:
-        raise ConfigError(f"t_ssi={t_ssi} must lie below the grid's t_max={spec['t_max']}")
-    return build_grid(spec | {"t_min": t_ssi} | ({} if steps is None else {"steps": steps}))
 
 
 def _trial_batch(cfg: dict, report: dict, oracle, shared: bool = False):
@@ -124,9 +106,7 @@ def _ssi_invert_batch(oracle, schedule, grid, x0, noise,
 
 
 def cmd_verify_singularity(cfg: dict, report: dict, oracle, schedule) -> None:
-    """Sample trajectories and check the trace sigma * ||score|| stabilizes."""
-    if schedule.family is not Family.VE_KARRAS:
-        raise ConfigError("singularity verification runs on the VE schedule")
+    """Sample trajectories on VE and check the trace sigma * ||score|| stabilizes."""
     grid_down = build_grid(cfg["grid"]).reversed()
     init_seed = _ledger_seed(report, "init", (cfg["seed"], _TAG_INIT))
     _, traj = sample(schedule, oracle, build_method(cfg), grid_down, init_seed,
@@ -234,9 +214,6 @@ _INVERSIONS = {"ssi": ("ssi",), "baseline_ddim": ("baseline",), "both": ("ssi", 
 def cmd_invert(cfg: dict, report: dict, oracle, schedule) -> None:
     """Invert oracle samples and measure how Gaussian the noise looks."""
     labels = _INVERSIONS[cfg["method"]]
-    if "baseline" in labels and schedule.family is not Family.VP_LINEAR_BETA:
-        raise ConfigError("baseline DDIM inversion needs the VP schedule")
-
     x0, noise = _trial_batch(cfg, report, oracle, shared=cfg["shared_input"])
     aggregates = report["aggregates"]
     for label in labels:
@@ -282,18 +259,20 @@ def _roundtrip_batch(oracle, schedule, cfg, grid, x0, noise):
 def cmd_sweep_tssi(cfg: dict, report: dict, oracle, schedule) -> None:
     """Map the roundtrip error over the skipping-time / step-count grid.
 
-    The PASS verdict asks for an interior minimum over ``t_ssi``, which needs
-    a score error, ``perturbation > 0``: with the exact score the error falls
-    with ``t_ssi``, so the default config (exact circle) FAILs at every seed.
+    The PASS verdict asks for an interior minimum: the best cell's ``t_ssi``
+    strictly inside the ascending ladder, so a ladder of fewer than 3
+    distinct values claims none.  Whether the minimum is interior depends on
+    the oracle, not only on a score error.  Over the default ladders, the
+    exact toy image PASSes on 10 of seeds 0-11 (best ``t_ssi`` 0.01, and
+    0.001 on the other two), the toy image with ``perturbation`` 1e-3 on 12
+    of 12 (best 0.1), and the default circle FAILs on 20 of 20 at
+    ``perturbation`` 0 (best 0.001), 1e-3 and 1e-2 (best 0.2).
     """
     ladder = cfg["t_ssi_ladder"]
-    # every cell's grid is checked before any cell runs
-    cells = [(steps, t_ssi, _ssi_grid(cfg, t_ssi, steps))
-             for steps in cfg["steps_ladder"] for t_ssi in ladder]
     x0, noise = _trial_batch(cfg, report, oracle)
     table = []
-    for steps, t_ssi, grid in cells:
-        out = _roundtrip_batch(oracle, schedule, cfg, grid, x0, noise)
+    for steps, t_ssi in itertools.product(cfg["steps_ladder"], ladder):
+        out = _roundtrip_batch(oracle, schedule, cfg, _ssi_grid(cfg, t_ssi, steps), x0, noise)
         x_hat = out["x_hat"]
         dist = np.linalg.norm(x_hat - oracle.nearest_manifold_point(x_hat), axis=-1)
         table.append({
@@ -302,7 +281,7 @@ def cmd_sweep_tssi(cfg: dict, report: dict, oracle, schedule) -> None:
             "manifold_dist": float(dist.mean()),
         })
     best = min(table, key=lambda row: row["mse"])
-    degenerate = len(ladder) < 3
+    degenerate = len(set(ladder)) < 3  # no interior point
     interior = None
     if not degenerate:
         interior = bool(ladder[0] < best["t_ssi"] < ladder[-1])
@@ -398,7 +377,8 @@ _COMMAND_FUNCS = {
 
 
 def run_command(cfg: dict) -> dict:
-    """Run a resolved config's command and return its report."""
+    """Run a resolved config's command and return its report; only a library
+    domain check (``InvalidArgumentError``) or a divergence can still raise."""
     t0 = time.perf_counter()
     report = {
         "tool": "ssilab",
@@ -413,8 +393,7 @@ def run_command(cfg: dict) -> dict:
         "notes": [],
         "csv": {},
     }
-    schedule = build_schedule(cfg) if "schedule" in cfg else None
-    _COMMAND_FUNCS[cfg["command"]](cfg, report, build_oracle(cfg), schedule)
+    _COMMAND_FUNCS[cfg["command"]](cfg, report, build_oracle(cfg), build_schedule(cfg))
     report["wall_clock_seconds"] = time.perf_counter() - t0
     return _jsonify(report)
 

@@ -19,7 +19,7 @@ def write_config(tmp_path, data):
 
 # the common keys each command does not read, so neither takes nor echoes
 UNREAD_KEYS = {
-    "verify-singularity": ["t_ssi"],
+    "verify-singularity": ["schedule", "t_ssi"],
     "verify-projection": ["schedule", "integrator", "grid", "t_ssi", "perturbation"],
     "invert": ["integrator"],
     "sweep-tssi": ["t_ssi"],
@@ -145,6 +145,28 @@ class TestConfigValidation:
 
 
 _OFF_LADDER = "t_ssi=%r must be i/full_steps for an integer i in 1..stride on the kappa grid"
+
+# SSI starts that no grid can run: past a karras or uniform grid's t_max, or
+# off a kappa grid's i/full_steps ladder
+_PAST_T_MAX = pytest.mark.parametrize("command,data,start", [
+    ("reconstruct", {"t_ssi": 5, "grid": {"kind": "uniform", "t_max": 1, "steps": 10}},
+     "t_ssi=5.0 must lie below the grid's t_max=1.0"),
+    ("interpolate", {"t_ssi": 80}, "t_ssi=80.0 must lie below the grid's t_max=80.0"),
+    ("sweep-tssi", {"t_ssi_ladder": [0.01, 0.2, 80.0]},
+     "t_ssi=80.0 must lie below the grid's t_max=80.0"),
+    ("reconstruct", {"t_ssi": 0.015, "grid": {"kind": "kappa", "full_steps": 100,
+                                              "stride": 10}}, _OFF_LADDER % 0.015),
+    ("interpolate", {"t_ssi": 0.2, "grid": {"kind": "kappa", "full_steps": 100,
+                                            "stride": 10}}, _OFF_LADDER % 0.2),
+    ("reconstruct", {"t_ssi": 1e300, "grid": {"kind": "kappa", "full_steps": 10**10,
+                                              "stride": 10}}, _OFF_LADDER % 1e300),
+    ("reconstruct", {"t_ssi": 0.1, "grid": {"kind": "kappa", "full_steps": 0,
+                                            "stride": 10}}, _OFF_LADDER % 0.1),
+    ("reconstruct", {"t_ssi": 0.1, "grid": {"kind": "kappa", "full_steps": -100,
+                                            "stride": 10}}, _OFF_LADDER % 0.1),
+], ids=["reconstruct", "interpolate", "sweep-tssi", "kappa-off-ladder",
+        "kappa-past-stride", "kappa-overflow", "kappa-full_steps-0",
+        "kappa-full_steps-negative"])
 
 # VP on the uniform 1000-step ladder's every fifth time from 0.001
 _VP_KAPPA = {"schedule": "vp_linear_beta", "oracle": {"kind": "toy_image"},
@@ -330,25 +352,7 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("command,data,start", [
-        ("reconstruct", {"t_ssi": 5, "grid": {"kind": "uniform", "t_max": 1, "steps": 10}},
-         "t_ssi=5.0 must lie below the grid's t_max=1.0"),
-        ("interpolate", {"t_ssi": 80}, "t_ssi=80.0 must lie below the grid's t_max=80.0"),
-        ("sweep-tssi", {"t_ssi_ladder": [0.01, 80.0, 0.2]},
-         "t_ssi=80.0 must lie below the grid's t_max=80.0"),
-        ("reconstruct", {"t_ssi": 0.015, "grid": {"kind": "kappa", "full_steps": 100,
-                                                  "stride": 10}}, _OFF_LADDER % 0.015),
-        ("interpolate", {"t_ssi": 0.2, "grid": {"kind": "kappa", "full_steps": 100,
-                                                "stride": 10}}, _OFF_LADDER % 0.2),
-        ("reconstruct", {"t_ssi": 1e300, "grid": {"kind": "kappa", "full_steps": 10**10,
-                                                  "stride": 10}}, _OFF_LADDER % 1e300),
-        ("reconstruct", {"t_ssi": 0.1, "grid": {"kind": "kappa", "full_steps": 0,
-                                                "stride": 10}}, _OFF_LADDER % 0.1),
-        ("reconstruct", {"t_ssi": 0.1, "grid": {"kind": "kappa", "full_steps": -100,
-                                                "stride": 10}}, _OFF_LADDER % 0.1),
-    ], ids=["reconstruct", "interpolate", "sweep-tssi", "kappa-off-ladder",
-            "kappa-past-stride", "kappa-overflow", "kappa-full_steps-0",
-            "kappa-full_steps-negative"])
+    @_PAST_T_MAX
     def test_ssi_start_past_t_max_is_2(self, tmp_path, capsys, monkeypatch, command, data,
                                        start):
         # the error names t_ssi, and the sweep finds it before any cell runs;
@@ -367,6 +371,28 @@ class TestExitCodes:
         assert main([command, "--config", str(cfg), "--quiet"]) == 2
         assert capsys.readouterr().err == f"config error: {start}\n"
         assert calls == []
+
+    @_PAST_T_MAX
+    def test_ssi_start_past_t_max_is_refused_by_resolution(self, command, data, start):
+        # resolve_config builds every SSI grid, so it alone refuses the start
+        with pytest.raises(ConfigError) as info:
+            resolve_config(command, {"seed": 1, **data})
+        assert str(info.value) == start
+
+    @pytest.mark.parametrize("key,ladder", [("t_ssi_ladder", [0.2, 0.1, 0.01, 0.001]),
+                                            ("steps_ladder", [40, 20])],
+                             ids=["t_ssi_ladder", "steps_ladder"])
+    def test_sweep_ladder_out_of_order_is_2(self, tmp_path, capsys, key, ladder):
+        # the verdict reads the ladder's ends, so a ladder must ascend; on
+        # seed 3 the ascending t_ssi ladder PASSes with t_ssi 0.1 inside it
+        raw = {"seed": 3, "oracle": {"kind": "toy_image"}, "perturbation": 1e-3,
+               "trials": 8, "steps_ladder": [40]}
+        cfg = write_config(tmp_path, raw | {key: sorted(ladder)})
+        assert main(["sweep-tssi", "--config", str(cfg), "--quiet"]) == 0
+        cfg = write_config(tmp_path, raw | {key: ladder})
+        assert main(["sweep-tssi", "--config", str(cfg), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: {key} must be in ascending order\n"
 
     def test_verdict_failure_is_4(self, tmp_path):
         # two steps from t_ssi 0.5 decode the circle's frames 0.2 to 0.57 off
@@ -562,10 +588,29 @@ def test_invert_both_on_a_kappa_grid_gives_a_verdict():
 
 
 def test_baseline_requires_vp():
-    cfg = resolve_config("invert", {"seed": 5, "trials": 4,
-                                    "method": "baseline_ddim"})
-    with pytest.raises(ConfigError, match="VP"):
-        run_command(cfg)
+    with pytest.raises(ConfigError, match="unknown schedule 've_karras'"):
+        resolve_config("invert", {"seed": 5, "trials": 4, "method": "baseline_ddim",
+                                  "schedule": "ve_karras"})
+
+
+@pytest.mark.parametrize("method", ["baseline_ddim", "both"])
+def test_baseline_methods_default_to_vp(method):
+    # the baseline's one schedule and criterion 5's grid are the defaults
+    cfg = resolve_config("invert", {"seed": 5, "trials": 4, "method": method})
+    assert cfg["schedule"] == "vp_linear_beta"
+    assert cfg["grid"] == {"kind": "uniform", "t_min": 0.1, "t_max": 0.999, "steps": 200}
+    report = run_command(cfg)
+    assert 0.0 < report["aggregates"]["baseline_mean_abs_cosine"] <= 1.0
+
+
+def test_sweep_with_fewer_than_three_starts_claims_no_verdict():
+    # a repeated start is no interior point
+    report = run_command(resolve_config("sweep-tssi", {
+        "seed": 5, "trials": 2, "oracle": {"kind": "gaussian_on_axis"},
+        "t_ssi_ladder": [0.1, 0.1, 0.2], "steps_ladder": [20]}))
+    assert report["verdict"] is None
+    assert report["aggregates"]["interior_minimum"] is None
+    assert report["notes"] == ["single-point ladder; no verdict claimed"]
 
 
 @pytest.mark.parametrize("oracle", [
@@ -655,7 +700,7 @@ _VP = "vp_linear_beta"
 # its check accepts
 _EVERY_LEAF = {
     "verify-singularity": ("verify-singularity", {"trials": 3, "grid": _KARRAS}, {
-        "schedule": _VP, "integrator": "euler", "grid.t_min": 0.01, "grid.t_max": 0.5,
+        "integrator": "euler", "grid.t_min": 0.01, "grid.t_max": 0.5,
         "grid.rho": 5.0, "grid.steps": 12}),
     "verify-projection": ("verify-projection", {"trials": 100, "sigma_ladder": [0.1, 0.01]}, {
         "trials": 120, "sigma_ladder": [0.1, 0.02]}),
@@ -706,7 +751,8 @@ def _leaves(cfg: dict, prefix="") -> set:
 @pytest.mark.parametrize("case", list(_EVERY_LEAF))
 def test_every_echoed_key_is_read(case):
     # a value the result does not read would give one experiment two stamps,
-    # so each leaf must move (aggregates, trials) or be refused with exit 2
+    # so each leaf must move (aggregates, trials) or be refused with exit 2;
+    # only resolution refuses, so a config that resolves must run
     command, raw, others = _EVERY_LEAF[case]
     cfg = resolve_config(command, {"seed": 1, **raw})
     others = (_ORACLE_LEAVES[cfg["oracle"]["kind"]]
@@ -714,9 +760,10 @@ def test_every_echoed_key_is_read(case):
 
     def result(cfg):
         try:
-            report = run_command(resolve_config(command, cfg))
+            cfg = resolve_config(command, cfg)
         except (ConfigError, InvalidArgumentError):
             return "exit 2"
+        report = run_command(cfg)
         return json.dumps([report["aggregates"], report["trials"]], sort_keys=True)
 
     base = result(cfg)
