@@ -7,7 +7,9 @@ Configs are flat JSON objects with two nested sections, ``oracle`` and
 - ``_COMMANDS`` maps each command to the ``(default, check)`` entries it adds
   or overrides, and to ``None`` for each ``_COMMON`` key it does not read;
 - ``_ORACLES`` maps each oracle kind to ``(factory, {key: check})``; a key the
-  section leaves out is filled in from the factory's default, unless ``None``;
+  section leaves out is filled in from the factory's default, unless ``None``
+  (a subspace gives one of ``dim`` and ``grid_shape``, and one positive
+  ``latent_stddevs`` that every latent shares);
 - ``_GRIDS`` maps each grid kind to ``{key: check}``; a grid gives every key
   of its kind but those its command sets (``_grid``): an SSI grid starts at
   ``t_ssi`` (no ``t_min`` or kappa ``offset``), the sweep's ladders also set
@@ -15,12 +17,13 @@ Configs are flat JSON objects with two nested sections, ``oracle`` and
 
 A check returns the value as stored (a checked number becomes an int or a
 float) or raises ``ConfigError``.  Unknown keys anywhere are rejected, and
-``resolve_config`` builds the SSI grid at every start, so it is the only
-place a config is refused: one that resolves runs, up to the library's own
-domain checks.  The resolved config is echoed verbatim into the run report
-so that any report can be replayed bit-identically.  A config holds only
-what its command's result reads (the output options are CLI flags), so its
-hash names the experiment.
+``resolve_config`` builds every grid the command runs, a full grid as given
+and the SSI grid at every start, so it is the only place a config is
+refused: one that resolves runs, up to the library's own domain checks.
+The resolved config is echoed verbatim into the run report so that any
+report can be replayed bit-identically.  A config holds only what its
+command's result reads (the output options are CLI flags), so its hash
+names the experiment.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import json
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, InvalidArgumentError
 from .flow import Method
 from .oracles import (PerturbedScoreOracle, circle_point_cloud, gaussian_on_axis,
                       random_subspace, toy_image_subspace)
@@ -59,12 +62,10 @@ def _number(lo=None, hi=None, integer=False, open_=False):
     return check
 
 
-def _list_of(check, or_one=False, ascending=False):
+def _list_of(check, ascending=False):
     """A nonempty list of values that pass ``check``, with ``ascending`` in
-    ascending order (repeats allowed); with ``or_one``, also a single value."""
+    ascending order (repeats allowed)."""
     def check_list(value, name):
-        if or_one and not isinstance(value, list):
-            return check(value, name)
         if not isinstance(value, list) or not value:
             raise ConfigError(f"{name} must be a nonempty list")
         values = [check(v, f"{name} entry") for v in value]
@@ -127,7 +128,7 @@ _ORACLES = {
     "gaussian_on_axis": (gaussian_on_axis, {}),
     "subspace": (random_subspace, {
         "dim": _COUNT, "grid_shape": _list_of(_COUNT), "latent_dim": _COUNT,
-        "latent_stddevs": _list_of(_POSITIVE, or_one=True),
+        "latent_stddevs": _POSITIVE,
         "basis_seed": _SEED}),
     "toy_image": (toy_image_subspace, {
         "latent_dim": _COUNT, "basis_seed": _SEED, "smoothness": _NONNEGATIVE}),
@@ -211,6 +212,9 @@ def resolve_config(command: str, raw: dict) -> dict:
     cfg = _checked({k: v for k, v in raw.items() if k != "command"},
                    {k: entry for k, entry in table.items() if entry is not None}, "config")
     cfg["command"] = command
+    grid = cfg.get("grid")
+    if grid is not None and grid.keys() >= _GRIDS[grid["kind"]].keys():  # run as given
+        build_grid(grid)
     for steps in cfg.get("steps_ladder", [None]):
         for t_ssi in cfg.get("t_ssi_ladder", [cfg["t_ssi"]] if "t_ssi" in cfg else []):
             _ssi_grid(cfg, t_ssi, steps)
@@ -240,6 +244,8 @@ def build_grid(spec: dict) -> TimeGrid:
         return TimeGrid(karras_grid(spec["t_min"], spec["t_max"], spec["rho"],
                                     spec["steps"]).times[1:])
     if spec["kind"] == "uniform":
+        if not 0 < spec["t_min"] < spec["t_max"]:
+            raise InvalidArgumentError("need 0 < t_min < t_max")
         return TimeGrid(np.linspace(spec["t_min"], spec["t_max"], spec["steps"] + 1))
     return ddim_kappa_grid(spec["full_steps"], spec["stride"], spec["offset"])
 

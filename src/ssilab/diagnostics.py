@@ -28,13 +28,9 @@ def _abs_pearson_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.abs(cov / (sa * sb))
 
 
-def _abs_r_per_image(noises: np.ndarray, grid_shape=None) -> dict:
+def _abs_r_per_image(noises: np.ndarray) -> dict:
     """The ``(B,)`` arrays of per-image |r| that ``correlation_metrics`` averages."""
     noises = np.asarray(noises, dtype=float)
-    if noises.ndim == 2:
-        if grid_shape is None:
-            raise InvalidArgumentError("flat noises need a grid_shape")
-        noises = noises.reshape((noises.shape[0],) + tuple(grid_shape))
     if noises.ndim != 4:
         raise InvalidArgumentError("expected a (B, C, H, W) batch")
     b, c, h, w = noises.shape
@@ -52,16 +48,17 @@ def _abs_r_per_image(noises: np.ndarray, grid_shape=None) -> dict:
     return {"chan": chan, "hori": hori, "vert": vert}
 
 
-def correlation_metrics(noises: np.ndarray, grid_shape=None) -> dict:
+def correlation_metrics(noises: np.ndarray) -> dict:
     """Mean absolute inter-channel / horizontal / vertical correlations.
 
-    ``noises`` is ``(B, C, H, W)``, or ``(B, d)`` together with ``grid_shape``.
+    ``noises`` is a ``(B, C, H, W)`` batch: reshape flat ``(B, d)`` states
+    by the oracle's ``grid_shape`` first.
     Each |r| is computed per image (channel pairs for CHAN; right- and
     down-neighbour pixel pairs pooled over the image for HORI/VERT), then
     averaged over the batch.  Returns ``{chan,hori,vert}_corr``,
     ``sample_count`` (B) and the standard errors ``{chan,hori,vert}_se``.
     """
-    per_image = _abs_r_per_image(noises, grid_shape)
+    per_image = _abs_r_per_image(noises)
     b = per_image["chan"].size
 
     def _se(v):

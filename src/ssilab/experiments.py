@@ -177,9 +177,9 @@ def cmd_verify_projection(cfg: dict, report: dict, oracle, schedule) -> None:
 
 
 def _gaussianity(z, oracle):
-    if getattr(oracle, "grid_shape", None) is None:
+    if oracle.grid_shape is None:
         return None
-    return correlation_metrics(z, grid_shape=oracle.grid_shape)
+    return correlation_metrics(z.reshape(len(z), *oracle.grid_shape))
 
 
 def _pairwise_abs_cosine(noises: np.ndarray) -> float:
@@ -293,7 +293,7 @@ def cmd_sweep_tssi(cfg: dict, report: dict, oracle, schedule) -> None:
         "interior_minimum": interior,
     }
     if degenerate:
-        report["notes"].append("single-point ladder; no verdict claimed")
+        report["notes"].append("fewer than 3 distinct t_ssi values; no verdict claimed")
         report["verdict"] = None
     else:
         report["verdict"] = "PASS" if interior else "FAIL"

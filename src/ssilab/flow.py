@@ -132,10 +132,13 @@ def integrate(schedule: NoiseSchedule, oracle, method: Method,
     ``keep_states=False`` only the end state, bit-identical to the
     trajectory's last one and without the ``(len(grid), ..., d)`` array.
     ``x_start`` is not modified.  Raises :class:`InvalidArgumentError` for a
-    start state that is not a finite ``(..., d)`` array, and
+    ``method`` that is not a :class:`Method` member (a string is refused, not
+    converted) or a start state that is not a finite ``(..., d)`` array, and
     :class:`IntegrationDivergedError` with the failing step index if the
     integration diverges (see :func:`_run_plan`).
     """
+    if not isinstance(method, Method):
+        raise InvalidArgumentError(f"method must be a Method, not {method!r}")
     times = grid.times
     n = times.size - 1
     heun = method is Method.HEUN

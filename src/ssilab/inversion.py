@@ -53,8 +53,8 @@ class InversionConfig:
 
 @dataclass(frozen=True, eq=False)
 class InversionResult:
-    noise: np.ndarray  # unscaled state at the final time
-    config: InversionConfig
+    noise: np.ndarray  # unscaled state at the grid's last time
+    grid: TimeGrid  # the ascending grid it was inverted on
     trajectory: Trajectory | None = None
     injected_noise: np.ndarray | None = field(default=None, repr=False)
 
@@ -65,7 +65,7 @@ class InversionResult:
     @property
     def final_time(self) -> float:
         """The inversion grid's last time, where ``noise`` sits."""
-        return float(self.config.grid.times[-1])
+        return float(self.grid.times[-1])
 
 
 def ssi_invert_ve(oracle, schedule: NoiseSchedule, x0, cfg: InversionConfig,
@@ -105,7 +105,7 @@ def _ssi_invert(oracle, schedule, x0, cfg, keep_trajectory, injected_noise):
                     keep_states=keep_trajectory)
     traj, x_end = (run, run.states[-1]) if keep_trajectory else (None, run)
     noise = x_end / float(schedule.scale(float(cfg.grid.times[-1])))
-    return InversionResult(noise=noise, config=cfg, trajectory=traj,
+    return InversionResult(noise=noise, grid=cfg.grid, trajectory=traj,
                            injected_noise=n)
 
 
@@ -130,10 +130,11 @@ def ddim_coefficients(schedule: NoiseSchedule, grid: TimeGrid):
     to the lower time: ``x_lo = phi * x_hi + psi * D(x_hi / s_hi, sigma_hi)``
     in scaled coordinates, step ``i`` joining times ``i`` and ``i + 1`` of
     the ascending grid; ``scales`` and ``sigmas`` are s and sigma at each
-    grid time.
+    grid time.  A descending grid is refused, not reversed.
     """
-    times = grid.times if grid.times[0] < grid.times[-1] else grid.times[::-1]
-    s, sig = _vp_levels(schedule, times)
+    if grid.times[0] > grid.times[-1]:
+        raise InvalidArgumentError("DDIM coefficients need an ascending grid")
+    s, sig = _vp_levels(schedule, grid.times)
     s_lo, s_hi = s[:-1], s[1:]
     sig_lo, sig_hi = sig[:-1], sig[1:]
     phi = (s_lo * sig_lo) / (s_hi * sig_hi)
@@ -187,9 +188,7 @@ def ddim_invert_baseline(oracle, schedule: NoiseSchedule, x0,
     plan = ((1.0 - psi / s[:-1]) / phi, -psi * sig[1:] ** 2 / phi, 1.0 / s[:-1],
             sig[1:], times[1:])
     x_tilde = _run_plan(oracle, s[0] * _check_state(x0, oracle.dim), plan)
-    cfg = InversionConfig(t_ssi=float(times[0]), grid=grid_ascending,
-                          noise_seed=None)
-    return InversionResult(noise=x_tilde / s[-1], config=cfg)
+    return InversionResult(noise=x_tilde / s[-1], grid=grid_ascending)
 
 
 def reconstruct(oracle, schedule: NoiseSchedule, result: InversionResult,

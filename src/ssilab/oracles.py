@@ -7,8 +7,8 @@ Every oracle exposes the same surface:
   conditional mean, related to the score by the Tweedie identity
   ``E[x0 | x] = x + sigma^2 * score(x, sigma)``,
 * ``nearest_manifold_point(x)`` -- Euclidean projection onto the data support,
-* ``log_density(x, sigma)`` -- closed-form log of the smoothed density
-  (used by finite-difference cross-checks),
+* ``log_density(x, sigma)`` -- on the exact oracles only, closed-form log of
+  the smoothed density (used by finite-difference cross-checks),
 * ``sample_data(seed, count)`` -- i.i.d. draws from the clean distribution.
 
 States are plain numpy arrays of shape ``(..., d)``; all operations are
@@ -494,19 +494,15 @@ def random_subspace(dim: int | None = None, latent_dim: int = 1,
                     grid_shape=None) -> SubspaceGaussianScore:
     """Subspace oracle with a seeded random orthonormal basis.
 
-    Either ``dim`` or ``grid_shape`` (C, H, W) must be given; with a grid shape
-    the oracle's states can be reshaped into toy images for the correlation
-    metrics.
+    Give exactly one of ``dim`` and ``grid_shape`` (C, H, W), whose product
+    is then the dimension; with a grid shape the oracle's states reshape
+    into toy images for the correlation metrics.
     """
+    if (dim is None) == (grid_shape is None):
+        raise InvalidArgumentError("give exactly one of dim and grid_shape")
     if grid_shape is not None:
         grid_shape = tuple(int(v) for v in grid_shape)
-        d = int(np.prod(grid_shape))
-        if dim is not None and dim != d:
-            raise InvalidArgumentError("dim conflicts with grid_shape")
-    elif dim is not None:
-        d = int(dim)
-    else:
-        raise InvalidArgumentError("give dim or grid_shape")
+    d = int(dim if grid_shape is None else np.prod(grid_shape))
     if not 0 < latent_dim < d:
         raise InvalidArgumentError("latent dimension must lie in [1, ambient)")
     rng = _rng((basis_seed, 0x5B5))
@@ -663,9 +659,6 @@ class PerturbedScoreOracle(_OracleBase):
             return exact
         exact += self._field(x, sigma)
         return exact
-
-    def log_density(self, x, sigma):
-        return self.base.log_density(x, sigma)
 
     def nearest_manifold_point(self, x):
         return self.base.nearest_manifold_point(x)

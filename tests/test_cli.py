@@ -4,8 +4,10 @@ import json
 import numpy as np
 import pytest
 
-from ssilab import (COMMANDS, ConfigError, InvalidArgumentError, build_oracle,
-                    config_hash, replay, resolve_config, run_command)
+from ssilab import (COMMANDS, ConfigError, InvalidArgumentError, PerturbedScoreOracle,
+                    TimeGrid, VP_LINEAR_BETA, build_oracle, circle_point_cloud,
+                    config_hash, correlation_metrics, ddim_coefficients,
+                    random_subspace, replay, resolve_config, run_command)
 from ssilab.cli import main
 from ssilab.experiments import _pairwise_abs_cosine
 from ssilab.oracles import PointCloudScore
@@ -31,6 +33,10 @@ UNREAD_KEYS = {
 # invert's under its default method, ssi), and a sweep cell sets its own steps
 SET_GRID_KEYS = {"invert": ["t_min"], "sweep-tssi": ["t_min", "steps"],
                  "interpolate": ["t_min"], "reconstruct": ["t_min"]}
+
+
+def _uniform(t_min):
+    return {"kind": "uniform", "t_min": t_min, "t_max": 0.9, "steps": 10}
 
 
 class TestConfigValidation:
@@ -138,6 +144,24 @@ class TestConfigValidation:
         resolve_config("sweep-tssi", {"seed": 1, "grid": {"kind": "uniform", "t_max": 1.0}})
         with pytest.raises(ConfigError, match="unknown grid kind 'kappa'"):
             resolve_config("sweep-tssi", {"seed": 1, "grid": _VP_KAPPA["grid"]})
+
+    @pytest.mark.parametrize("command,raw", [
+        ("invert", {"method": "both", "grid": _uniform(0.95)}),
+        ("invert", {"method": "both", "grid": _uniform(0)}),
+        ("invert", {"method": "both", "t_ssi": 0.02, "grid": {
+            "kind": "kappa", "full_steps": 100, "stride": 5, "offset": 9}}),
+        ("invert", {"method": "baseline_ddim", "grid": _uniform(0.95)}),
+        ("verify-singularity", {"grid": _uniform(0)}),
+        ("verify-singularity", {"grid": {
+            "kind": "karras", "t_min": 0.95, "t_max": 0.9, "rho": 7.0, "steps": 10}}),
+    ], ids=["both-uniform-t_min-past-t_max", "both-uniform-t_min-0", "both-kappa-offset-9",
+            "baseline_ddim-uniform-t_min-past-t_max", "verify-singularity-uniform-t_min-0",
+            "verify-singularity-karras-t_min-past-t_max"])
+    def test_full_grid_is_refused_by_resolution(self, command, raw):
+        # a grid the command runs as given is built when the config is
+        # resolved, so it is refused before any score call
+        with pytest.raises(InvalidArgumentError):
+            resolve_config(command, {"seed": 1, "trials": 4, **raw})
 
     def test_trials_flag_on_interpolate_is_2(self, capsys):
         assert main(["interpolate", "--seed", "1", "--trials", "5", "--quiet"]) == 2
@@ -289,8 +313,10 @@ class TestExitCodes:
         ("invert", {"kind": "subspace", "grid_shape": [3, 4, "a"]}, True),
         ("invert", {"kind": "subspace", "grid_shape": 5}, True),
         ("invert", {"kind": ["x"]}, True),
-        # the stddevs fit no latent dimension: the oracle factory rejects them
-        ("invert", {"kind": "subspace", "dim": 8, "latent_stddevs": [1, 2]}, False),
+        # the section takes one stddev that every latent shares, not a list
+        ("invert", {"kind": "subspace", "dim": 8, "latent_stddevs": [1, 2]}, True),
+        # a latent dimension as large as dim: the oracle factory rejects it
+        ("invert", {"kind": "subspace", "dim": 8, "latent_dim": 8}, False),
         ("invert", {"seed": 1, "grid": {"kind": ["x"]}}, True),
         ("invert", {"seed": 1, "trials": 4, "grid": {
             "kind": "uniform", "t_max": 1.0, "steps": -2}}, True),
@@ -304,7 +330,8 @@ class TestExitCodes:
             "latent_dim-string", "basis_seed-1.5", "basis_seed-negative",
             "dim-8.5", "latent_stddevs-abc", "latent_stddevs-empty",
             "grid_shape-string-entry", "grid_shape-5", "oracle-kind-list",
-            "latent_stddevs-mismatch", "grid-kind-list", "uniform-steps-negative",
+            "latent_stddevs-mismatch", "latent_dim-not-below-dim", "grid-kind-list",
+            "uniform-steps-negative",
             "data_seed_a-negative",
             "invert-one-trial", "perturbation_floor-negative", "config-list", "config-string"])
     def test_malformed_value_is_2(self, tmp_path, command, data, config_check):
@@ -610,7 +637,7 @@ def test_sweep_with_fewer_than_three_starts_claims_no_verdict():
         "t_ssi_ladder": [0.1, 0.1, 0.2], "steps_ladder": [20]}))
     assert report["verdict"] is None
     assert report["aggregates"]["interior_minimum"] is None
-    assert report["notes"] == ["single-point ladder; no verdict claimed"]
+    assert report["notes"] == ["fewer than 3 distinct t_ssi values; no verdict claimed"]
 
 
 @pytest.mark.parametrize("oracle", [
@@ -787,6 +814,31 @@ def test_resolution_is_idempotent(case, small):
         raw = {k: v for k, v in raw.items() if k == "method"}
     cfg = resolve_config(command, {"seed": 1, **raw})
     assert resolve_config(command, cfg) == cfg
+
+
+def _refused(error, call, *args, **kwargs):
+    with pytest.raises(error):
+        call(*args, **kwargs)
+    return True
+
+
+# each input has one form, so one experiment has one hash
+@pytest.mark.parametrize("refused", [
+    lambda tmp: _refused(InvalidArgumentError, random_subspace, dim=48, grid_shape=(3, 4, 4)),
+    lambda tmp: main(["invert", "--quiet", "--config", str(write_config(tmp, {
+        "seed": 1, "trials": 4,
+        "oracle": {"kind": "subspace", "dim": 48, "grid_shape": [3, 4, 4]}}))]) == 2,
+    lambda tmp: _refused(ConfigError, resolve_config, "invert", {
+        "seed": 1, "oracle": {"kind": "subspace", "dim": 8, "latent_stddevs": [1.0]}}),
+    lambda tmp: _refused(TypeError, correlation_metrics, np.ones((4, 48)), grid_shape=(3, 4, 4)),
+    lambda tmp: _refused(InvalidArgumentError, ddim_coefficients, VP_LINEAR_BETA,
+                         TimeGrid(np.linspace(0.9, 0.1, 5))),
+    lambda tmp: not hasattr(PerturbedScoreOracle(base=circle_point_cloud()), "log_density"),
+], ids=["random_subspace-dim-and-grid_shape", "config-dim-and-grid_shape",
+        "config-latent_stddevs-list", "correlation_metrics-flat", "ddim_coefficients-descending",
+        "perturbed-log_density"])
+def test_removed_second_form_is_refused(tmp_path, refused):
+    assert refused(tmp_path)
 
 
 @pytest.mark.parametrize("short,full", [

@@ -10,6 +10,7 @@ from ssilab import (InvalidArgumentError, InversionConfig, Method, TimeGrid,
                     singularity_trace, ssi_invert_vp, ssim, toy_image_subspace,
                     trace_rms)
 from ssilab.diagnostics import _abs_r_per_image
+from ssilab.experiments import _gaussianity
 
 
 def _pearson(a, b):
@@ -65,11 +66,14 @@ class TestCorrelationMetrics:
         assert rep["vert_corr"] > 0.8
 
     def test_flat_input_with_grid_shape(self):
+        # the metrics take only (B, C, H, W): the invert command reshapes its
+        # flat noises by the oracle's grid_shape first
         rng = np.random.default_rng(3)
         flat = rng.standard_normal((20, 192))
-        rep = correlation_metrics(flat, grid_shape=(3, 8, 8))
+        with pytest.raises(InvalidArgumentError, match=r"\(B, C, H, W\)"):
+            correlation_metrics(flat)
         direct = correlation_metrics(flat.reshape(20, 3, 8, 8))
-        assert rep["chan_corr"] == direct["chan_corr"]
+        assert _gaussianity(flat, toy_image_subspace()) == direct
 
     def test_constant_channel_raises(self):
         img = np.zeros((1, 3, 4, 4))

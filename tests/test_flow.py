@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from ssilab import (IntegrationDivergedError, InvalidArgumentError, Method,
-                    PerturbedScoreOracle, TimeGrid, Trajectory, VE_KARRAS,
+from ssilab import (IntegrationDivergedError, InvalidArgumentError, InversionResult,
+                    Method, PerturbedScoreOracle, TimeGrid, Trajectory, VE_KARRAS,
                     VP_LINEAR_BETA, denoise_to_mean, gaussian_exact,
                     gaussian_on_axis, integrate, karras_grid,
-                    random_subspace, sample, singularity_trace,
+                    random_subspace, reconstruct, sample, singularity_trace,
                     toy_image_subspace)
 from ssilab.flow import _drift_coefficients
 
@@ -159,6 +159,18 @@ def test_end_state_without_states_is_the_trajectorys_last(schedule, method, asce
     traj = integrate(schedule, oracle, method, x, grid)
     assert np.array_equal(end, traj.states[-1])
     assert np.array_equal(x, x_before)
+
+
+@pytest.mark.parametrize("method", ["euler", "heun", "rk4", None])
+def test_method_that_is_not_a_member_is_refused(axis, method):
+    # a string is refused, not converted, so each method has one form
+    grid = uniform_grid(1.0, 0.1, 4)
+    result = InversionResult(noise=np.ones((2, 2)), grid=grid.reversed())
+    for call in (lambda: integrate(VE_KARRAS, axis, method, np.ones((2, 2)), grid),
+                 lambda: sample(VE_KARRAS, axis, method, grid, 0, 2),
+                 lambda: reconstruct(axis, VE_KARRAS, result, grid, method=method)):
+        with pytest.raises(InvalidArgumentError, match="method must be a Method"):
+            call()
 
 
 class TestSampling:

@@ -468,8 +468,7 @@ def _grid():
     _grid,
     lambda: Trajectory(np.zeros((6, 2)), _grid(), VE_KARRAS),
     lambda: InversionConfig(t_ssi=0.5, grid=_grid(), noise_seed=None),
-    lambda: InversionResult(noise=np.zeros((3, 2)), config=InversionConfig(
-        t_ssi=0.5, grid=_grid(), noise_seed=None)),
+    lambda: InversionResult(noise=np.zeros((3, 2)), grid=_grid()),
 ], ids=["PointCloudScore", "SubspaceGaussianScore", "PerturbedScoreOracle",
         "TimeGrid", "Trajectory", "InversionConfig", "InversionResult"])
 def test_array_holding_dataclasses_compare_by_identity(build):
