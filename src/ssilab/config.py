@@ -212,6 +212,13 @@ def resolve_config(command: str, raw: dict) -> dict:
     cfg = _checked({k: v for k, v in raw.items() if k != "command"},
                    {k: entry for k, entry in table.items() if entry is not None}, "config")
     cfg["command"] = command
+    oracle = cfg["oracle"]
+    if oracle["kind"] == "subspace":  # the keys its factory relates
+        if ("dim" in oracle) == ("grid_shape" in oracle):
+            raise ConfigError("oracle must give exactly one of dim and grid_shape")
+        d = oracle["dim"] if "dim" in oracle else int(np.prod(oracle["grid_shape"]))
+        if not oracle["latent_dim"] < d:
+            raise ConfigError(f"oracle latent_dim must be below the dimension {d}")
     grid = cfg.get("grid")
     if grid is not None and grid.keys() >= _GRIDS[grid["kind"]].keys():  # run as given
         build_grid(grid)

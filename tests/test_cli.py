@@ -295,36 +295,36 @@ class TestExitCodes:
         with pytest.raises(ConfigError, match="missing keys in grid"):
             resolve_config("invert", data)
 
-    @pytest.mark.parametrize("command,data,config_check", [
-        ("invert", {"kind": "circle", "radius": "abc"}, True),
-        ("invert", {"kind": "circle", "radius": None}, True),
-        ("invert", {"kind": "circle", "radius": 0}, True),
-        ("invert", {"kind": "circle", "count": 2.5}, True),
-        ("invert", {"kind": "circle", "count": True}, True),
-        ("invert", {"kind": "toy_image", "smoothness": "x"}, True),
-        ("invert", {"kind": "toy_image", "smoothness": -1}, True),
-        ("invert", {"kind": "toy_image", "latent_dim": 0}, True),
-        ("invert", {"kind": "toy_image", "latent_dim": "8"}, True),
-        ("invert", {"kind": "toy_image", "basis_seed": 1.5}, True),
-        ("invert", {"kind": "subspace", "dim": 8, "basis_seed": -1}, True),
-        ("invert", {"kind": "subspace", "dim": 8.5}, True),
-        ("invert", {"kind": "subspace", "dim": 8, "latent_stddevs": "abc"}, True),
-        ("invert", {"kind": "subspace", "dim": 8, "latent_stddevs": []}, True),
-        ("invert", {"kind": "subspace", "grid_shape": [3, 4, "a"]}, True),
-        ("invert", {"kind": "subspace", "grid_shape": 5}, True),
-        ("invert", {"kind": ["x"]}, True),
+    @pytest.mark.parametrize("command,data", [
+        ("invert", {"kind": "circle", "radius": "abc"}),
+        ("invert", {"kind": "circle", "radius": None}),
+        ("invert", {"kind": "circle", "radius": 0}),
+        ("invert", {"kind": "circle", "count": 2.5}),
+        ("invert", {"kind": "circle", "count": True}),
+        ("invert", {"kind": "toy_image", "smoothness": "x"}),
+        ("invert", {"kind": "toy_image", "smoothness": -1}),
+        ("invert", {"kind": "toy_image", "latent_dim": 0}),
+        ("invert", {"kind": "toy_image", "latent_dim": "8"}),
+        ("invert", {"kind": "toy_image", "basis_seed": 1.5}),
+        ("invert", {"kind": "subspace", "dim": 8, "basis_seed": -1}),
+        ("invert", {"kind": "subspace", "dim": 8.5}),
+        ("invert", {"kind": "subspace", "dim": 8, "latent_stddevs": "abc"}),
+        ("invert", {"kind": "subspace", "dim": 8, "latent_stddevs": []}),
+        ("invert", {"kind": "subspace", "grid_shape": [3, 4, "a"]}),
+        ("invert", {"kind": "subspace", "grid_shape": 5}),
+        ("invert", {"kind": ["x"]}),
         # the section takes one stddev that every latent shares, not a list
-        ("invert", {"kind": "subspace", "dim": 8, "latent_stddevs": [1, 2]}, True),
-        # a latent dimension as large as dim: the oracle factory rejects it
-        ("invert", {"kind": "subspace", "dim": 8, "latent_dim": 8}, False),
-        ("invert", {"seed": 1, "grid": {"kind": ["x"]}}, True),
+        ("invert", {"kind": "subspace", "dim": 8, "latent_stddevs": [1, 2]}),
+        # a latent dimension as large as dim
+        ("invert", {"kind": "subspace", "dim": 8, "latent_dim": 8}),
+        ("invert", {"seed": 1, "grid": {"kind": ["x"]}}),
         ("invert", {"seed": 1, "trials": 4, "grid": {
-            "kind": "uniform", "t_max": 1.0, "steps": -2}}, True),
-        ("interpolate", {"seed": 1, "data_seed_a": -1}, True),
-        ("invert", {"seed": 1, "trials": 1}, True),
-        ("invert", {"seed": 1, "perturbation_floor": -1.0}, True),
-        ("invert", [1], True),
-        ("invert", "x", True),
+            "kind": "uniform", "t_max": 1.0, "steps": -2}}),
+        ("interpolate", {"seed": 1, "data_seed_a": -1}),
+        ("invert", {"seed": 1, "trials": 1}),
+        ("invert", {"seed": 1, "perturbation_floor": -1.0}),
+        ("invert", [1]),
+        ("invert", "x"),
     ], ids=["radius-abc", "radius-null", "radius-zero", "count-2.5", "count-true",
             "smoothness-x", "smoothness-negative", "toy-latent_dim-0",
             "latent_dim-string", "basis_seed-1.5", "basis_seed-negative",
@@ -334,7 +334,7 @@ class TestExitCodes:
             "uniform-steps-negative",
             "data_seed_a-negative",
             "invert-one-trial", "perturbation_floor-negative", "config-list", "config-string"])
-    def test_malformed_value_is_2(self, tmp_path, command, data, config_check):
+    def test_malformed_value_is_2(self, tmp_path, command, data):
         if isinstance(data, dict) and "seed" not in data:  # an oracle section
             data = {"seed": 1, "trials": 4, "oracle": data}
         cfg = write_config(tmp_path, data)
@@ -342,12 +342,8 @@ class TestExitCodes:
         assert main([command, "--config", str(cfg), "--out", str(out),
                      "--quiet"]) == 2
         assert not (out / "report.json").exists()
-        if config_check:
-            with pytest.raises(ConfigError):
-                resolve_config(command, data)
-        else:
-            with pytest.raises(InvalidArgumentError):
-                build_oracle(resolve_config(command, data))
+        with pytest.raises(ConfigError):  # refused where the config is resolved
+            resolve_config(command, data)
 
     @pytest.mark.parametrize("extra", [{}, {"oracle": {"kind": "gaussian_on_axis"}}],
                              ids=["circle", "axis"])
@@ -839,6 +835,26 @@ def _refused(error, call, *args, **kwargs):
         "perturbed-log_density"])
 def test_removed_second_form_is_refused(tmp_path, refused):
     assert refused(tmp_path)
+
+
+@pytest.mark.parametrize("section,message", [
+    ({"kind": "subspace"}, "oracle must give exactly one of dim and grid_shape"),
+    ({"kind": "subspace", "dim": 48, "grid_shape": [3, 4, 4]},
+     "oracle must give exactly one of dim and grid_shape"),
+    ({"kind": "subspace", "dim": 8, "latent_dim": 8},
+     "oracle latent_dim must be below the dimension 8"),
+    ({"kind": "subspace", "grid_shape": [2, 2, 2], "latent_dim": 9},
+     "oracle latent_dim must be below the dimension 8"),
+], ids=["neither-dim-nor-grid_shape", "dim-and-grid_shape", "latent_dim-equals-dim",
+        "latent_dim-past-grid_shape"])
+def test_subspace_section_the_factory_refuses_is_refused_by_resolution(section, message):
+    # each section resolves to no oracle, so resolve_config refuses it, not build_oracle
+    with pytest.raises(ConfigError) as info:
+        resolve_config("invert", {"seed": 1, "oracle": section})
+    assert str(info.value) == message
+    spec = {k: v for k, v in section.items() if k != "kind"}
+    with pytest.raises(InvalidArgumentError):
+        random_subspace(**spec)
 
 
 @pytest.mark.parametrize("short,full", [

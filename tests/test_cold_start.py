@@ -1,4 +1,8 @@
-"""Start-up cost: a command imports only the scipy modules it uses."""
+"""Start-up cost: a command imports only the scipy modules it uses.
+
+`invert`, `sweep-tssi` and `interpolate`, verdicts included, load no scipy
+module; only `verify-projection` loads `scipy.stats`.
+"""
 
 import json
 import os
@@ -34,6 +38,8 @@ codes = {
                                        "grid": ssi_grid, "lambdas": [0.5]}, "interp"),
     "invert": run("invert", {"seed": 1, "trials": 4, "oracle": {"kind": "toy_image"},
                              "grid": ssi_grid}, "invert"),
+    "sweep-tssi": run("sweep-tssi", {"seed": 1, "trials": 2, "oracle": {"kind": "toy_image"},
+                                     "steps_ladder": [10]}, "sweep"),
 }
 seen["toy_image"] = scipy_modules()
 cloud = ssilab.circle_point_cloud()
@@ -60,11 +66,13 @@ def test_toy_image_commands_load_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     codes, seen = result["codes"], result["seen"]
-    assert codes == {"interpolate": 0, "invert": 0, "score_finite": True,
+    assert codes == {"interpolate": 0, "invert": 0, "sweep-tssi": codes["sweep-tssi"],
+                     "score_finite": True,
                      "refined_score_finite": True, "log_density_finite": True,
                      "nearest_is_an_atom": True, "feature_scale_positive": True,
                      "verify-projection": 0}
     assert seen["import"] == []
+    assert codes["sweep-tssi"] in (0, 4)  # PASS or FAIL: the verdict reads no scipy
     assert seen["toy_image"] == []
     # the circle oracle loads no scipy module: its score at sigma 0.1 keeps
     # the GEMM logits, at sigma 0.002 it refines them, and its projection,
