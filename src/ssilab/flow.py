@@ -165,9 +165,8 @@ def gaussian_exact(oracle: SubspaceGaussianScore, x_start, t_start: float,
     if not isinstance(oracle, SubspaceGaussianScore):
         raise InvalidArgumentError("exact flow map needs a subspace-Gaussian oracle")
     x = np.asarray(x_start, dtype=float)
-    y = x - oracle.offset
-    coef = y @ oracle.basis
-    normal = y - coef @ oracle.basis.T
+    coef = x @ oracle.basis
+    normal = x - coef @ oracle.basis.T
     lam = oracle.latent_stddevs**2
     coef_end = coef * np.sqrt((lam + t_end**2) / (lam + t_start**2))
     if t_start == 0.0:
@@ -177,7 +176,7 @@ def gaussian_exact(oracle: SubspaceGaussianScore, x_start, t_start: float,
         normal_end = np.zeros_like(normal)
     else:
         normal_end = normal * (t_end / t_start)
-    return oracle.offset + coef_end @ oracle.basis.T + normal_end
+    return coef_end @ oracle.basis.T + normal_end
 
 
 def denoise_to_mean(oracle, x, sigma: float):

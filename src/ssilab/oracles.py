@@ -52,6 +52,7 @@ _LOGIT_TOL = 1e-11  # tau of PointCloudScore: largest logit error left unrefined
 _SCREEN_MARGIN = 60.0  # L of PointCloudScore: how far below a row's top an atom is dropped
 _PAIRS_PER_BLOCK = 64  # (row, atom) pairs per direct-sum block; bounds its temporaries
 _FIELD_SEED = (0, 0xF1E1D)  # PerturbedScoreOracle: the one frozen random-feature field
+_SIGMA_FLOOR = 1.0  # PerturbedScoreOracle: below this sigma its denoiser error grows
 _KAPPA_MEMO_CAP = 1024  # SubspaceGaussianScore: first kappa vectors kept; a 200-step grid's fit
 _KAPPA_ROWS = tuple(range(_KAPPA_MEMO_CAP))  # the memo's row numbers, made once
 
@@ -337,25 +338,25 @@ class PointCloudScore(_OracleBase):
 
 @dataclass(frozen=True, eq=False)
 class SubspaceGaussianScore(_OracleBase):
-    """Gaussian supported on an affine subspace ``b + span(A)``.
+    """Gaussian supported on the linear subspace ``span(A)``.
 
     The smoothed density is a full-rank Gaussian with covariance
     ``A diag(lam) A^T + sigma^2 I``, ``lam = stddevs^2``; all operations use
     the eigen-split into tangential (columns of ``A``) and normal components,
     so no ``d x d`` matrices are ever formed.
 
-    Score.  With ``y = x - b`` and ``c = y A``, the two-projection form is the
-    tangential part ``-(c / (lam + sigma^2)) A^T`` plus the normal part
-    ``-(y - c A^T) / sigma^2``.  Its two ``c A^T`` terms collect into one:
+    Score.  With ``c = x A``, the two-projection form is the tangential part
+    ``-(c / (lam + sigma^2)) A^T`` plus the normal part
+    ``-(x - c A^T) / sigma^2``.  Its two ``c A^T`` terms collect into one:
 
-        score = (c kappa) A^T - y / sigma^2,  kappa = lam / ((lam + sigma^2) sigma^2),
+        score = (c kappa) A^T - x / sigma^2,  kappa = lam / ((lam + sigma^2) sigma^2),
 
     so ``_score`` makes one product forward and one back, the back one
     against a read-only C-contiguous copy of ``A^T`` made at construction.
     Rounding, with ``u = 2^-53``: near the subspace both forms cancel terms of
-    size ``|y| / sigma^2``, the two-projection form in ``y - c A^T`` and this
+    size ``|x| / sigma^2``, the two-projection form in ``x - c A^T`` and this
     one in its last subtraction, so each row of either errs by a small
-    multiple of ``u |y| / sigma^2``; ``kappa`` adds a few ``u`` relative to
+    multiple of ``u |x| / sigma^2``; ``kappa`` adds a few ``u`` relative to
     the tangential term.
 
     Memo.  ``kappa`` depends on ``sigma`` alone, so ``_score`` keeps the first
@@ -366,12 +367,10 @@ class SubspaceGaussianScore(_OracleBase):
     """
 
     basis: np.ndarray  # (d, n), column-orthonormal
-    offset: np.ndarray  # (d,)
     latent_stddevs: np.ndarray  # (n,)
     grid_shape: tuple[int, int, int] | None = None
     _basis_t: np.ndarray = field(init=False, repr=False)
     _lam: np.ndarray = field(init=False, repr=False)  # stddevs**2
-    _shifted: bool = field(init=False, repr=False)  # offset != +0.0
     _kappa: dict = field(init=False, repr=False)  # sigma -> row of _kappa_rows
     _kappa_rows: np.ndarray = field(init=False, repr=False)  # (cap, n)
 
@@ -386,12 +385,10 @@ class SubspaceGaussianScore(_OracleBase):
         if np.max(np.abs(gram - np.eye(n))) > 1e-10:
             raise InvalidArgumentError("basis columns must be orthonormal")
         try:
-            offset = np.broadcast_to(np.asarray(self.offset, dtype=float), (d,)).copy()
             stddevs = np.broadcast_to(np.asarray(self.latent_stddevs, dtype=float),
                                       (n,)).copy()
         except ValueError as exc:
-            raise InvalidArgumentError(
-                f"offset must broadcast to ({d},) and latent stddevs to ({n},)") from exc
+            raise InvalidArgumentError(f"latent stddevs must broadcast to ({n},)") from exc
         if np.any(stddevs <= 0):
             raise InvalidArgumentError("latent stddevs must be positive")
         if self.grid_shape is not None and int(np.prod(self.grid_shape)) != d:
@@ -399,15 +396,12 @@ class SubspaceGaussianScore(_OracleBase):
         basis = basis.copy()
         basis_t = np.ascontiguousarray(basis.T)
         lam = stddevs**2
-        for arr in (basis, basis_t, offset, stddevs, lam):
+        for arr in (basis, basis_t, stddevs, lam):
             arr.flags.writeable = False
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "_basis_t", basis_t)
-        object.__setattr__(self, "offset", offset)
         object.__setattr__(self, "latent_stddevs", stddevs)
         object.__setattr__(self, "_lam", lam)
-        # x - (+0.0) is x to the bit; x - (-0.0) turns -0.0 into +0.0
-        object.__setattr__(self, "_shifted", bool(offset.view(np.uint64).any()))
         object.__setattr__(self, "_kappa", {})
         object.__setattr__(self, "_kappa_rows", np.empty((_KAPPA_MEMO_CAP, lam.shape[0])))
 
@@ -421,16 +415,15 @@ class SubspaceGaussianScore(_OracleBase):
 
     @property
     def feature_scale(self) -> float:
-        return np.inf  # affine support: the projection law is exact at every sigma
+        return np.inf  # linear support: the projection law is exact at every sigma
 
     def score(self, x, sigma):
         return self._score(_check_state(x, self.dim), _check_sigma(sigma))
 
     def _score(self, x, sigma):
-        # (c kappa) A^T - y / sigma^2: two products, at most three (B, d) passes
+        # (c kappa) A^T - x / sigma^2: two products, at most three (B, d) passes
         s2 = sigma * sigma
-        y = x - self.offset if self._shifted else x
-        coef = y @ self.basis
+        coef = x @ self.basis
         row = self._kappa.get(sigma)
         kappa = self._lam / ((self._lam + s2) * s2) if row is None else self._kappa_rows[row]
         if row is None and len(self._kappa) < _KAPPA_MEMO_CAP:
@@ -438,14 +431,13 @@ class SubspaceGaussianScore(_OracleBase):
             self._kappa_rows[row] = kappa
         coef *= kappa
         score = coef @ self._basis_t
-        score -= np.divide(y, s2, out=y if self._shifted else None)
+        score -= x / s2
         return score
 
     def log_density(self, x, sigma):
         x, sigma = _check_state(x, self.dim), _check_sigma(sigma)
-        y = x - self.offset
-        coef = y @ self.basis  # (..., n)
-        normal = y - coef @ self.basis.T
+        coef = x @ self.basis  # (..., n)
+        normal = x - coef @ self.basis.T
         var_t = self._lam + sigma * sigma
         d, n = self.dim, self.manifold_dim
         quad = np.sum(coef * coef / var_t, axis=-1) + np.sum(normal * normal, axis=-1) / (
@@ -455,15 +447,14 @@ class SubspaceGaussianScore(_OracleBase):
         return -0.5 * (quad + logdet + d * _LOG_2PI)
 
     def nearest_manifold_point(self, x):
-        coef = (_check_state(x, self.dim) - self.offset) @ self.basis
-        return self.offset + coef @ self.basis.T
+        return _check_state(x, self.dim) @ self.basis @ self.basis.T
 
     def sample_data(self, seed, count: int):
         if count < 1:
             raise InvalidArgumentError("count must be >= 1")
         rng = _rng(seed)
         z = rng.standard_normal((count, self.manifold_dim))
-        return self.offset + (z * self.latent_stddevs) @ self.basis.T
+        return (z * self.latent_stddevs) @ self.basis.T
 
 
 ScoreOracle = PointCloudScore | SubspaceGaussianScore
@@ -485,7 +476,7 @@ def circle_point_cloud(radius: float = 2.0, count: int = 8) -> PointCloudScore:
 def gaussian_on_axis() -> SubspaceGaussianScore:
     """Unit Gaussian along the first coordinate axis in 2D."""
     return SubspaceGaussianScore(
-        basis=np.array([[1.0], [0.0]]), offset=np.zeros(2), latent_stddevs=np.ones(1)
+        basis=np.array([[1.0], [0.0]]), latent_stddevs=np.ones(1)
     )
 
 
@@ -510,8 +501,7 @@ def random_subspace(dim: int | None = None, latent_dim: int = 1,
     q, r = np.linalg.qr(raw)
     q = q * np.sign(np.diag(r))  # deterministic sign convention
     return SubspaceGaussianScore(
-        basis=q, offset=np.zeros(d), latent_stddevs=latent_stddevs,
-        grid_shape=grid_shape,
+        basis=q, latent_stddevs=latent_stddevs, grid_shape=grid_shape,
     )
 
 
@@ -574,8 +564,7 @@ def toy_image_subspace(latent_dim: int = 8, basis_seed=0,
     modes = channel_weights[:, :, None, None] * patterns[:, None]  # (n, C, H, W)
     q, r = np.linalg.qr(modes.reshape(latent_dim, d).T)
     q = q * np.sign(np.diag(r))
-    return SubspaceGaussianScore(basis=q, offset=np.zeros(d),
-                                 latent_stddevs=np.ones(latent_dim),
+    return SubspaceGaussianScore(basis=q, latent_stddevs=np.ones(latent_dim),
                                  grid_shape=grid_shape)
 
 
@@ -584,11 +573,11 @@ class PerturbedScoreOracle(_OracleBase):
     """Wraps an exact oracle with a frozen deterministic denoiser error.
 
     Emulates a trained network: the posterior-mean estimate is off by
-    ``magnitude * (1 + sigma_floor / sigma)`` per component, a constant error
-    that deteriorates below the noise floor the network saw in training.  The
-    error direction is a fixed random-feature field ``eta(x, sigma)``
-    (order-one components, smooth in ``x`` and ``log sigma``), so runs replay
-    bit-identically.  Through the Tweedie identity the induced score error is
+    ``magnitude * (1 + _SIGMA_FLOOR / sigma)`` per component, a constant
+    error that deteriorates below the noise floor of 1.0 that the network saw
+    in training.  The error direction is a fixed random-feature field
+    ``eta(x, sigma)`` (order-one components, smooth in ``x`` and
+    ``log sigma``), so runs replay bit-identically.  Through the Tweedie identity the induced score error is
     the denoiser error divided by ``sigma^2``.
 
     ``posterior_mean``/``denoise`` are derived from the perturbed score,
@@ -603,7 +592,6 @@ class PerturbedScoreOracle(_OracleBase):
 
     base: ScoreOracle
     magnitude: float = 1e-3
-    sigma_floor: float = 1.0
     n_features = 64  # m, the number of random features
     _weights: np.ndarray = field(init=False, repr=False)
     _phases: np.ndarray = field(init=False, repr=False)
@@ -612,8 +600,6 @@ class PerturbedScoreOracle(_OracleBase):
     def __post_init__(self):
         if self.magnitude < 0:
             raise InvalidArgumentError("magnitude must be nonnegative")
-        if self.sigma_floor < 0:
-            raise InvalidArgumentError("sigma_floor must be nonnegative")
         d, m = self.base.dim, self.n_features
         rng = _rng(_FIELD_SEED)
         w = rng.standard_normal((m, d)) / np.sqrt(d)
@@ -642,12 +628,12 @@ class PerturbedScoreOracle(_OracleBase):
         return self.base.grid_shape
 
     def _field(self, x, sigma):
-        """Unchecked score error: the field times ``magnitude (1 + sigma_floor
+        """Unchecked score error: the field times ``magnitude (1 + _SIGMA_FLOOR
         / sigma) / sigma^2``, applied to the ``(B, m)`` sines."""
         phase = x @ self._weights.T
         phase += self._phases + np.log(sigma)
         sines = np.sin(phase, out=phase)
-        sines *= self.magnitude * (1.0 + self.sigma_floor / sigma) / (sigma * sigma)
+        sines *= self.magnitude * (1.0 + _SIGMA_FLOOR / sigma) / (sigma * sigma)
         return sines @ self._proj_t
 
     def score(self, x, sigma):

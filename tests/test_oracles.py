@@ -150,7 +150,7 @@ class TestSubspaceGaussian:
             + sigma**2 * np.eye(6)
         rng = np.random.default_rng(8)
         x = rng.normal(size=6)
-        expected = -np.linalg.solve(cov, x - oracle.offset)
+        expected = -np.linalg.solve(cov, x)
         np.testing.assert_allclose(oracle.score(x, sigma), expected, rtol=1e-10)
 
     def test_singular_scaling_of_normal_component(self, axis):
@@ -185,13 +185,11 @@ class TestSubspaceGaussian:
 
     def test_non_orthonormal_basis_rejected(self):
         with pytest.raises(InvalidArgumentError):
-            SubspaceGaussianScore(basis=np.array([[1.0], [1.0]]),
-                                  offset=np.zeros(2), latent_stddevs=np.ones(1))
+            SubspaceGaussianScore(basis=np.array([[1.0], [1.0]]), latent_stddevs=np.ones(1))
 
     def test_full_rank_rejected(self):
         with pytest.raises(InvalidArgumentError):
-            SubspaceGaussianScore(basis=np.eye(2), offset=np.zeros(2),
-                                  latent_stddevs=np.ones(2))
+            SubspaceGaussianScore(basis=np.eye(2), latent_stddevs=np.ones(2))
 
     @pytest.mark.parametrize("make", [
         lambda: toy_image_subspace(latent_dim=0),
@@ -230,7 +228,7 @@ class TestPerturbed:
             err = (p.score(x, sigma) - circle.score(x, sigma)) * sigma**2
             denoiser_rms[sigma] = np.sqrt(np.mean(err**2))
             # frozen field: order-one components after removing the scale law
-            law = p.magnitude * (1.0 + p.sigma_floor / sigma)
+            law = p.magnitude * (1.0 + oracles._SIGMA_FLOOR / sigma)
             assert 0.2 < denoiser_rms[sigma] / law < 2.0
         # denoiser error deteriorates below the noise floor
         assert denoiser_rms[0.01] > 10 * denoiser_rms[1.0]
@@ -482,66 +480,58 @@ def test_array_holding_dataclasses_compare_by_identity(build):
 
 
 def subspace_score_reference(oracle, x, sigma):
-    """One-back-projection subspace score ``(c kappa) A^T - y / sigma^2``,
+    """One-back-projection subspace score ``(c kappa) A^T - x / sigma^2``,
     one fresh array per operation."""
     s2 = sigma * sigma
-    y = x - oracle.offset
     lam = oracle.latent_stddevs**2
     kappa = lam / ((lam + s2) * s2)
     # BLAS may round a product with a transposed view differently at small B
-    return (y @ oracle.basis * kappa) @ np.ascontiguousarray(oracle.basis.T) - y / s2
+    return (x @ oracle.basis * kappa) @ np.ascontiguousarray(oracle.basis.T) - x / s2
 
 
 def perturbed_score_reference(p, x, sigma):
     """Base score plus the random-feature field, its sines scaled before they
     are projected, without buffers."""
     phase = x @ p._weights.T + (p._phases + np.log(sigma))
-    err = p.magnitude * (1.0 + p.sigma_floor / sigma) / (sigma * sigma)
+    err = p.magnitude * (1.0 + oracles._SIGMA_FLOOR / sigma) / (sigma * sigma)
     return subspace_score_reference(p.base, x, sigma) + (err * np.sin(phase)) @ p._proj_t
 
 
-_ZEROS = slice(None, None, 17)  # where the "negzero" offset holds -0.0
+_ZEROS = slice(None, None, 17)  # the entries that a "zero" or "negzero" state sets
 
 
 @pytest.fixture(scope="module")
-def toy_images():
-    """The perturbed toy image with random latent stddevs, by offset: random,
-    +0.0 everywhere, and +0.0 but for a -0.0 at every 17th entry."""
+def random_toy_image():
+    """The perturbed toy image with random latent stddevs, and a random shift
+    that moves states off its subspace."""
     toy = toy_image_subspace()
     rng = np.random.default_rng(11)
-    offsets = {"random": rng.standard_normal(toy.dim), "zero": np.zeros(toy.dim),
-               "negzero": np.zeros(toy.dim)}
-    offsets["negzero"][_ZEROS] = -0.0
+    shift = rng.standard_normal(toy.dim)
     stddevs = rng.uniform(0.5, 2.0, toy.manifold_dim)
-    return {kind: PerturbedScoreOracle(base=SubspaceGaussianScore(
-        basis=toy.basis, offset=offset, latent_stddevs=stddevs,
-        grid_shape=toy.grid_shape), magnitude=1e-3) for kind, offset in offsets.items()}
+    return PerturbedScoreOracle(base=SubspaceGaussianScore(
+        basis=toy.basis, latent_stddevs=stddevs, grid_shape=toy.grid_shape),
+        magnitude=1e-3), shift
 
 
-@pytest.fixture(scope="module")
-def offset_toy_image(toy_images):
-    return toy_images["random"]
-
-
-@pytest.mark.parametrize("batch,offset", [
-    pytest.param(batch, offset, id=name if offset == "random" else f"{name}-{offset}")
-    for offset in ("random", "zero", "negzero")
+@pytest.mark.parametrize("batch,entries", [
+    pytest.param(batch, entries, id=name if entries == "random" else f"{name}-{entries}")
+    for entries in ("random", "zero", "negzero")
     for name, batch in (("1d", None), ("b1", 1), ("b16", 16), ("b300", 300))])
 @pytest.mark.parametrize("sigma", [0.002, 0.1, 1.0, 80.0])
-def test_in_place_scores_equal_the_plain_expressions(toy_images, offset, batch, sigma):
-    p = toy_images[offset]
+def test_in_place_scores_equal_the_plain_expressions(random_toy_image, entries, batch, sigma):
+    """``entries`` says what every 17th entry of the state holds: a random
+    draw, +0.0 or -0.0; the scores equal the plain expressions to the bit,
+    signed zeros included."""
+    p, _ = random_toy_image
     base = p.base
-    # only an offset of +0.0 bits lets the score skip y = x - b: x - (-0.0)
-    # turns a -0.0 of x into +0.0
-    assert base._shifted == (offset != "zero")
     rng = np.random.default_rng((batch or 0, int(sigma * 1000)))
     shape = (p.dim,) if batch is None else (batch, p.dim)
     # half on the subspace (a data point plus noise at sigma), half far off it
     x = base.sample_data(3, 1)[0] + sigma * rng.standard_normal(shape)
     if batch is not None and batch > 1:
         x[::2] += 10.0 * rng.standard_normal((x[::2].shape[0], p.dim))
-    if offset != "random":
-        x[..., _ZEROS] = -0.0
+    if entries != "random":
+        x[..., _ZEROS] = 0.0 if entries == "zero" else -0.0
     x_before = x.copy()
     for oracle, reference in ((base, subspace_score_reference),
                               (p, perturbed_score_reference)):
@@ -571,27 +561,28 @@ def longdouble_score_references(p, x, sigma):
     ld = np.longdouble
     base, x, sigma = p.base, x.astype(ld), ld(sigma)
     basis = base.basis.astype(ld)
-    y = x - base.offset.astype(ld)
-    coef = y @ basis
-    normal = y - coef @ basis.T
+    coef = x @ basis
+    normal = x - coef @ basis.T
     tang = (coef / (base.latent_stddevs.astype(ld) ** 2 + sigma**2)) @ basis.T
     exact = -(tang + normal / sigma**2)
     phase = x @ p._weights.T.astype(ld) + p._phases.astype(ld) + np.log(sigma)
-    err = ld(p.magnitude) * (1 + ld(p.sigma_floor) / sigma) / sigma**2
+    err = ld(p.magnitude) * (1 + ld(oracles._SIGMA_FLOOR) / sigma) / sigma**2
     return exact, exact + err * (np.sin(phase) @ p._proj_t.astype(ld))
 
 
 @pytest.mark.parametrize("offset", ["zero", "random"])
 @pytest.mark.parametrize("sigma", [0.002, 0.01, 0.1, 1.0, 80.0])
-def test_subspace_and_perturbed_scores_match_a_longdouble_reference(offset_toy_image,
+def test_subspace_and_perturbed_scores_match_a_longdouble_reference(random_toy_image,
                                                                     offset, sigma):
-    p = (PerturbedScoreOracle(base=toy_image_subspace(), magnitude=1e-3)
-         if offset == "zero" else offset_toy_image)
+    """``offset`` shifts the states: zero on the toy image as built, and a
+    random vector on the toy image with random latent stddevs."""
+    p, shift = ((PerturbedScoreOracle(base=toy_image_subspace(), magnitude=1e-3), 0.0)
+                if offset == "zero" else random_toy_image)
     rng = np.random.default_rng(int(sigma * 1000))
     on = p.base.sample_data(5, 8)
-    # on the subspace, sigma from it, and far from it
-    x = np.concatenate([on, on + sigma * rng.standard_normal(on.shape),
-                        on + 10.0 * rng.standard_normal(on.shape)])
+    # on the subspace, sigma from it, and far from it, each shifted
+    x = shift + np.concatenate([on, on + sigma * rng.standard_normal(on.shape),
+                                on + 10.0 * rng.standard_normal(on.shape)])
     for oracle, want in zip((p.base, p), longdouble_score_references(p, x, sigma)):
         err = np.linalg.norm(oracle.score(x, sigma) - want, axis=1).astype(float)
         assert np.all(err <= 1e-9 * np.linalg.norm(want, axis=1).astype(float))
