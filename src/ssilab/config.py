@@ -12,8 +12,8 @@ Configs are flat JSON objects with two nested sections, ``oracle`` and
   ``latent_stddevs`` that every latent shares);
 - ``_GRIDS`` maps each grid kind to ``{key: check}``; a grid gives every key
   of its kind but those its command sets (``_grid``): an SSI grid starts at
-  ``t_ssi`` (no ``t_min`` or kappa ``offset``), the sweep's ladders also set
-  ``steps`` and rule out kappa, and ``invert``'s ``method`` picks its grid.
+  ``t_ssi`` (no ``t_min``), the sweep's ladders also set ``steps``, and
+  ``invert``'s ``method`` picks its grid.
 
 A check returns the value as stored (a checked number becomes an int or a
 float) or raises ``ConfigError``.  Unknown keys anywhere are rejected, and
@@ -38,8 +38,7 @@ from .errors import ConfigError, InvalidArgumentError
 from .flow import Method
 from .oracles import (PerturbedScoreOracle, circle_point_cloud, gaussian_on_axis,
                       random_subspace, toy_image_subspace)
-from .schedules import (NoiseSchedule, TimeGrid, VE_KARRAS, VP_LINEAR_BETA,
-                        ddim_kappa_grid, karras_grid)
+from .schedules import NoiseSchedule, TimeGrid, VE_KARRAS, VP_LINEAR_BETA, karras_grid
 
 _FLOAT_MAX = float(np.finfo(float).max)
 _REQUIRED = object()  # default of a key the config must give
@@ -120,7 +119,6 @@ _COUNT = _number(lo=1, integer=True)
 _POSITIVE = _number(lo=0, open_=True)
 _NONNEGATIVE = _number(lo=0)
 _ANY = _number()
-_INTEGER = _number(integer=True)
 _INTEGRATOR = _one_of("euler", "heun")
 
 _ORACLES = {
@@ -134,19 +132,20 @@ _ORACLES = {
         "latent_dim": _COUNT, "basis_seed": _SEED, "smoothness": _NONNEGATIVE}),
 }
 
+_TOY_IMAGE_SHAPE = inspect.signature(toy_image_subspace).parameters["grid_shape"].default
+
 _GRIDS = {
     "karras": {"t_min": _ANY, "t_max": _ANY, "rho": _ANY, "steps": _COUNT},
     "uniform": {"t_min": _ANY, "t_max": _ANY, "steps": _COUNT},
-    "kappa": {"full_steps": _INTEGER, "stride": _INTEGER, "offset": _INTEGER},
 }
 _VE_GRID = {"kind": "karras", "t_min": 0.002, "t_max": 80.0, "rho": 7.0, "steps": 200}
 _VP_GRID = {"kind": "uniform", "t_min": 0.1, "t_max": 0.999, "steps": 200}  # criterion 5's
 
 
-def _grid(unset=(), kinds=tuple(_GRIDS), default=_VE_GRID):
-    """A complete grid section of ``kinds`` without the keys in ``unset``."""
-    tables = {kind: {k: (_REQUIRED, c) for k, c in _GRIDS[kind].items() if k not in unset}
-              for kind in kinds}
+def _grid(unset=(), default=_VE_GRID):
+    """A complete grid section without the keys in ``unset``."""
+    tables = {kind: {k: (_REQUIRED, c) for k, c in keys.items() if k not in unset}
+              for kind, keys in _GRIDS.items()}
     return ({k: v for k, v in default.items() if k not in unset}, _section(tables))
 
 
@@ -168,13 +167,15 @@ _COMMON = {
 # ``None`` marks a ``_COMMON`` key the command does not read, so it neither
 # takes nor echoes that key; invert's method picks the SSI grid from t_ssi, the
 # DDIM baseline's VP grid (one schedule, still spelled) with no t_ssi, or both
-_SSI_GRID = _grid(("t_min", "offset"))
+_SSI_GRID = _grid(("t_min",))
 _VP = {"schedule": ("vp_linear_beta", _one_of("vp_linear_beta")), "grid": _grid(default=_VP_GRID)}
 _INVERT_METHODS = {"ssi": {"grid": _SSI_GRID}, "baseline_ddim": {**_VP, "t_ssi": None},
                    "both": _VP}
 _COMMANDS = {
     "verify-singularity": {"integrator": ("heun", _INTEGRATOR), "schedule": None, "t_ssi": None},
-    "verify-projection": {"sigma_ladder": ([0.1, 0.01, 0.001], _list_of(_POSITIVE)),
+    # its KS tests need 100 draws
+    "verify-projection": {"trials": (100, _number(lo=100, integer=True)),
+                          "sigma_ladder": ([0.1, 0.01, 0.001], _list_of(_POSITIVE)),
                           **dict.fromkeys(["schedule", "integrator", "grid", "t_ssi",
                                            "perturbation"])},
     # correlation standard errors and excesses need two noises
@@ -185,7 +186,7 @@ _COMMANDS = {
                                     _list_of(_POSITIVE, ascending=True)),
                    "steps_ladder": ([40, 100, 200], _list_of(_COUNT, ascending=True)),
                    "trials": (16, _COUNT), "t_ssi": None,
-                   "grid": _grid(("t_min", "steps"), ("karras", "uniform"))},
+                   "grid": _grid(("t_min", "steps"))},
     "interpolate": {"lambdas": ([0.1, 0.3, 0.5, 0.7, 0.9],
                                 _list_of(_number(lo=0, hi=1))),
                     "data_seed_a": (1, _SEED), "data_seed_b": (2, _SEED),
@@ -213,10 +214,10 @@ def resolve_config(command: str, raw: dict) -> dict:
                    {k: entry for k, entry in table.items() if entry is not None}, "config")
     cfg["command"] = command
     oracle = cfg["oracle"]
-    if oracle["kind"] == "subspace":  # the keys its factory relates
-        if ("dim" in oracle) == ("grid_shape" in oracle):
-            raise ConfigError("oracle must give exactly one of dim and grid_shape")
-        d = oracle["dim"] if "dim" in oracle else int(np.prod(oracle["grid_shape"]))
+    if oracle["kind"] == "subspace" and ("dim" in oracle) == ("grid_shape" in oracle):
+        raise ConfigError("oracle must give exactly one of dim and grid_shape")
+    if "latent_dim" in oracle:  # a subspace or toy image, whose factory relates the keys
+        d = oracle.get("dim", int(np.prod(oracle.get("grid_shape", _TOY_IMAGE_SHAPE))))
         if not oracle["latent_dim"] < d:
             raise ConfigError(f"oracle latent_dim must be below the dimension {d}")
     grid = cfg.get("grid")
@@ -250,26 +251,15 @@ def build_grid(spec: dict) -> TimeGrid:
     if spec["kind"] == "karras":
         return TimeGrid(karras_grid(spec["t_min"], spec["t_max"], spec["rho"],
                                     spec["steps"]).times[1:])
-    if spec["kind"] == "uniform":
-        if not 0 < spec["t_min"] < spec["t_max"]:
-            raise InvalidArgumentError("need 0 < t_min < t_max")
-        return TimeGrid(np.linspace(spec["t_min"], spec["t_max"], spec["steps"] + 1))
-    return ddim_kappa_grid(spec["full_steps"], spec["stride"], spec["offset"])
+    if not 0 < spec["t_min"] < spec["t_max"]:
+        raise InvalidArgumentError("need 0 < t_min < t_max")
+    return TimeGrid(np.linspace(spec["t_min"], spec["t_max"], spec["steps"] + 1))
 
 
 def _ssi_grid(cfg: dict, t_ssi: float = None, steps: int = None) -> TimeGrid:
-    """The config's grid from ``t_ssi`` (default the config's), with a sweep cell's ``steps``;
-    a kappa grid's ``offset`` is ``round(t_ssi * full_steps)``, which must be in
-    ``1..stride`` and give ``t_ssi`` back within 1e-12."""
+    """The config's grid from ``t_ssi`` (default the config's), with a sweep cell's ``steps``."""
     t_ssi = cfg["t_ssi"] if t_ssi is None else t_ssi
     spec = cfg["grid"]
-    if spec["kind"] == "kappa":
-        n, stride = spec["full_steps"], spec["stride"]
-        offset = round(t_ssi * n) if t_ssi * n < stride + 1 else 0  # round(inf) raises
-        if not (1 <= offset <= stride and abs(offset / n - t_ssi) <= 1e-12):
-            raise ConfigError(f"t_ssi={t_ssi} must be i/full_steps for an integer i "
-                              f"in 1..stride on the kappa grid")
-        return build_grid(spec | {"offset": offset})
     if not t_ssi < spec["t_max"]:
         raise ConfigError(f"t_ssi={t_ssi} must lie below the grid's t_max={spec['t_max']}")
     return build_grid(spec | {"t_min": t_ssi} | ({} if steps is None else {"steps": steps}))

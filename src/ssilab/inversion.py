@@ -179,14 +179,9 @@ def ddim_invert_baseline(oracle, schedule: NoiseSchedule, x0,
     positive) time; each step divides by the sampler multiplier phi, with the
     denoiser evaluated at the previous state but the new noise level.
     """
-    times = grid_ascending.times
-    if times[0] >= times[-1]:
-        raise InvalidArgumentError("inversion grid must ascend")
-    if times[0] <= 0:
-        raise InvalidArgumentError("baseline grid must start at a positive time")
     phi, psi, s, sig = ddim_coefficients(schedule, grid_ascending)
     plan = ((1.0 - psi / s[:-1]) / phi, -psi * sig[1:] ** 2 / phi, 1.0 / s[:-1],
-            sig[1:], times[1:])
+            sig[1:], grid_ascending.times[1:])
     x_tilde = _run_plan(oracle, s[0] * _check_state(x0, oracle.dim), plan)
     return InversionResult(noise=x_tilde / s[-1], grid=grid_ascending)
 

@@ -7,7 +7,8 @@ import pytest
 from ssilab import (COMMANDS, ConfigError, InvalidArgumentError, PerturbedScoreOracle,
                     TimeGrid, VP_LINEAR_BETA, build_oracle, circle_point_cloud,
                     config_hash, correlation_metrics, ddim_coefficients,
-                    random_subspace, replay, resolve_config, run_command)
+                    random_subspace, replay, resolve_config, run_command,
+                    toy_image_subspace)
 from ssilab.cli import main
 from ssilab.experiments import _pairwise_abs_cosine
 from ssilab.oracles import PointCloudScore
@@ -140,21 +141,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="unknown keys in grid"):
             resolve_config(command, {"seed": 1, "grid": grid | {key: value}})
 
-    def test_kappa_grid_on_the_sweep_is_unknown(self):
-        resolve_config("sweep-tssi", {"seed": 1, "grid": {"kind": "uniform", "t_max": 1.0}})
-        with pytest.raises(ConfigError, match="unknown grid kind 'kappa'"):
-            resolve_config("sweep-tssi", {"seed": 1, "grid": _VP_KAPPA["grid"]})
-
     @pytest.mark.parametrize("command,raw", [
         ("invert", {"method": "both", "grid": _uniform(0.95)}),
         ("invert", {"method": "both", "grid": _uniform(0)}),
-        ("invert", {"method": "both", "t_ssi": 0.02, "grid": {
-            "kind": "kappa", "full_steps": 100, "stride": 5, "offset": 9}}),
         ("invert", {"method": "baseline_ddim", "grid": _uniform(0.95)}),
         ("verify-singularity", {"grid": _uniform(0)}),
         ("verify-singularity", {"grid": {
             "kind": "karras", "t_min": 0.95, "t_max": 0.9, "rho": 7.0, "steps": 10}}),
-    ], ids=["both-uniform-t_min-past-t_max", "both-uniform-t_min-0", "both-kappa-offset-9",
+    ], ids=["both-uniform-t_min-past-t_max", "both-uniform-t_min-0",
             "baseline_ddim-uniform-t_min-past-t_max", "verify-singularity-uniform-t_min-0",
             "verify-singularity-karras-t_min-past-t_max"])
     def test_full_grid_is_refused_by_resolution(self, command, raw):
@@ -167,34 +161,21 @@ class TestConfigValidation:
         assert main(["interpolate", "--seed", "1", "--trials", "5", "--quiet"]) == 2
         assert "unknown keys" in capsys.readouterr().err
 
+    def test_projection_trials_below_100_is_refused_by_resolution(self):
+        # its KS tests need 100 draws, so resolution refuses fewer, not the run
+        resolve_config("verify-projection", {"seed": 1, "trials": 100})
+        with pytest.raises(ConfigError, match="trials must be >= 100"):
+            resolve_config("verify-projection", {"seed": 1, "trials": 99})
 
-_OFF_LADDER = "t_ssi=%r must be i/full_steps for an integer i in 1..stride on the kappa grid"
 
-# SSI starts that no grid can run: past a karras or uniform grid's t_max, or
-# off a kappa grid's i/full_steps ladder
+# SSI starts that no grid can run: past the grid's t_max
 _PAST_T_MAX = pytest.mark.parametrize("command,data,start", [
     ("reconstruct", {"t_ssi": 5, "grid": {"kind": "uniform", "t_max": 1, "steps": 10}},
      "t_ssi=5.0 must lie below the grid's t_max=1.0"),
     ("interpolate", {"t_ssi": 80}, "t_ssi=80.0 must lie below the grid's t_max=80.0"),
     ("sweep-tssi", {"t_ssi_ladder": [0.01, 0.2, 80.0]},
      "t_ssi=80.0 must lie below the grid's t_max=80.0"),
-    ("reconstruct", {"t_ssi": 0.015, "grid": {"kind": "kappa", "full_steps": 100,
-                                              "stride": 10}}, _OFF_LADDER % 0.015),
-    ("interpolate", {"t_ssi": 0.2, "grid": {"kind": "kappa", "full_steps": 100,
-                                            "stride": 10}}, _OFF_LADDER % 0.2),
-    ("reconstruct", {"t_ssi": 1e300, "grid": {"kind": "kappa", "full_steps": 10**10,
-                                              "stride": 10}}, _OFF_LADDER % 1e300),
-    ("reconstruct", {"t_ssi": 0.1, "grid": {"kind": "kappa", "full_steps": 0,
-                                            "stride": 10}}, _OFF_LADDER % 0.1),
-    ("reconstruct", {"t_ssi": 0.1, "grid": {"kind": "kappa", "full_steps": -100,
-                                            "stride": 10}}, _OFF_LADDER % 0.1),
-], ids=["reconstruct", "interpolate", "sweep-tssi", "kappa-off-ladder",
-        "kappa-past-stride", "kappa-overflow", "kappa-full_steps-0",
-        "kappa-full_steps-negative"])
-
-# VP on the uniform 1000-step ladder's every fifth time from 0.001
-_VP_KAPPA = {"schedule": "vp_linear_beta", "oracle": {"kind": "toy_image"},
-             "grid": {"kind": "kappa", "full_steps": 1000, "stride": 5, "offset": 1}}
+], ids=["reconstruct", "interpolate", "sweep-tssi"])
 
 
 class TestExitCodes:
@@ -241,19 +222,22 @@ class TestExitCodes:
         assert err.startswith("config error: cannot write outputs: ")
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("command,t_ssi,message", [
-        ("invert", 0.1, "t_ssi=0.1 must be i/full_steps"),
-        ("sweep-tssi", None, "unknown grid kind 'kappa'"),
-    ], ids=["invert-t_ssi-off-grid", "sweep-tssi"])
-    def test_kappa_grid_it_cannot_use_is_2(self, tmp_path, capsys, command, t_ssi,
-                                           message):
-        data = {"seed": 4, "trials": 4, **_VP_KAPPA}
-        if command == "invert":  # an SSI grid starts at t_ssi, so it takes no offset
-            data |= {"t_ssi": t_ssi,
-                     "grid": {k: v for k, v in _VP_KAPPA["grid"].items() if k != "offset"}}
+    @pytest.mark.parametrize("command,method", [
+        ("verify-singularity", {}), ("invert", {}), ("invert", {"method": "baseline_ddim"}),
+        ("invert", {"method": "both"}), ("sweep-tssi", {}), ("interpolate", {}),
+        ("reconstruct", {}),
+    ], ids=["verify-singularity", "invert-ssi", "invert-baseline_ddim", "invert-both",
+            "sweep-tssi", "interpolate", "reconstruct"])
+    def test_kappa_grid_is_an_unknown_kind(self, tmp_path, capsys, command, method):
+        # a DDIM kappa ladder i/full_steps is written as a uniform grid, so
+        # every command that takes a grid refuses the kind where it resolves
+        data = {"seed": 4, **method,
+                "grid": {"kind": "kappa", "full_steps": 1000, "stride": 5, "offset": 1}}
+        with pytest.raises(ConfigError, match="^unknown grid kind 'kappa'$"):
+            resolve_config(command, data)
         cfg = write_config(tmp_path, data)
         assert main([command, "--config", str(cfg), "--quiet"]) == 2
-        assert message in capsys.readouterr().err
+        assert capsys.readouterr().err == "config error: unknown grid kind 'kappa'\n"
 
     def test_descending_grid_is_2(self, tmp_path):
         cfg = write_config(tmp_path, {
@@ -378,10 +362,7 @@ class TestExitCodes:
     @_PAST_T_MAX
     def test_ssi_start_past_t_max_is_2(self, tmp_path, capsys, monkeypatch, command, data,
                                        start):
-        # the error names t_ssi, and the sweep finds it before any cell runs;
-        # on a kappa grid t_ssi must be i/full_steps with 1 <= i <= stride, and
-        # neither an overflowing t_ssi * full_steps nor full_steps <= 0 raises
-        # anything else
+        # the error names t_ssi, and the sweep finds it before any cell runs
         calls = []
         score = PointCloudScore.score
 
@@ -604,8 +585,12 @@ def test_invert_both_builds_each_gaussianity_report_once(monkeypatch):
 
 
 def test_invert_both_on_a_kappa_grid_gives_a_verdict():
+    # ddim_kappa_grid(1000, 5, 1), every fifth time of the 1000-step ladder
+    # from 0.001, spelled as the uniform grid it is
     rep = run_command(resolve_config("invert", {
-        "seed": 4, "method": "both", "t_ssi": 0.001, **_VP_KAPPA}))
+        "seed": 4, "method": "both", "t_ssi": 0.001, "schedule": "vp_linear_beta",
+        "oracle": {"kind": "toy_image"},
+        "grid": {"kind": "uniform", "t_min": 0.001, "t_max": 0.996, "steps": 199}}))
     assert rep["verdict"] in ("PASS", "FAIL")
     json.dumps(rep["aggregates"], allow_nan=False)  # raises on NaN or inf
 
@@ -714,8 +699,7 @@ def test_every_echoed_grid_key_is_read(command, raw, kind):
 
 _KARRAS ={"kind": "karras", "t_min": 0.002, "t_max": 0.9, "rho": 7.0, "steps": 10}
 _UNIFORM = {"kind": "uniform", "t_min": 0.1, "t_max": 0.9, "steps": 10}
-_KAPPA = {"kind": "kappa", "full_steps": 100, "stride": 10, "offset": 1}
-_SSI = {"t_min", "offset"}  # an SSI grid starts at t_ssi
+_SSI = {"t_min"}  # an SSI grid starts at t_ssi
 _VP = "vp_linear_beta"
 
 # per command and invert method: a small config (seed 1), and for every leaf
@@ -736,10 +720,11 @@ _EVERY_LEAF = {
                                         "grid": _UNIFORM, "oracle": {"kind": "toy_image"}}, {
         "schedule": "ve_karras", "grid.t_min": 0.2, "grid.t_max": 0.5, "grid.steps": 12,
         "shared_input": True}),
-    "invert-both": ("invert", {"trials": 3, "method": "both", "schedule": _VP,
-                               "grid": _KAPPA, "t_ssi": 0.02}, {
-        "schedule": "ve_karras", "grid.full_steps": 50, "grid.stride": 5,
-        "grid.offset": 3, "t_ssi": 0.05, "shared_input": True}),
+    # the baseline runs 0.01 -> 0.91 and SSI from t_ssi to the same end
+    "invert-both": ("invert", {"trials": 3, "method": "both", "schedule": _VP, "grid": {
+        "kind": "uniform", "t_min": 0.01, "t_max": 0.91, "steps": 9}, "t_ssi": 0.02}, {
+        "schedule": "ve_karras", "grid.t_min": 0.03, "grid.t_max": 0.5, "grid.steps": 12,
+        "t_ssi": 0.05, "shared_input": True}),
     "sweep-tssi": ("sweep-tssi", {"trials": 2, "t_ssi_ladder": [0.1, 0.2], "steps_ladder": [10],
                                   "grid": {"kind": "uniform", "t_max": 0.9}}, {
         "schedule": _VP, "integrator": "heun", "grid.t_max": 0.5,
@@ -751,8 +736,8 @@ _EVERY_LEAF = {
         "grid.steps": 12, "t_ssi": 0.6, "lambdas": [0.4], "data_seed_a": 3,
         "data_seed_b": 4, "manifold_threshold": 0.2}),
     "reconstruct": ("reconstruct", {"trials": 3, "t_ssi": 0.02, "grid": {
-        k: v for k, v in _KAPPA.items() if k not in _SSI}}, {
-        "schedule": _VP, "integrator": "heun", "grid.full_steps": 50, "grid.stride": 5,
+        "kind": "uniform", "t_max": 0.92, "steps": 9}}, {
+        "schedule": _VP, "integrator": "heun", "grid.t_max": 0.5, "grid.steps": 12,
         "t_ssi": 0.05, "delta": 0.1}),
 }
 _COMMON_LEAVES = {"trials": 4, "perturbation": 1e-3, "seed": 2}
@@ -845,16 +830,19 @@ def test_removed_second_form_is_refused(tmp_path, refused):
      "oracle latent_dim must be below the dimension 8"),
     ({"kind": "subspace", "grid_shape": [2, 2, 2], "latent_dim": 9},
      "oracle latent_dim must be below the dimension 8"),
+    ({"kind": "toy_image", "latent_dim": 192},
+     "oracle latent_dim must be below the dimension 192"),
 ], ids=["neither-dim-nor-grid_shape", "dim-and-grid_shape", "latent_dim-equals-dim",
-        "latent_dim-past-grid_shape"])
+        "latent_dim-past-grid_shape", "toy_image-latent_dim-192"])
 def test_subspace_section_the_factory_refuses_is_refused_by_resolution(section, message):
     # each section resolves to no oracle, so resolve_config refuses it, not build_oracle
     with pytest.raises(ConfigError) as info:
         resolve_config("invert", {"seed": 1, "oracle": section})
     assert str(info.value) == message
     spec = {k: v for k, v in section.items() if k != "kind"}
+    factory = toy_image_subspace if section["kind"] == "toy_image" else random_subspace
     with pytest.raises(InvalidArgumentError):
-        random_subspace(**spec)
+        factory(**spec)
 
 
 @pytest.mark.parametrize("short,full", [

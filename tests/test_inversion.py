@@ -230,14 +230,22 @@ class TestDdim:
         x0 = np.array([0.8, 0.0])
         res = ddim_invert_baseline(axis, VP_LINEAR_BETA, x0, grid)
         assert abs(res.noise[1]) < 1e-12
-        sigT = float(VP_LINEAR_BETA.sigma(0.98))
-        # the tangential component blows up well past a Gaussian draw
         assert abs(res.noise[0]) > 0.0
 
     def test_baseline_needs_positive_start(self, axis):
         grid = TimeGrid(np.linspace(0.0, 0.9, 10))
         with pytest.raises(InvalidArgumentError):
             ddim_invert_baseline(axis, VP_LINEAR_BETA, np.zeros(2), grid)
+
+    @pytest.mark.parametrize("schedule,times,message", [
+        (VP_LINEAR_BETA, [0.9, 0.5, 0.1], "DDIM coefficients need an ascending grid"),
+        (VE_KARRAS, [0.1, 0.5, 0.9], "DDIM path needs a VP schedule"),
+    ], ids=["descending", "ve"])
+    def test_baseline_grid_is_checked_by_ddim_coefficients(self, axis, schedule, times,
+                                                           message):
+        # the baseline reads its steps off ddim_coefficients, which checks the grid once
+        with pytest.raises(InvalidArgumentError, match=message):
+            ddim_invert_baseline(axis, schedule, np.zeros(2), TimeGrid(np.array(times)))
 
 
 class TestReconstruct:

@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 from ssilab import (InvalidArgumentError, NoiseSchedule, Family, TimeGrid,
-                    VE_KARRAS, VP_LINEAR_BETA, ddim_kappa_grid, karras_grid)
+                    VE_KARRAS, VP_LINEAR_BETA, build_grid, ddim_kappa_grid, karras_grid)
 
 
 def central_diff(f, t, h=1e-5):
@@ -141,6 +141,21 @@ class TestKappaGrid:
     def test_offset_out_of_range(self):
         with pytest.raises(InvalidArgumentError):
             ddim_kappa_grid(1000, 2, 3)
+
+    @pytest.mark.parametrize("full_steps", [10, 100, 997, 1000])
+    def test_uniform_config_grid_spells_it(self, full_steps):
+        # the config writes the ladder as a uniform grid from offset/N to last/N
+        for stride in (1, 2, 3, 5, 10):
+            for offset in range(1, stride + 1):
+                count = (full_steps - offset) // stride + 1
+                if count < 2:  # no grid
+                    continue
+                last = offset + stride * (count - 1)
+                uniform = build_grid({"kind": "uniform", "t_min": offset / full_steps,
+                                      "t_max": last / full_steps, "steps": count - 1})
+                kappa = ddim_kappa_grid(full_steps, stride, offset)
+                np.testing.assert_allclose(uniform.times, kappa.times, rtol=0,
+                                           atol=np.spacing(1.0))
 
 
 class TestTimeGrid:
