@@ -141,6 +141,12 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="unknown keys in grid"):
             resolve_config(command, {"seed": 1, "grid": grid | {key: value}})
 
+    def test_kappa_grid_on_the_sweep_is_unknown(self):
+        resolve_config("sweep-tssi", {"seed": 1, "grid": {"kind": "uniform", "t_max": 1.0}})
+        with pytest.raises(ConfigError, match="unknown grid kind 'kappa'"):
+            resolve_config("sweep-tssi", {"seed": 1, "grid": {
+                "kind": "kappa", "full_steps": 1000, "stride": 5, "offset": 1}})
+
     @pytest.mark.parametrize("command,raw", [
         ("invert", {"method": "both", "grid": _uniform(0.95)}),
         ("invert", {"method": "both", "grid": _uniform(0)}),
@@ -228,7 +234,7 @@ class TestExitCodes:
         ("reconstruct", {}),
     ], ids=["verify-singularity", "invert-ssi", "invert-baseline_ddim", "invert-both",
             "sweep-tssi", "interpolate", "reconstruct"])
-    def test_kappa_grid_is_an_unknown_kind(self, tmp_path, capsys, command, method):
+    def test_kappa_grid_it_cannot_use_is_2(self, tmp_path, capsys, command, method):
         # a DDIM kappa ladder i/full_steps is written as a uniform grid, so
         # every command that takes a grid refuses the kind where it resolves
         data = {"seed": 4, **method,
