@@ -1,11 +1,11 @@
 """Numerical laboratory for singularity-skipping inversion of diffusion flows."""
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"
 
 from .errors import (ConfigError, IntegrationDivergedError, InvalidArgumentError,
                      UndefinedCorrelationError)
 from .schedules import (Family, NoiseSchedule, TimeGrid, VE_KARRAS,
-                        VP_LINEAR_BETA, ddim_kappa_grid, karras_grid)
+                        VP_LINEAR_BETA, karras_grid)
 from .oracles import (PerturbedScoreOracle, PointCloudScore, ScoreOracle,
                       SubspaceGaussianScore, circle_point_cloud,
                       gaussian_on_axis, random_subspace, toy_image_subspace)

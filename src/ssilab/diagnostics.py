@@ -166,7 +166,7 @@ def projection_concentration(oracle, sigma: float, trials: int, seed) -> dict:
 
     if trials < 100:
         raise InvalidArgumentError("need at least 100 trials")
-    if sigma <= 0:
+    if not sigma > 0:  # NaN fails
         raise InvalidArgumentError("sigma must be positive")
     x0 = oracle.sample_data((seed, 0xDA7A), trials)
     with np.errstate(over="ignore"):

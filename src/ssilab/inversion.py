@@ -45,7 +45,7 @@ class InversionConfig:
     def __post_init__(self):
         if self.grid.times[0] >= self.grid.times[-1]:
             raise InvalidArgumentError("inversion grid must ascend")
-        if self.t_ssi <= 0:
+        if not self.t_ssi > 0:  # NaN fails
             raise InvalidArgumentError("skipping time must be positive")
         if abs(self.grid.times[0] - self.t_ssi) > 0:
             raise InvalidArgumentError("SSI grid must start at the skipping time")

@@ -193,7 +193,7 @@ class PointCloudScore(_OracleBase):
             raise InvalidArgumentError("need at least one point")
         if weights.shape != (points.shape[0],):
             raise InvalidArgumentError("weights must match the number of points")
-        if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-12:
+        if not (np.all(weights >= 0) and abs(weights.sum() - 1.0) <= 1e-12):  # NaN fails
             raise InvalidArgumentError("weights must be nonnegative and sum to 1")
         if self.grid_shape is not None and int(np.prod(self.grid_shape)) != points.shape[1]:
             raise InvalidArgumentError("grid_shape does not match dimension")
@@ -382,15 +382,15 @@ class SubspaceGaussianScore(_OracleBase):
         if not 0 < n < d:
             raise InvalidArgumentError("latent dimension must lie in [1, ambient)")
         gram = basis.T @ basis
-        if np.max(np.abs(gram - np.eye(n))) > 1e-10:
+        if not np.max(np.abs(gram - np.eye(n))) <= 1e-10:  # NaN fails
             raise InvalidArgumentError("basis columns must be orthonormal")
         try:
             stddevs = np.broadcast_to(np.asarray(self.latent_stddevs, dtype=float),
                                       (n,)).copy()
         except ValueError as exc:
             raise InvalidArgumentError(f"latent stddevs must broadcast to ({n},)") from exc
-        if np.any(stddevs <= 0):
-            raise InvalidArgumentError("latent stddevs must be positive")
+        if not np.all((stddevs > 0) & (stddevs < np.inf)):
+            raise InvalidArgumentError("latent stddevs must be positive and finite")
         if self.grid_shape is not None and int(np.prod(self.grid_shape)) != d:
             raise InvalidArgumentError("grid_shape does not match dimension")
         basis = basis.copy()
@@ -553,6 +553,8 @@ def toy_image_subspace(latent_dim: int = 8, basis_seed=0,
     d = c * h * w
     if not 0 < latent_dim < d:
         raise InvalidArgumentError("latent dimension must lie in [1, ambient)")
+    if not 0 <= smoothness < math.inf:
+        raise InvalidArgumentError("smoothness must be nonnegative and finite")
     rng = _rng((basis_seed, 0x731))
     patterns = np.empty((latent_dim, h, w))
     channel_weights = np.empty((latent_dim, c))
@@ -598,8 +600,8 @@ class PerturbedScoreOracle(_OracleBase):
     _proj_t: np.ndarray = field(init=False, repr=False)  # (m, d)
 
     def __post_init__(self):
-        if self.magnitude < 0:
-            raise InvalidArgumentError("magnitude must be nonnegative")
+        if not 0 <= self.magnitude < math.inf:
+            raise InvalidArgumentError("magnitude must be nonnegative and finite")
         d, m = self.base.dim, self.n_features
         rng = _rng(_FIELD_SEED)
         w = rng.standard_normal((m, d)) / np.sqrt(d)

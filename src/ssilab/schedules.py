@@ -134,7 +134,7 @@ def karras_grid(t_min: float, t_max: float, rho: float, n_steps: int) -> TimeGri
     """
     if not (0 < t_min < t_max):
         raise InvalidArgumentError("need 0 < t_min < t_max")
-    if rho <= 0:
+    if not rho > 0:  # NaN fails
         raise InvalidArgumentError("rho must be positive")
     if n_steps < 2:
         raise InvalidArgumentError("need at least 2 steps")
@@ -147,18 +147,3 @@ def karras_grid(t_min: float, t_max: float, rho: float, n_steps: int) -> TimeGri
     interior[-1] = t_max
     return TimeGrid(np.concatenate(([0.0], interior)))
 
-
-def ddim_kappa_grid(full_steps: int, stride: int, offset: int) -> TimeGrid:
-    """Subsequence of the uniform ``i / full_steps`` ladder.
-
-    Selects indices ``offset, offset + stride, ...`` within ``1..full_steps``
-    and maps each index ``i`` to the continuous time ``i / full_steps``.
-    """
-    if full_steps < 1 or stride < 1:
-        raise InvalidArgumentError("full_steps and stride must be positive")
-    if not (1 <= offset <= stride):
-        raise InvalidArgumentError("need 1 <= offset <= stride")
-    indices = np.arange(offset, full_steps + 1, stride)
-    if indices.size < 2:
-        raise InvalidArgumentError("kappa subsequence has fewer than 2 entries")
-    return TimeGrid(indices.astype(float) / full_steps)

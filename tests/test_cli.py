@@ -1,9 +1,14 @@
 import copy
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import ssilab
 from ssilab import (COMMANDS, ConfigError, InvalidArgumentError, PerturbedScoreOracle,
                     TimeGrid, VP_LINEAR_BETA, build_oracle, circle_point_cloud,
                     config_hash, correlation_metrics, ddim_coefficients,
@@ -38,6 +43,14 @@ SET_GRID_KEYS = {"invert": ["t_min"], "sweep-tssi": ["t_min", "steps"],
 
 def _uniform(t_min):
     return {"kind": "uniform", "t_min": t_min, "t_max": 0.9, "steps": 10}
+
+
+def _one_line_exit_2(tmp_path, capsys, command, data) -> str:
+    """Run ``data`` through ``main``; it must exit 2 with one stderr line, returned."""
+    assert main([command, "--config", str(write_config(tmp_path, data)), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+    return err
 
 
 class TestConfigValidation:
@@ -123,23 +136,27 @@ class TestConfigValidation:
     @pytest.mark.parametrize("command,key", [
         (command, key) for command in COMMANDS
         for key in ["out", "quiet", *UNREAD_KEYS[command]]])
-    def test_key_the_result_does_not_read_is_unknown(self, command, key):
+    def test_key_the_result_does_not_read_is_unknown(self, tmp_path, capsys, command, key):
         # out and quiet are flags only; every other key takes a value another
         # command accepts
         value = {"out": "run", "quiet": True,
                  **resolve_config("reconstruct", {"seed": 1})}[key]
-        with pytest.raises(ConfigError, match="unknown keys"):
+        with pytest.raises(ConfigError, match="unknown keys") as info:
             resolve_config(command, {"seed": 1, key: value})
+        err = _one_line_exit_2(tmp_path, capsys, command, {"seed": 1, key: value})
+        assert err == f"config error: {info.value}\n"
 
     @pytest.mark.parametrize("command,key", [
         (command, key) for command, keys in SET_GRID_KEYS.items() for key in keys])
-    def test_grid_key_the_command_sets_is_unknown(self, command, key):
+    def test_grid_key_the_command_sets_is_unknown(self, tmp_path, capsys, command, key):
         grid = resolve_config(command, {"seed": 1})["grid"]
         assert key not in grid
         resolve_config(command, {"seed": 1, "grid": grid})
         value = resolve_config("verify-singularity", {"seed": 1})["grid"][key]
-        with pytest.raises(ConfigError, match="unknown keys in grid"):
-            resolve_config(command, {"seed": 1, "grid": grid | {key: value}})
+        data = {"seed": 1, "grid": grid | {key: value}}
+        with pytest.raises(ConfigError, match="unknown keys in grid") as info:
+            resolve_config(command, data)
+        assert _one_line_exit_2(tmp_path, capsys, command, data) == f"config error: {info.value}\n"
 
     def test_kappa_grid_on_the_sweep_is_unknown(self):
         resolve_config("sweep-tssi", {"seed": 1, "grid": {"kind": "uniform", "t_max": 1.0}})
@@ -157,21 +174,25 @@ class TestConfigValidation:
     ], ids=["both-uniform-t_min-past-t_max", "both-uniform-t_min-0",
             "baseline_ddim-uniform-t_min-past-t_max", "verify-singularity-uniform-t_min-0",
             "verify-singularity-karras-t_min-past-t_max"])
-    def test_full_grid_is_refused_by_resolution(self, command, raw):
+    def test_full_grid_is_refused_by_resolution(self, tmp_path, capsys, command, raw):
         # a grid the command runs as given is built when the config is
         # resolved, so it is refused before any score call
-        with pytest.raises(InvalidArgumentError):
-            resolve_config(command, {"seed": 1, "trials": 4, **raw})
+        data = {"seed": 1, "trials": 4, **raw}
+        with pytest.raises(InvalidArgumentError) as info:
+            resolve_config(command, data)
+        assert _one_line_exit_2(tmp_path, capsys, command, data) == f"config error: {info.value}\n"
 
     def test_trials_flag_on_interpolate_is_2(self, capsys):
         assert main(["interpolate", "--seed", "1", "--trials", "5", "--quiet"]) == 2
         assert "unknown keys" in capsys.readouterr().err
 
-    def test_projection_trials_below_100_is_refused_by_resolution(self):
+    def test_projection_trials_below_100_is_refused_by_resolution(self, tmp_path, capsys):
         # its KS tests need 100 draws, so resolution refuses fewer, not the run
         resolve_config("verify-projection", {"seed": 1, "trials": 100})
         with pytest.raises(ConfigError, match="trials must be >= 100"):
             resolve_config("verify-projection", {"seed": 1, "trials": 99})
+        err = _one_line_exit_2(tmp_path, capsys, "verify-projection", {"seed": 1, "trials": 99})
+        assert err == "config error: trials must be >= 100\n"
 
 
 # SSI starts that no grid can run: past the grid's t_max
@@ -251,6 +272,14 @@ class TestExitCodes:
             "grid": {"kind": "uniform", "t_max": 1.0, "steps": 10}})
         assert main(["invert", "--config", str(cfg), "--quiet"]) == 2
 
+    def test_vp_schedule_on_a_grid_past_t_1_is_2(self, tmp_path, capsys):
+        # the config resolves (the default Karras grid runs to t = 80), and the
+        # schedule's own domain check refuses it with one short line naming one time
+        err = _one_line_exit_2(tmp_path, capsys, "invert",
+                               {"seed": 1, "trials": 4, "schedule": "vp_linear_beta"})
+        assert err.startswith("config error: VP schedule requires t in [0, 1], got t = ")
+        assert len(err) < 200
+
     @pytest.mark.parametrize("data", [
         {"seed": 1, "trials": float("inf")},
         {"seed": float("nan")},
@@ -313,6 +342,7 @@ class TestExitCodes:
         ("interpolate", {"seed": 1, "data_seed_a": -1}),
         ("invert", {"seed": 1, "trials": 1}),
         ("invert", {"seed": 1, "perturbation_floor": -1.0}),
+        ("invert", {"seed": 1, "trials": 4, "perturbation_floor": 1.0}),
         ("invert", [1]),
         ("invert", "x"),
     ], ids=["radius-abc", "radius-null", "radius-zero", "count-2.5", "count-true",
@@ -323,7 +353,8 @@ class TestExitCodes:
             "latent_stddevs-mismatch", "latent_dim-not-below-dim", "grid-kind-list",
             "uniform-steps-negative",
             "data_seed_a-negative",
-            "invert-one-trial", "perturbation_floor-negative", "config-list", "config-string"])
+            "invert-one-trial", "perturbation_floor-negative", "perturbation_floor-1",
+            "config-list", "config-string"])
     def test_malformed_value_is_2(self, tmp_path, command, data):
         if isinstance(data, dict) and "seed" not in data:  # an oracle section
             data = {"seed": 1, "trials": 4, "oracle": data}
@@ -411,6 +442,27 @@ class TestExitCodes:
             "seed": 1, "grid": {"kind": "uniform", "t_max": 80.0, "steps": 2},
             "t_ssi": 0.5})
         assert main(["interpolate", "--config", str(cfg), "--quiet"]) == 4
+
+    @pytest.mark.parametrize("code,args,data,err", [
+        (0, ["interpolate", "--seed", "1"], None, ""),
+        (2, ["interpolate", "--seed", "1", "--trials", "5"], None, "config error: unknown keys"),
+        (3, ["verify-singularity"], {"seed": 1, "trials": 2, "perturbation": 1e300}, " at t="),
+        (4, ["interpolate"], {"seed": 1, "grid": {"kind": "uniform", "t_max": 80.0, "steps": 2},
+                              "t_ssi": 0.5}, ""),
+    ], ids=["exit-0", "exit-2", "exit-3", "exit-4"])
+    def test_process_exits_with_the_code_of_main(self, tmp_path, code, args, data, err):
+        # python -m ssilab.cli hands main's code to the OS, with one stderr
+        # line for an error and none otherwise
+        if data is not None:
+            args = [*args, "--config", str(write_config(tmp_path, data))]
+        src = pathlib.Path(ssilab.__file__).resolve().parent.parent
+        proc = subprocess.run([sys.executable, "-m", "ssilab.cli", *args, "--quiet"],
+                              env=dict(os.environ, PYTHONPATH=str(src)), cwd=tmp_path,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == code, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.count("\n") == (1 if err else 0), proc.stderr
+        assert err in proc.stderr
 
 
 _AXIS_KARRAS_20 = {"oracle": {"kind": "gaussian_on_axis"},
@@ -503,6 +555,9 @@ def small_configs():
                          "oracle": {"kind": "gaussian_on_axis"},
                          "grid": {"kind": "karras", "t_max": 80.0, "rho": 7.0,
                                   "steps": 40}}),
+        # under both, invert defaults to the VP schedule and its uniform grid
+        ("invert", {"seed": 1, "trials": 4, "method": "both",
+                    "oracle": {"kind": "toy_image"}}),
     ]
 
 
@@ -530,6 +585,7 @@ def test_out_and_quiet_leave_the_outputs_unchanged(tmp_path, command, raw):
     cfg = write_config(tmp_path, raw)
     first, second = tmp_path / "first", tmp_path / "second"
     code = main([command, "--config", str(cfg), "--out", str(first), "--quiet"])
+    assert code in (0, 4)
     assert main([command, "--config", str(cfg), "--out", str(second)]) == code
     names = sorted(p.name for p in first.iterdir())
     assert names == sorted(p.name for p in second.iterdir())
@@ -591,8 +647,8 @@ def test_invert_both_builds_each_gaussianity_report_once(monkeypatch):
 
 
 def test_invert_both_on_a_kappa_grid_gives_a_verdict():
-    # ddim_kappa_grid(1000, 5, 1), every fifth time of the 1000-step ladder
-    # from 0.001, spelled as the uniform grid it is
+    # DDIM's ladder i/1000 at every fifth i from 1, TimeGrid(np.arange(1, 1001, 5) / 1000),
+    # spelled as the uniform grid it is
     rep = run_command(resolve_config("invert", {
         "seed": 4, "method": "both", "t_ssi": 0.001, "schedule": "vp_linear_beta",
         "oracle": {"kind": "toy_image"},
@@ -840,11 +896,14 @@ def test_removed_second_form_is_refused(tmp_path, refused):
      "oracle latent_dim must be below the dimension 192"),
 ], ids=["neither-dim-nor-grid_shape", "dim-and-grid_shape", "latent_dim-equals-dim",
         "latent_dim-past-grid_shape", "toy_image-latent_dim-192"])
-def test_subspace_section_the_factory_refuses_is_refused_by_resolution(section, message):
+def test_subspace_section_the_factory_refuses_is_refused_by_resolution(tmp_path, capsys,
+                                                                       section, message):
     # each section resolves to no oracle, so resolve_config refuses it, not build_oracle
     with pytest.raises(ConfigError) as info:
         resolve_config("invert", {"seed": 1, "oracle": section})
     assert str(info.value) == message
+    err = _one_line_exit_2(tmp_path, capsys, "invert", {"seed": 1, "trials": 4, "oracle": section})
+    assert err == f"config error: {message}\n"
     spec = {k: v for k, v in section.items() if k != "kind"}
     factory = toy_image_subspace if section["kind"] == "toy_image" else random_subspace
     with pytest.raises(InvalidArgumentError):

@@ -239,6 +239,10 @@ class TestProjectionConcentration:
         with pytest.raises(InvalidArgumentError):
             projection_concentration(circle_point_cloud(), 0.01, trials=10, seed=0)
 
+    def test_nan_sigma_is_named(self):
+        with pytest.raises(InvalidArgumentError, match="^sigma must be positive$"):
+            projection_concentration(circle_point_cloud(), float("nan"), trials=100, seed=0)
+
 
 def _sq_norms(trials, d, seed):
     """Squared norms of ``trials`` standard-normal draws in ``d`` dimensions."""

@@ -6,7 +6,7 @@ import pytest
 from ssilab import (InvalidArgumentError, InversionConfig, Method,
                     PerturbedScoreOracle, TimeGrid, VE_KARRAS, VP_LINEAR_BETA,
                     circle_point_cloud, ddim_coefficients,
-                    ddim_invert_baseline, ddim_kappa_grid, ddim_sample,
+                    ddim_invert_baseline, ddim_sample,
                     denoise_to_mean, gaussian_on_axis, karras_grid,
                     pf_ode_sigma_euler_step, reconstruct, ssi_invert_ve,
                     ssi_invert_vp, toy_image_subspace)
@@ -35,6 +35,10 @@ class TestConfig:
     def test_zero_skip_time_rejected(self):
         with pytest.raises(InvalidArgumentError):
             InversionConfig(t_ssi=0.0, grid=ve_grid_up(), noise_seed=0)
+
+    def test_nan_skip_time_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="skipping time must be positive"):
+            InversionConfig(t_ssi=float("nan"), grid=ve_grid_up(), noise_seed=0)
 
     def test_descending_grid_rejected(self):
         g = TimeGrid(ve_grid_up().times[::-1])
@@ -178,7 +182,7 @@ class TestSsiVp:
 class TestDdim:
     def test_coefficients_from_alpha_ratios(self):
         # independent derivation from the closed-form abar of the linear rate
-        grid = ddim_kappa_grid(1000, 2, 1)
+        grid = TimeGrid(np.arange(1, 1001, 2) / 1000)  # DDIM's ladder i/1000, every second i
         phi, psi, _, _ = ddim_coefficients(VP_LINEAR_BETA, grid)
         log_a = -(0.1 * grid.times + 9.95 * grid.times**2)
         a, one_minus_a = np.exp(log_a), -np.expm1(log_a)
@@ -190,7 +194,7 @@ class TestDdim:
     def test_sample_equals_sigma_euler_step(self, circle):
         # the explicit update and the Euler-in-sigma step of the flow ODE are
         # the same map up to rounding
-        grid = ddim_kappa_grid(500, 1, 1)
+        grid = TimeGrid(np.arange(1, 501) / 500)  # DDIM's full ladder i/500
         times = grid.times[::-1]
         sig = np.asarray(VP_LINEAR_BETA.sigma(times))
         rng = np.random.default_rng(3)

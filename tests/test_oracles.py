@@ -301,6 +301,29 @@ def test_invalid_input_rejected(kind, method, args):
         getattr(oracle, method)(*args)
 
 
+_AXIS_BASIS = np.array([[1.0], [0.0]])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: PointCloudScore(points=np.eye(2), weights=np.array([np.nan, np.nan])),
+    lambda: PointCloudScore(points=np.eye(2), weights=np.array([np.nan, 1.0])),
+    lambda: SubspaceGaussianScore(basis=_AXIS_BASIS, latent_stddevs=np.array([np.nan])),
+    lambda: SubspaceGaussianScore(basis=_AXIS_BASIS, latent_stddevs=np.array([np.inf])),
+    lambda: SubspaceGaussianScore(basis=np.array([[np.nan], [0.0]]), latent_stddevs=np.ones(1)),
+    lambda: PerturbedScoreOracle(base=circle_point_cloud(), magnitude=np.nan),
+    lambda: PerturbedScoreOracle(base=circle_point_cloud(), magnitude=np.inf),
+    lambda: toy_image_subspace(smoothness=np.nan),
+    lambda: toy_image_subspace(smoothness=-1.0),
+    lambda: toy_image_subspace(smoothness=np.inf),
+], ids=["weights-nan", "weights-nan-and-1", "stddevs-nan", "stddevs-inf", "basis-nan",
+        "magnitude-nan", "magnitude-inf", "smoothness-nan", "smoothness-negative",
+        "smoothness-inf"])
+def test_parameter_outside_its_domain_is_refused(make):
+    # each would score a finite state as non-finite, or skip the smoothing
+    with pytest.raises(InvalidArgumentError):
+        make()
+
+
 _MALFORMED_CALLS = {
     "scalar-state": (5.0, 1.0),
     "array-sigma": (np.zeros(2), np.array([1.0, 2.0])),

@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 from ssilab import (InvalidArgumentError, NoiseSchedule, Family, TimeGrid,
-                    VE_KARRAS, VP_LINEAR_BETA, build_grid, ddim_kappa_grid, karras_grid)
+                    VE_KARRAS, VP_LINEAR_BETA, build_grid, karras_grid)
 
 
 def central_diff(f, t, h=1e-5):
@@ -118,29 +118,20 @@ class TestKarrasGrid:
         assert np.all(np.diff(a) > 0)
         assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("args", [(0, 80, 7, 200), (0.1, 0.1, 7, 200),
-                                      (0.002, 80, -1, 200), (0.002, 80, 7, 1)])
-    def test_invalid_parameters(self, args):
-        with pytest.raises(InvalidArgumentError):
+    @pytest.mark.parametrize("args,message", [
+        ((0, 80, 7, 200), "need 0 < t_min < t_max"),
+        ((0.1, 0.1, 7, 200), "need 0 < t_min < t_max"),
+        ((0.002, 80, -1, 200), "rho must be positive"),
+        ((0.002, 80, 7, 1), "need at least 2 steps"),
+        ((0.002, 80, float("nan"), 200), "rho must be positive"),
+    ], ids=["args0", "args1", "args2", "args3", "rho-nan"])
+    def test_invalid_parameters(self, args, message):
+        with pytest.raises(InvalidArgumentError, match=f"^{message}$"):
             karras_grid(*args)
 
 
 class TestKappaGrid:
-    def test_strided_index_subsequence(self):
-        times = ddim_kappa_grid(1000, 2, 1).times
-        assert times[0] == 0.001 and times[-1] == 0.999 and times.size == 500
-
-    def test_times(self):
-        g = ddim_kappa_grid(10, 2, 1)
-        assert np.allclose(g.times, [0.1, 0.3, 0.5, 0.7, 0.9])
-
-    def test_degenerate_single_entry(self):
-        with pytest.raises(InvalidArgumentError):
-            ddim_kappa_grid(1000, 1000, 1000)
-
-    def test_offset_out_of_range(self):
-        with pytest.raises(InvalidArgumentError):
-            ddim_kappa_grid(1000, 2, 3)
+    """DDIM's strided ladder ``i / N`` for ``i`` from ``offset`` in steps of ``stride``."""
 
     @pytest.mark.parametrize("full_steps", [10, 100, 997, 1000])
     def test_uniform_config_grid_spells_it(self, full_steps):
@@ -153,8 +144,8 @@ class TestKappaGrid:
                 last = offset + stride * (count - 1)
                 uniform = build_grid({"kind": "uniform", "t_min": offset / full_steps,
                                       "t_max": last / full_steps, "steps": count - 1})
-                kappa = ddim_kappa_grid(full_steps, stride, offset)
-                np.testing.assert_allclose(uniform.times, kappa.times, rtol=0,
+                ladder = TimeGrid(np.arange(offset, full_steps + 1, stride) / full_steps)
+                np.testing.assert_allclose(uniform.times, ladder.times, rtol=0,
                                            atol=np.spacing(1.0))
 
 
