@@ -33,12 +33,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", type=pathlib.Path, default=None,
                        help="JSON config file")
-        p.add_argument("--seed", type=int, default=None,
-                       help="base seed (overrides config)")
         p.add_argument("--out", type=pathlib.Path, default=None,
                        help="output directory for report.json and CSVs")
-        p.add_argument("--trials", type=int, default=None,
-                       help="trial count (overrides config)")
         p.add_argument("--quiet", action="store_true",
                        help="suppress the summary line")
     return parser
@@ -55,10 +51,6 @@ def _load_config(args) -> dict:
             raise ConfigError(f"config is not valid JSON: {exc}")
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    if args.trials is not None:
-        raw["trials"] = args.trials
     return resolve_config(args.command, raw)
 
 

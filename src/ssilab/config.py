@@ -121,6 +121,8 @@ _NONNEGATIVE = _number(lo=0)
 _ANY = _number()
 _INTEGRATOR = _one_of("euler", "heun")
 
+_TOY_IMAGE_SHAPE = inspect.signature(toy_image_subspace).parameters["grid_shape"].default
+
 _ORACLES = {
     "circle": (circle_point_cloud, {"radius": _POSITIVE, "count": _COUNT}),
     "gaussian_on_axis": (gaussian_on_axis, {}),
@@ -128,11 +130,11 @@ _ORACLES = {
         "dim": _COUNT, "grid_shape": _list_of(_COUNT), "latent_dim": _COUNT,
         "latent_stddevs": _POSITIVE,
         "basis_seed": _SEED}),
+    # past the image's side the filter leaves only rounding, at a cost linear in it
     "toy_image": (toy_image_subspace, {
-        "latent_dim": _COUNT, "basis_seed": _SEED, "smoothness": _NONNEGATIVE}),
+        "latent_dim": _COUNT, "basis_seed": _SEED,
+        "smoothness": _number(lo=0, hi=_TOY_IMAGE_SHAPE[-1])}),
 }
-
-_TOY_IMAGE_SHAPE = inspect.signature(toy_image_subspace).parameters["grid_shape"].default
 
 _GRIDS = {
     "karras": {"t_min": _ANY, "t_max": _ANY, "rho": _ANY, "steps": _COUNT},
@@ -149,7 +151,7 @@ def _grid(unset=(), default=_VE_GRID):
     return ({k: v for k, v in default.items() if k not in unset}, _section(tables))
 
 
-# the resolved config keeps this key order, then user keys, then "command"
+# the resolved config keeps this key order, then the command's own keys, then "command"
 _COMMON = {
     # an omitted oracle key takes the factory's default, if that is not None
     "oracle": ({"kind": "circle"}, _section({
@@ -161,16 +163,16 @@ _COMMON = {
     "t_ssi": (0.1, _POSITIVE),
     "trials": (100, _COUNT),
     "perturbation": (0.0, _NONNEGATIVE),
-    "seed": (_REQUIRED, _SEED),
+    "seed": (0, _SEED),
 }
 
 # ``None`` marks a ``_COMMON`` key the command does not read, so it neither
-# takes nor echoes that key; invert's method picks the SSI grid from t_ssi, the
-# DDIM baseline's VP grid (one schedule, still spelled) with no t_ssi, or both
+# takes nor echoes that key; invert's method picks the SSI grid from t_ssi or,
+# under both, the DDIM baseline's full VP grid (one schedule, still spelled)
 _SSI_GRID = _grid(("t_min",))
-_VP = {"schedule": ("vp_linear_beta", _one_of("vp_linear_beta")), "grid": _grid(default=_VP_GRID)}
-_INVERT_METHODS = {"ssi": {"grid": _SSI_GRID}, "baseline_ddim": {**_VP, "t_ssi": None},
-                   "both": _VP}
+_INVERT_METHODS = {"ssi": {"grid": _SSI_GRID},
+                   "both": {"schedule": ("vp_linear_beta", _one_of("vp_linear_beta")),
+                            "grid": _grid(default=_VP_GRID)}}
 _COMMANDS = {
     "verify-singularity": {"integrator": ("heun", _INTEGRATOR), "schedule": None, "t_ssi": None},
     # its KS tests need 100 draws
@@ -189,9 +191,7 @@ _COMMANDS = {
                    "grid": _grid(("t_min", "steps"))},
     "interpolate": {"lambdas": ([0.1, 0.3, 0.5, 0.7, 0.9],
                                 _list_of(_number(lo=0, hi=1))),
-                    "data_seed_a": (1, _SEED), "data_seed_b": (2, _SEED),
-                    "manifold_threshold": (0.1, _POSITIVE), "trials": None,
-                    "grid": _SSI_GRID},
+                    "trials": None, "grid": _SSI_GRID},
     "reconstruct": {"delta": (0.05, _number(lo=0, hi=1, open_=True)),
                     "grid": _SSI_GRID},
 }

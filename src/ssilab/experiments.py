@@ -20,6 +20,9 @@ trial ``i``'s injected noise from ``(seed, i, 0x55)``, and records them in
 the ledger as ``data`` and ``trial_i``.  Every cell of the sweep reuses that
 batch, so two cells differ only by their ``(steps, t_ssi)``: a paired
 comparison (common random numbers), not one blurred by draw noise.
+``interpolate`` takes its two endpoints as draws 1 and 2 of the seed: data
+from ``(seed, k, 0xD0)`` and noise from ``(seed, k, 0x55)``, in the ledger as
+``data_a``, ``noise_a``, ``data_b`` and ``noise_b``.
 """
 
 from __future__ import annotations
@@ -192,7 +195,7 @@ def _excess_se(rep: dict, ref: dict) -> dict:
     return out
 
 
-_INVERSIONS = {"ssi": ("ssi",), "baseline_ddim": ("baseline",), "both": ("ssi", "baseline")}
+_INVERSIONS = {"ssi": ("ssi",), "both": ("ssi", "baseline")}
 
 
 def cmd_invert(cfg: dict, report: dict, oracle, schedule) -> None:
@@ -267,15 +270,13 @@ def cmd_sweep_tssi(cfg: dict, report: dict, oracle, schedule) -> None:
 
 
 def cmd_interpolate(cfg: dict, report: dict, oracle, schedule) -> None:
-    """Invert two samples, slerp between their noises, decode every frame."""
+    """Invert draws 1 and 2, slerp between their noises, decode every frame."""
     grid = _ssi_grid(cfg)
     grid_down = grid.reversed()
     endpoints = []
-    for which, data_seed in (("a", cfg["data_seed_a"]), ("b", cfg["data_seed_b"])):
-        seed = _ledger_seed(report, f"data_{which}",
-                            (cfg["seed"], data_seed, _TAG_DATA))
-        noise_seed = _ledger_seed(report, f"noise_{which}",
-                                  (cfg["seed"], data_seed, _TAG_NOISE))
+    for which, draw in (("a", 1), ("b", 2)):
+        seed = _ledger_seed(report, f"data_{which}", (cfg["seed"], draw, _TAG_DATA))
+        noise_seed = _ledger_seed(report, f"noise_{which}", (cfg["seed"], draw, _TAG_NOISE))
         x0 = oracle.sample_data(seed, 1)[0]
         noise = _rng(noise_seed).standard_normal(oracle.dim)
         endpoints.append(_ssi_invert_batch(oracle, schedule, grid, x0, noise))
@@ -296,7 +297,6 @@ def cmd_interpolate(cfg: dict, report: dict, oracle, schedule) -> None:
     report["aggregates"] = {
         "manifold_dists": dists,
         "max_manifold_dist": max(dists),
-        "threshold": cfg["manifold_threshold"],
     }
     report["csv"]["interpolation"] = _table(frames, ["lambda", "manifold_dist"])
 
@@ -343,17 +343,17 @@ _VERDICTS = {
         + [p for p in [a["scale_invariance_pvalue"]] if p is not None], _NO_BOUND,
         lambda a, o: None if a["judged_rungs"] else "no rung inside the asymptotic regime"),
     # each SSI correlation's excess over the fresh-Gaussian reference in its
-    # SEs, one-sided; the DDIM baseline's largest excess above 5
+    # SEs, one-sided; under both, the DDIM baseline's largest excess above 5
     "invert": (
         lambda a, o: [math.erfc(z / math.sqrt(2)) / 2 for z in a["ssi_excess_se"].values()],
         lambda a, o: max(a.get("baseline_excess_se", {"": math.inf}).values()) > 5.0,
-        lambda a, o: None if "ssi_excess_se" in a else
-        "correlations need an image grid and an SSI run"),
+        lambda a, o: None if "ssi_excess_se" in a else "correlations need an image grid"),
     "sweep-tssi": (_NO_TESTS, lambda a, o: a["interior_minimum"], lambda a, o: (
         "fewer than 3 distinct t_ssi values" if a["interior_minimum"] is None else
         "a point cloud's roundtrip snaps to an atom, so no t_ssi is an interior minimum"
         if not o.manifold_dim else None)),
-    "interpolate": (_NO_TESTS, lambda a, o: a["max_manifold_dist"] < a["threshold"],
+    # every decoded frame within 0.1 of the manifold, per unit of sqrt(d)
+    "interpolate": (_NO_TESTS, lambda a, o: a["max_manifold_dist"] < 0.1,
                     lambda a, o: "every decoded frame is an exact subspace posterior mean, "
                     "on the subspace" if isinstance(o, SubspaceGaussianScore) else None),
     # its alpha is the config's delta, the chi-square bound's own failure rate

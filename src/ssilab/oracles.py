@@ -389,13 +389,14 @@ class SubspaceGaussianScore(_OracleBase):
                                       (n,)).copy()
         except ValueError as exc:
             raise InvalidArgumentError(f"latent stddevs must broadcast to ({n},)") from exc
-        if not np.all((stddevs > 0) & (stddevs < np.inf)):
-            raise InvalidArgumentError("latent stddevs must be positive and finite")
+        with np.errstate(over="ignore"):
+            lam = stddevs**2
+        if not np.all((stddevs > 0) & (lam < np.inf)):  # NaN fails; or past about 1.3e154
+            raise InvalidArgumentError("latent stddevs must be positive, with finite squares")
         if self.grid_shape is not None and int(np.prod(self.grid_shape)) != d:
             raise InvalidArgumentError("grid_shape does not match dimension")
         basis = basis.copy()
         basis_t = np.ascontiguousarray(basis.T)
-        lam = stddevs**2
         for arr in (basis, basis_t, stddevs, lam):
             arr.flags.writeable = False
         object.__setattr__(self, "basis", basis)

@@ -1,4 +1,6 @@
+import contextlib
 import copy
+import io
 import json
 import os
 import pathlib
@@ -64,8 +66,11 @@ class TestConfigValidation:
                                       "oracle": {"kind": "circle", "blah": 1}})
 
     def test_missing_seed(self):
-        with pytest.raises(ConfigError, match="seed"):
-            resolve_config("invert", {})
+        # a config without a seed runs seed 0, under the hash of one that gives it
+        cfg = resolve_config("invert", {})
+        assert cfg["seed"] == 0
+        assert cfg == resolve_config("invert", {"seed": 0})
+        assert config_hash(cfg) == config_hash(resolve_config("invert", {"seed": 0}))
 
     def test_zero_trials(self):
         with pytest.raises(ConfigError, match="trials"):
@@ -94,6 +99,14 @@ class TestConfigValidation:
         assert cfg["steps_ladder"] == [40, 100, 200]
         assert cfg["command"] == "sweep-tssi"
 
+    def test_toy_image_smoothness_past_its_side_is_refused(self):
+        # resolution alone: at 1e6 the 8 x 8 image's filter would take about 4 GB
+        resolve_config("invert", {"oracle": {"kind": "toy_image", "smoothness": 8}})
+        for smoothness in (9, 1e6):
+            with pytest.raises(ConfigError, match="^oracle smoothness must be <= 8$"):
+                resolve_config("invert", {"oracle": {"kind": "toy_image",
+                                                     "smoothness": smoothness}})
+
     def test_bad_lambda(self):
         with pytest.raises(ConfigError):
             resolve_config("interpolate", {"seed": 1, "lambdas": [1.5]})
@@ -108,9 +121,7 @@ class TestConfigValidation:
         ("invert", [("method", "ssi"), ("shared_input", False)]),
         ("sweep-tssi", [("t_ssi_ladder", [0.001, 0.01, 0.1, 0.2]),
                         ("steps_ladder", [40, 100, 200])]),
-        ("interpolate", [("lambdas", [0.1, 0.3, 0.5, 0.7, 0.9]),
-                         ("data_seed_a", 1), ("data_seed_b", 2),
-                         ("manifold_threshold", 0.1)]),
+        ("interpolate", [("lambdas", [0.1, 0.3, 0.5, 0.7, 0.9])]),
         ("reconstruct", [("delta", 0.05)]),
     ])
     def test_resolved_defaults_keep_order_and_types(self, command, tail):
@@ -127,10 +138,10 @@ class TestConfigValidation:
             ("t_ssi", 0.1),
             ("trials", 16 if command == "sweep-tssi" else 100),
             ("perturbation", 0.0),
+            ("seed", 1),
         ]
         unread = UNREAD_KEYS[command]
-        want = ([(k, v) for k, v in head if k not in unread] + tail
-                + [("seed", 1), ("command", command)])
+        want = [(k, v) for k, v in head if k not in unread] + tail + [("command", command)]
         assert repr(list(resolve_config(command, {"seed": 1}).items())) == repr(want)
 
     @pytest.mark.parametrize("command,key", [
@@ -167,12 +178,11 @@ class TestConfigValidation:
     @pytest.mark.parametrize("command,raw", [
         ("invert", {"method": "both", "grid": _uniform(0.95)}),
         ("invert", {"method": "both", "grid": _uniform(0)}),
-        ("invert", {"method": "baseline_ddim", "grid": _uniform(0.95)}),
         ("verify-singularity", {"grid": _uniform(0)}),
         ("verify-singularity", {"grid": {
             "kind": "karras", "t_min": 0.95, "t_max": 0.9, "rho": 7.0, "steps": 10}}),
     ], ids=["both-uniform-t_min-past-t_max", "both-uniform-t_min-0",
-            "baseline_ddim-uniform-t_min-past-t_max", "verify-singularity-uniform-t_min-0",
+            "verify-singularity-uniform-t_min-0",
             "verify-singularity-karras-t_min-past-t_max"])
     def test_full_grid_is_refused_by_resolution(self, tmp_path, capsys, command, raw):
         # a grid the command runs as given is built when the config is
@@ -182,9 +192,10 @@ class TestConfigValidation:
             resolve_config(command, data)
         assert _one_line_exit_2(tmp_path, capsys, command, data) == f"config error: {info.value}\n"
 
-    def test_trials_flag_on_interpolate_is_2(self, capsys):
-        assert main(["interpolate", "--seed", "1", "--trials", "5", "--quiet"]) == 2
-        assert "unknown keys" in capsys.readouterr().err
+    def test_trials_flag_on_interpolate_is_2(self, tmp_path, capsys):
+        # interpolate reads no trials, whether a flag or the config gave them
+        err = _one_line_exit_2(tmp_path, capsys, "interpolate", {"seed": 1, "trials": 5})
+        assert err == "config error: unknown keys in config: ['trials']\n"
 
     def test_projection_trials_below_100_is_refused_by_resolution(self, tmp_path, capsys):
         # its KS tests need 100 draws, so resolution refuses fewer, not the run
@@ -207,16 +218,16 @@ _PAST_T_MAX = pytest.mark.parametrize("command,data,start", [
 
 class TestExitCodes:
     def test_success(self, tmp_path):
-        cfg = write_config(tmp_path, {"seed": 1, "trials": 20})
-        assert main(["verify-projection", "--config", str(cfg), "--quiet",
-                     "--trials", "200"]) == 0
+        cfg = write_config(tmp_path, {"seed": 1, "trials": 200})
+        assert main(["verify-projection", "--config", str(cfg), "--quiet"]) == 0
 
     def test_config_error_is_2(self, tmp_path):
         cfg = write_config(tmp_path, {"seed": 1, "nope": True})
         assert main(["invert", "--config", str(cfg), "--quiet"]) == 2
 
-    def test_zero_trials_is_2(self):
-        assert main(["invert", "--seed", "1", "--trials", "0", "--quiet"]) == 2
+    def test_zero_trials_is_2(self, tmp_path):
+        cfg = write_config(tmp_path, {"seed": 1, "trials": 0})
+        assert main(["invert", "--config", str(cfg), "--quiet"]) == 2
 
     def test_missing_config_file_is_2(self, tmp_path):
         assert main(["invert", "--config", str(tmp_path / "gone.json"),
@@ -230,7 +241,8 @@ class TestExitCodes:
     def test_unwritable_out_is_2(self, tmp_path, capsys):
         out = tmp_path / "taken"
         out.write_text("a file where the output directory should go\n")
-        assert main(["verify-projection", "--seed", "1", "--trials", "200",
+        cfg = write_config(tmp_path, {"seed": 1, "trials": 200})
+        assert main(["verify-projection", "--config", str(cfg),
                      "--out", str(out), "--quiet"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: cannot write outputs: ")
@@ -243,17 +255,17 @@ class TestExitCodes:
         monkeypatch.setattr("ssilab.cli.run_command", run_command)
         out = tmp_path / "taken"
         out.write_text("a file where the output directory should go\n")
-        assert main(["verify-projection", "--seed", "1", "--trials", "200",
+        cfg = write_config(tmp_path, {"seed": 1, "trials": 200})
+        assert main(["verify-projection", "--config", str(cfg),
                      "--out", str(out), "--quiet"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: cannot write outputs: ")
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("command,method", [
-        ("verify-singularity", {}), ("invert", {}), ("invert", {"method": "baseline_ddim"}),
-        ("invert", {"method": "both"}), ("sweep-tssi", {}), ("interpolate", {}),
-        ("reconstruct", {}),
-    ], ids=["verify-singularity", "invert-ssi", "invert-baseline_ddim", "invert-both",
+        ("verify-singularity", {}), ("invert", {}), ("invert", {"method": "both"}),
+        ("sweep-tssi", {}), ("interpolate", {}), ("reconstruct", {}),
+    ], ids=["verify-singularity", "invert-ssi", "invert-both",
             "sweep-tssi", "interpolate", "reconstruct"])
     def test_kappa_grid_it_cannot_use_is_2(self, tmp_path, capsys, command, method):
         # a DDIM kappa ladder i/full_steps is written as a uniform grid, so
@@ -280,6 +292,7 @@ class TestExitCodes:
         assert err.startswith("config error: VP schedule requires t in [0, 1], got t = ")
         assert len(err) < 200
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("data", [
         {"seed": 1, "trials": float("inf")},
         {"seed": float("nan")},
@@ -289,14 +302,20 @@ class TestExitCodes:
         {"seed": 1, "trials": 4, "method": "both",
          "grid": {"kind": "karras", "t_min": float("nan"), "t_max": 80.0, "rho": 7.0,
                   "steps": 20}},
+        # finite, but its square, the latent variance, is not: the subspace oracle
+        # refuses it where it is built, as the point cloud refuses such atoms
+        {"seed": 1, "trials": 4,
+         "oracle": {"kind": "subspace", "dim": 8, "latent_stddevs": 1e155}},
     ], ids=["trials-inf", "seed-nan", "perturbation-inf", "grid-steps-inf",
-            "grid-t_min-nan"])
-    def test_non_finite_number_is_2(self, tmp_path, data):
+            "grid-t_min-nan", "latent_stddevs-square-inf"])
+    def test_non_finite_number_is_2(self, tmp_path, capsys, data):
         # json writes and reads these as the literals Infinity and NaN
         cfg = write_config(tmp_path, data)
         out = tmp_path / "out"
         assert main(["invert", "--config", str(cfg), "--out", str(out),
                      "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
         assert not (out / "report.json").exists()
 
     @pytest.mark.parametrize("grid", [
@@ -322,6 +341,8 @@ class TestExitCodes:
         ("invert", {"kind": "circle", "count": True}),
         ("invert", {"kind": "toy_image", "smoothness": "x"}),
         ("invert", {"kind": "toy_image", "smoothness": -1}),
+        # past the image's side of 8 the filter only adds rounding and cost
+        ("invert", {"kind": "toy_image", "smoothness": 9}),
         ("invert", {"kind": "toy_image", "latent_dim": 0}),
         ("invert", {"kind": "toy_image", "latent_dim": "8"}),
         ("invert", {"kind": "toy_image", "basis_seed": 1.5}),
@@ -339,20 +360,20 @@ class TestExitCodes:
         ("invert", {"seed": 1, "grid": {"kind": ["x"]}}),
         ("invert", {"seed": 1, "trials": 4, "grid": {
             "kind": "uniform", "t_max": 1.0, "steps": -2}}),
-        ("interpolate", {"seed": 1, "data_seed_a": -1}),
+        ("interpolate", {"seed": -1}),
         ("invert", {"seed": 1, "trials": 1}),
         ("invert", {"seed": 1, "perturbation_floor": -1.0}),
         ("invert", {"seed": 1, "trials": 4, "perturbation_floor": 1.0}),
         ("invert", [1]),
         ("invert", "x"),
     ], ids=["radius-abc", "radius-null", "radius-zero", "count-2.5", "count-true",
-            "smoothness-x", "smoothness-negative", "toy-latent_dim-0",
+            "smoothness-x", "smoothness-negative", "smoothness-9", "toy-latent_dim-0",
             "latent_dim-string", "basis_seed-1.5", "basis_seed-negative",
             "dim-8.5", "latent_stddevs-abc", "latent_stddevs-empty",
             "grid_shape-string-entry", "grid_shape-5", "oracle-kind-list",
             "latent_stddevs-mismatch", "latent_dim-not-below-dim", "grid-kind-list",
             "uniform-steps-negative",
-            "data_seed_a-negative",
+            "seed-negative",
             "invert-one-trial", "perturbation_floor-negative", "perturbation_floor-1",
             "config-list", "config-string"])
     def test_malformed_value_is_2(self, tmp_path, command, data):
@@ -444,8 +465,8 @@ class TestExitCodes:
         assert main(["interpolate", "--config", str(cfg), "--quiet"]) == 4
 
     @pytest.mark.parametrize("code,args,data,err", [
-        (0, ["interpolate", "--seed", "1"], None, ""),
-        (2, ["interpolate", "--seed", "1", "--trials", "5"], None, "config error: unknown keys"),
+        (0, ["interpolate"], {"seed": 1}, ""),
+        (2, ["interpolate"], {"seed": 1, "trials": 5}, "config error: unknown keys"),
         (3, ["verify-singularity"], {"seed": 1, "trials": 2, "perturbation": 1e300}, " at t="),
         (4, ["interpolate"], {"seed": 1, "grid": {"kind": "uniform", "t_max": 80.0, "steps": 2},
                               "t_ssi": 0.5}, ""),
@@ -453,8 +474,7 @@ class TestExitCodes:
     def test_process_exits_with_the_code_of_main(self, tmp_path, code, args, data, err):
         # python -m ssilab.cli hands main's code to the OS, with one stderr
         # line for an error and none otherwise
-        if data is not None:
-            args = [*args, "--config", str(write_config(tmp_path, data))]
+        args = [*args, "--config", str(write_config(tmp_path, data))]
         src = pathlib.Path(ssilab.__file__).resolve().parent.parent
         proc = subprocess.run([sys.executable, "-m", "ssilab.cli", *args, "--quiet"],
                               env=dict(os.environ, PYTHONPATH=str(src)), cwd=tmp_path,
@@ -513,20 +533,29 @@ class TestOutputs:
         assert len(lines) == 2 + rows
 
     def test_flag_overrides_config(self, tmp_path):
+        # no flag overrides the config: one that would is refused, and the
+        # report echoes the config as given
         cfg = write_config(tmp_path, {"seed": 2, "trials": 10})
         out = tmp_path / "run2"
-        main(["verify-singularity", "--config", str(cfg), "--seed", "9",
-              "--out", str(out), "--quiet"])
+        with pytest.raises(SystemExit) as info:
+            main(["verify-singularity", "--config", str(cfg), "--seed", "9",
+                  "--out", str(out), "--quiet"])
+        assert info.value.code == 2
+        assert not out.exists()
+        assert main(["verify-singularity", "--config", str(cfg), "--out", str(out),
+                     "--quiet"]) == 0
         report = json.loads((out / "report.json").read_text())
-        assert report["config"]["seed"] == 9
+        assert (report["config"]["seed"], report["config"]["trials"]) == (2, 10)
 
     def test_parser_reuse_carries_no_flag_over(self, tmp_path, capsys):
         # the parser is built once per process; a flag of one call must not
         # leak into the next
         cfg = write_config(tmp_path, {"seed": 2, "trials": 10})
         first, second = tmp_path / "first", tmp_path / "second"
-        assert main(["verify-singularity", "--config", str(cfg), "--quiet",
-                     "--seed", "3", "--out", str(first)]) == 0
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps({"seed": 3, "trials": 10}))
+        assert main(["verify-singularity", "--config", str(other), "--quiet",
+                     "--out", str(first)]) == 0
         assert capsys.readouterr().out == ""
         assert main(["verify-singularity", "--config", str(cfg),
                      "--out", str(second)]) == 0
@@ -659,11 +688,11 @@ def test_invert_both_on_a_kappa_grid_gives_a_verdict():
 
 def test_baseline_requires_vp():
     with pytest.raises(ConfigError, match="unknown schedule 've_karras'"):
-        resolve_config("invert", {"seed": 5, "trials": 4, "method": "baseline_ddim",
+        resolve_config("invert", {"seed": 5, "trials": 4, "method": "both",
                                   "schedule": "ve_karras"})
 
 
-@pytest.mark.parametrize("method", ["baseline_ddim", "both"])
+@pytest.mark.parametrize("method", ["both"])
 def test_baseline_methods_default_to_vp(method):
     # the baseline's one schedule and criterion 5's grid are the defaults
     cfg = resolve_config("invert", {"seed": 5, "trials": 4, "method": method})
@@ -760,7 +789,6 @@ def test_every_echoed_grid_key_is_read(command, raw, kind):
 
 
 _KARRAS ={"kind": "karras", "t_min": 0.002, "t_max": 0.9, "rho": 7.0, "steps": 10}
-_UNIFORM = {"kind": "uniform", "t_min": 0.1, "t_max": 0.9, "steps": 10}
 _SSI = {"t_min"}  # an SSI grid starts at t_ssi
 _VP = "vp_linear_beta"
 
@@ -777,11 +805,6 @@ _EVERY_LEAF = {
         k: v for k, v in _KARRAS.items() if k not in _SSI}}, {
         "schedule": _VP, "grid.t_max": 0.5, "grid.rho": 5.0, "grid.steps": 12,
         "t_ssi": 0.2, "shared_input": True}),
-    # the circle's symmetry makes the baseline's cosines independent of its grid
-    "invert-baseline_ddim": ("invert", {"trials": 3, "method": "baseline_ddim", "schedule": _VP,
-                                        "grid": _UNIFORM, "oracle": {"kind": "toy_image"}}, {
-        "schedule": "ve_karras", "grid.t_min": 0.2, "grid.t_max": 0.5, "grid.steps": 12,
-        "shared_input": True}),
     # the baseline runs 0.01 -> 0.91 and SSI from t_ssi to the same end
     "invert-both": ("invert", {"trials": 3, "method": "both", "schedule": _VP, "grid": {
         "kind": "uniform", "t_min": 0.01, "t_max": 0.91, "steps": 9}, "t_ssi": 0.02}, {
@@ -795,8 +818,7 @@ _EVERY_LEAF = {
     "interpolate": ("interpolate", {"lambdas": [0.5], "t_ssi": 0.5, "grid": {
         k: v for k, v in _KARRAS.items() if k not in _SSI}}, {
         "schedule": _VP, "integrator": "heun", "grid.t_max": 0.8, "grid.rho": 5.0,
-        "grid.steps": 12, "t_ssi": 0.6, "lambdas": [0.4], "data_seed_a": 3,
-        "data_seed_b": 4, "manifold_threshold": 0.2}),
+        "grid.steps": 12, "t_ssi": 0.6, "lambdas": [0.4]}),
     "reconstruct": ("reconstruct", {"trials": 3, "t_ssi": 0.02, "grid": {
         "kind": "uniform", "t_max": 0.92, "steps": 9}}, {
         "schedule": _VP, "integrator": "heun", "grid.t_max": 0.5, "grid.steps": 12,
@@ -865,6 +887,19 @@ def _refused(error, call, *args, **kwargs):
     return True
 
 
+def _flag_refused(argv) -> bool:
+    with pytest.raises(SystemExit) as info:  # argparse's exit on an unknown flag
+        main(argv)
+    return info.value.code == 2
+
+
+def _config_refused(tmp, command, data, message) -> bool:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([command, "--quiet", "--config", str(write_config(tmp, data))])
+    return code == 2 and err.getvalue().startswith(message)
+
+
 # each input has one form, so one experiment has one hash
 @pytest.mark.parametrize("refused", [
     lambda tmp: _refused(InvalidArgumentError, random_subspace, dim=48, grid_shape=(3, 4, 4)),
@@ -877,9 +912,21 @@ def _refused(error, call, *args, **kwargs):
     lambda tmp: _refused(InvalidArgumentError, ddim_coefficients, VP_LINEAR_BETA,
                          TimeGrid(np.linspace(0.9, 0.1, 5))),
     lambda tmp: not hasattr(PerturbedScoreOracle(base=circle_point_cloud()), "log_density"),
+    # the config alone names a run: its seed and trials are no flags, interpolate's
+    # endpoints are draws 1 and 2 of its seed and its bound a constant, and invert
+    # runs the DDIM baseline only beside SSI
+    lambda tmp: _flag_refused(["verify-projection", "--seed", "1"]),
+    lambda tmp: _flag_refused(["verify-projection", "--trials", "200"]),
+    lambda tmp: _config_refused(tmp, "interpolate", {"seed": 1, "data_seed_a": 1},
+                                "config error: unknown keys"),
+    lambda tmp: _config_refused(tmp, "interpolate", {"seed": 1, "manifold_threshold": 0.1},
+                                "config error: unknown keys"),
+    lambda tmp: _config_refused(tmp, "invert", {"seed": 1, "method": "baseline_ddim"},
+                                "config error: unknown method"),
 ], ids=["random_subspace-dim-and-grid_shape", "config-dim-and-grid_shape",
         "config-latent_stddevs-list", "correlation_metrics-flat", "ddim_coefficients-descending",
-        "perturbed-log_density"])
+        "perturbed-log_density", "flag-seed", "flag-trials", "config-data_seed_a",
+        "config-manifold_threshold", "config-method-baseline_ddim"])
 def test_removed_second_form_is_refused(tmp_path, refused):
     assert refused(tmp_path)
 

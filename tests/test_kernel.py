@@ -9,6 +9,7 @@ dtype (1e-12 on each state row's norm), not bit for bit.
 """
 
 import json
+import math
 import re
 
 import numpy as np
@@ -322,16 +323,24 @@ def test_non_finite_start_state_is_an_invalid_argument(schedule):
 
 
 def test_cli_baseline_divergence_exits_3(tmp_path, monkeypatch, capsys):
-    # one command per integrate path; each diverges at its first step
-    monkeypatch.setattr(SubspaceGaussianScore, "score",
-                        lambda self, x, sigma: np.full(np.shape(x), np.inf))
+    # one command per integrate path; each diverges at its first step, where
+    # the score is inf only at that step's sigma
+    score = SubspaceGaussianScore.score
+
+    def inf_at(sigma_inf):
+        return lambda self, x, sigma: (np.full(np.shape(x), np.inf)
+                                       if math.isclose(sigma, sigma_inf, rel_tol=1e-12)
+                                       else score(self, x, sigma))
+
     vp = {"schedule": "vp_linear_beta",
           "grid": {"kind": "uniform", "t_min": 0.1, "t_max": 0.9, "steps": 10}}
     ve = {"grid": {"kind": "karras", "t_min": 0.002, "t_max": 80.0, "rho": 7.0,
                    "steps": 40}}
     ssi_ve = {"grid": {"kind": "karras", "t_max": 80.0, "rho": 7.0, "steps": 40}}
     cases = [
-        ("invert", {"trials": 5, "method": "baseline_ddim", **vp},
+        # SSI runs first, from 0.15 in steps of 0.075, so only the baseline's
+        # first step scores at sigma(0.18)
+        ("invert", {"trials": 5, "method": "both", "t_ssi": 0.15, **vp},
          VP_LINEAR_BETA.sigma(0.18)),
         ("invert", {"trials": 5, "method": "ssi", "t_ssi": 0.1, "schedule": "vp_linear_beta",
                     "grid": {"kind": "uniform", "t_max": 0.9, "steps": 10}},
@@ -343,6 +352,7 @@ def test_cli_baseline_divergence_exits_3(tmp_path, monkeypatch, capsys):
                         "steps_ladder": [20]}, 0.1),
     ]
     for command, raw, sigma in cases:
+        monkeypatch.setattr(SubspaceGaussianScore, "score", inf_at(float(sigma)))
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(
             {"seed": 1, "oracle": {"kind": "gaussian_on_axis"}, **raw}))

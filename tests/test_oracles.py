@@ -309,13 +309,16 @@ _AXIS_BASIS = np.array([[1.0], [0.0]])
     lambda: PointCloudScore(points=np.eye(2), weights=np.array([np.nan, 1.0])),
     lambda: SubspaceGaussianScore(basis=_AXIS_BASIS, latent_stddevs=np.array([np.nan])),
     lambda: SubspaceGaussianScore(basis=_AXIS_BASIS, latent_stddevs=np.array([np.inf])),
+    # finite, with a variance past the largest float: kappa would be NaN
+    lambda: SubspaceGaussianScore(basis=_AXIS_BASIS, latent_stddevs=np.array([1e155])),
     lambda: SubspaceGaussianScore(basis=np.array([[np.nan], [0.0]]), latent_stddevs=np.ones(1)),
     lambda: PerturbedScoreOracle(base=circle_point_cloud(), magnitude=np.nan),
     lambda: PerturbedScoreOracle(base=circle_point_cloud(), magnitude=np.inf),
     lambda: toy_image_subspace(smoothness=np.nan),
     lambda: toy_image_subspace(smoothness=-1.0),
     lambda: toy_image_subspace(smoothness=np.inf),
-], ids=["weights-nan", "weights-nan-and-1", "stddevs-nan", "stddevs-inf", "basis-nan",
+], ids=["weights-nan", "weights-nan-and-1", "stddevs-nan", "stddevs-inf",
+        "stddevs-square-inf", "basis-nan",
         "magnitude-nan", "magnitude-inf", "smoothness-nan", "smoothness-negative",
         "smoothness-inf"])
 def test_parameter_outside_its_domain_is_refused(make):

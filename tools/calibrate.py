@@ -66,7 +66,7 @@ VERDICTS = {
     "verify-projection/toy_image": ("Holm's first step over the judged KS tests", ALPHA),
     "invert/toy_image": ("Holm's first step over three one-sided excess tests", ALPHA),
     "sweep-tssi/circle": ("interior minimum; none claimed on a point cloud", None),
-    "interpolate/circle": ("every frame within manifold_threshold of the manifold", None),
+    "interpolate/circle": ("every frame within 0.1 of the manifold", None),
     "reconstruct/circle": ("fraction within the error bound >= 1 - delta", 0.05),
     "criterion-2/circle": _SPREAD,
     "criterion-2/gaussian_on_axis": _SINGULARITY,
