@@ -1,6 +1,6 @@
 """Numerical laboratory for singularity-skipping inversion of diffusion flows."""
 
-__version__ = "0.12.0"
+__version__ = "0.13.0"
 
 from .errors import (ConfigError, IntegrationDivergedError, InvalidArgumentError,
                      UndefinedCorrelationError)

@@ -329,35 +329,35 @@ def cmd_reconstruct(cfg: dict, report: dict, oracle, schedule) -> None:
 ALPHA = 0.05  # design false-FAIL rate of each command's family of tests
 _NO_TESTS, _NO_BOUND, _CLAIMED = (lambda a, o: []), (lambda a, o: True), (lambda a, o: None)
 
-# command: (the p-values of its family of tests at ALPHA, whether its fixed
+# command: (its rule, the p-values of its family of tests at ALPHA, whether its fixed
 # bounds hold, why it claims no verdict or None), each read off (aggregates, oracle)
 _VERDICTS = {
-    # on a subspace, the decade mean off sqrt(d - n) in its SEs, two-sided
     "verify-singularity": (
+        "decade spread < 0.25; on a subspace, a two-sided z test of decade mean = sqrt(d - n)",
         lambda a, o: [math.erfc(abs(a["decade_mean"] - a["target"]) / a["decade_mean_se"]
                                 / math.sqrt(2))] if o.manifold_dim else [],
         lambda a, o: a["decade_rel_spread"] < 0.25, _CLAIMED),
-    # each judged rung's KS test against chi(d - n), and two rungs' against each other
     "verify-projection": (
+        "each judged rung's KS test against chi(d - n), and two judged rungs' against each other",
         lambda a, o: [r["ks_pvalue"] for r in a["rungs"] if r["asymptotic_regime"]]
         + [p for p in [a["scale_invariance_pvalue"]] if p is not None], _NO_BOUND,
         lambda a, o: None if a["judged_rungs"] else "no rung inside the asymptotic regime"),
-    # each SSI correlation's excess over the fresh-Gaussian reference in its
-    # SEs, one-sided; under both, the DDIM baseline's largest excess above 5
     "invert": (
+        "one-sided z tests of SSI's correlation excesses; under both, the baseline's max > 5 SE",
         lambda a, o: [math.erfc(z / math.sqrt(2)) / 2 for z in a["ssi_excess_se"].values()],
         lambda a, o: max(a.get("baseline_excess_se", {"": math.inf}).values()) > 5.0,
         lambda a, o: None if "ssi_excess_se" in a else "correlations need an image grid"),
-    "sweep-tssi": (_NO_TESTS, lambda a, o: a["interior_minimum"], lambda a, o: (
-        "fewer than 3 distinct t_ssi values" if a["interior_minimum"] is None else
-        "a point cloud's roundtrip snaps to an atom, so no t_ssi is an interior minimum"
-        if not o.manifold_dim else None)),
-    # every decoded frame within 0.1 of the manifold, per unit of sqrt(d)
-    "interpolate": (_NO_TESTS, lambda a, o: a["max_manifold_dist"] < 0.1,
+    "sweep-tssi": ("the best cell's t_ssi strictly inside the ladder", _NO_TESTS,
+                   lambda a, o: a["interior_minimum"], lambda a, o: (
+                       "fewer than 3 distinct t_ssi values" if a["interior_minimum"] is None
+                       else "a point cloud's roundtrip snaps to an atom, so no t_ssi is an "
+                       "interior minimum" if not o.manifold_dim else None)),
+    "interpolate": ("every decoded frame within 0.1 of the manifold, per unit of sqrt(d)",
+                    _NO_TESTS, lambda a, o: a["max_manifold_dist"] < 0.1,
                     lambda a, o: "every decoded frame is an exact subspace posterior mean, "
                     "on the subspace" if isinstance(o, SubspaceGaussianScore) else None),
-    # its alpha is the config's delta, the chi-square bound's own failure rate
-    "reconstruct": (_NO_TESTS, lambda a, o: a["fraction_within"] >= 1.0 - a["delta"], _CLAIMED),
+    "reconstruct": ("fraction within the chi-square error bound >= 1 - delta (alpha = delta)",
+                    _NO_TESTS, lambda a, o: a["fraction_within"] >= 1.0 - a["delta"], _CLAIMED),
 }
 
 
@@ -366,7 +366,7 @@ def verdict(command: str, aggregates: dict, oracle) -> tuple:
     fails or the least of the family's m p-values is at most ``ALPHA / m``,
     the first step of Holm (1979), which alone decides if the family rejects;
     a verdict of None comes with the one note that says why."""
-    pvalues, bounds, unclaimed = _VERDICTS[command]
+    _, pvalues, bounds, unclaimed = _VERDICTS[command]
     reason = unclaimed(aggregates, oracle)
     if reason is not None:
         return None, [reason + "; no verdict claimed"]

@@ -371,6 +371,7 @@ class SubspaceGaussianScore(_OracleBase):
     grid_shape: tuple[int, int, int] | None = None
     _basis_t: np.ndarray = field(init=False, repr=False)
     _lam: np.ndarray = field(init=False, repr=False)  # stddevs**2
+    _lam_max: float = field(init=False, repr=False)
     _kappa: dict = field(init=False, repr=False)  # sigma -> row of _kappa_rows
     _kappa_rows: np.ndarray = field(init=False, repr=False)  # (cap, n)
 
@@ -403,6 +404,7 @@ class SubspaceGaussianScore(_OracleBase):
         object.__setattr__(self, "_basis_t", basis_t)
         object.__setattr__(self, "latent_stddevs", stddevs)
         object.__setattr__(self, "_lam", lam)
+        object.__setattr__(self, "_lam_max", float(lam.max()))
         object.__setattr__(self, "_kappa", {})
         object.__setattr__(self, "_kappa_rows", np.empty((_KAPPA_MEMO_CAP, lam.shape[0])))
 
@@ -426,7 +428,7 @@ class SubspaceGaussianScore(_OracleBase):
         s2 = sigma * sigma
         coef = x @ self.basis
         row = self._kappa.get(sigma)
-        kappa = self._lam / ((self._lam + s2) * s2) if row is None else self._kappa_rows[row]
+        kappa = self._kappa_at(s2) if row is None else self._kappa_rows[row]
         if row is None and len(self._kappa) < _KAPPA_MEMO_CAP:
             row = self._kappa[sigma] = _KAPPA_ROWS[len(self._kappa)]
             self._kappa_rows[row] = kappa
@@ -434,6 +436,14 @@ class SubspaceGaussianScore(_OracleBase):
         score = coef @ self._basis_t
         score -= x / s2
         return score
+
+    def _kappa_at(self, s2):
+        """``lam / ((lam + s2) s2)``, or ``lam / (lam + s2) / s2`` where that product overflows."""
+        if (self._lam_max + s2) * s2 < math.inf:  # in Python floats an overflow is inf, silently
+            return self._lam / ((self._lam + s2) * s2)
+        with np.errstate(over="ignore"):
+            var = self._lam + s2
+            return np.where(var * s2 < np.inf, self._lam / (var * s2), self._lam / var / s2)
 
     def log_density(self, x, sigma):
         x, sigma = _check_state(x, self.dim), _check_sigma(sigma)

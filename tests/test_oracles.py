@@ -12,7 +12,8 @@ from ssilab import (InvalidArgumentError, InversionConfig, InversionResult,
                     TimeGrid, Trajectory, VE_KARRAS, circle_point_cloud,
                     gaussian_on_axis, karras_grid, random_subspace,
                     toy_image_subspace)
-from ssilab import oracles
+from ssilab import build_grid, build_schedule, oracles, resolve_config
+from ssilab.config import _ssi_grid
 
 
 def fd_gradient(f, x, h=1e-6):
@@ -479,6 +480,43 @@ def test_kappa_memo_is_not_part_of_equality_or_repr():
     a.score(np.zeros(a.dim), 0.5)
     assert a._kappa and not b._kappa
     assert a != b and repr(a) == repr(b)
+
+
+def _benchmark_sigmas():
+    """The sigma of every grid time of the benchmark's sweep, VP invert and
+    interpolate configs: the sweep's Karras ladders, the uniform VP grid and
+    the interpolation's default grid."""
+    sweep = resolve_config("sweep-tssi", {"t_ssi_ladder": [0.001, 0.01, 0.1, 0.2],
+                                          "steps_ladder": [40, 100, 200]})
+    grids = [(sweep, _ssi_grid(sweep, t, steps))
+             for t in sweep["t_ssi_ladder"] for steps in sweep["steps_ladder"]]
+    vp = resolve_config("invert", {"method": "both", "schedule": "vp_linear_beta", "t_ssi": 0.1,
+                                   "grid": {"kind": "uniform", "t_min": 0.1, "t_max": 0.999,
+                                            "steps": 200}})
+    interp = resolve_config("interpolate", {})
+    grids += [(vp, build_grid(vp["grid"])), (interp, _ssi_grid(interp))]
+    return np.unique(np.concatenate([build_schedule(cfg).sigma(grid.times)
+                                     for cfg, grid in grids]))
+
+
+def test_kappa_keeps_its_bits_on_the_benchmark_grids():
+    sigmas = _benchmark_sigmas()
+    assert len(sigmas) > 1000 and sigmas.min() == 0.001  # and up to the VP grid's 150.7
+    for sigma in sigmas.tolist():
+        axis = gaussian_on_axis()  # latent stddev 1
+        axis.score(np.ones(2), sigma)
+        lam, s2 = axis.latent_stddevs**2, sigma * sigma
+        assert np.array_equal(axis._kappa_rows[axis._kappa[sigma]], lam / ((lam + s2) * s2))
+
+
+def test_kappa_stays_right_where_its_denominator_overflows():
+    # lam = 1e306 is finite, (lam + sigma^2) sigma^2 is not: the tangential
+    # part must still be scored as tangential, with no overflow warning
+    p = PerturbedScoreOracle(base=random_subspace(dim=8, latent_stddevs=1e153), magnitude=1e-3)
+    x = np.random.default_rng(6).standard_normal((4, 8))
+    for oracle, want in zip((p.base, p), longdouble_score_references(p, x, 80.0)):
+        err = np.linalg.norm(oracle.score(x, 80.0) - want, axis=1).astype(float)
+        assert np.all(err <= 1e-9 * np.linalg.norm(want, axis=1).astype(float))
 
 
 def _grid():

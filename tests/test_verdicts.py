@@ -4,8 +4,11 @@ A command's family of tests FAILs iff its smallest p-value is at most
 ``ALPHA / m`` over its ``m`` tests, the first step of Holm's procedure.
 """
 
+import importlib.util
 import json
 import math
+import os
+import pathlib
 from statistics import NormalDist
 
 import pytest
@@ -14,7 +17,7 @@ from hypothesis import given, strategies as st
 from ssilab import (COMMANDS, build_oracle, build_schedule, circle_point_cloud,
                     gaussian_on_axis, resolve_config, run_command, toy_image_subspace)
 from ssilab import experiments
-from ssilab.experiments import ALPHA, verdict
+from ssilab.experiments import _VERDICTS, ALPHA, verdict
 
 _CIRCLE = circle_point_cloud()
 _TOY = toy_image_subspace()
@@ -122,3 +125,56 @@ def test_invert_without_ssi_correlations_claims_no_verdict(raw):
     report = run_command(resolve_config("invert", {"seed": 1, **raw}))
     assert report["verdict"] is None
     assert report["notes"] == ["correlations need an image grid; no verdict claimed"]
+
+
+# -- the committed calibration record against the rules the code states -----
+# CALIBRATION.json holds each verdict's measured FAIL rate under the rule it
+# was measured under; these read it and run no seeds (a record takes about
+# 20 minutes: PYTHONPATH=src python tools/calibrate.py --jobs 2)
+
+_ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _import_calibrate():
+    spec = importlib.util.spec_from_file_location("calibrate", _ROOT / "tools" / "calibrate.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def calibrate():
+    return _import_calibrate()
+
+
+@pytest.fixture(scope="module")
+def record():
+    return json.loads((_ROOT / "CALIBRATION.json").read_text())
+
+
+def test_importing_the_calibration_tool_leaves_the_environment_alone(monkeypatch):
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    before = dict(os.environ)
+    _import_calibrate()
+    assert dict(os.environ) == before
+
+
+def test_each_calibrated_row_states_the_rule_the_code_applies(calibrate, record):
+    stale = {name: row["rule"] for name, row in record["verdicts"].items()
+             if row["rule"] != calibrate.rule(name)}
+    assert not stale, "recalibrate: tools/calibrate.py --jobs 2"
+
+
+def test_the_record_was_made_at_this_alpha(record):
+    assert record["alpha"] == ALPHA
+
+
+def test_every_command_has_a_calibrated_row(calibrate, record):
+    calibrated = {calibrate.command(name) for name in record["verdicts"]
+                  if name not in calibrate.ASSERTIONS}
+    assert calibrated == set(_VERDICTS)
+
+
+def test_the_record_was_made_from_a_committed_tree(record):
+    assert record["uncommitted_changes"] is False

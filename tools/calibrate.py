@@ -2,21 +2,19 @@
 
     PYTHONPATH=src python tools/calibrate.py [--seeds N] [--jobs J] [--out FILE]
 
-Runs every row of ``ssilab.experiments._VERDICTS`` (each command's default
-config, and the oracles whose rates the README quotes) and the configs of
-acceptance criteria 2-7, on seeds ``0 .. N-1`` with nothing but the seed
-changed.  A criterion's seed is the one its test fixes (criterion 5's 11,
-criterion 3's and 7's leading seed entry, and so on).  For criteria 2, 3, 5, 6
-and 7 the test's own assertion is a verdict too, with no design alpha.
+Runs each command of ``ssilab.experiments._VERDICTS`` on its default config
+(and on the oracles whose rates the README quotes) and the configs of
+acceptance criteria 2-7 on seeds ``0 .. N-1`` (default 1000), with nothing but
+the seed changed; a criterion's seed is the one its test fixes.  A row records
+its command's ``_VERDICTS`` rule at the design alpha that the run works out,
+or its test's assertion (``ASSERTIONS``) with no alpha.  ``--jobs`` runs that
+many workers, each on one BLAS thread and one job (a group of rows) at a time.
 
-Writes one JSON object (default ``CALIBRATION.json``): the commit, whether the
-tree had uncommitted changes, the SHA-256 of ``src/ssilab/*.py``, the seeds,
-the environment and the wall time, and per verdict its rule, its design alpha
-(null for a fixed bound or an assertion), the PASS, FAIL and unclaimed counts,
-the FAIL rate among claimed verdicts with its Wilson 95% interval, the seeds
-that FAILed, and its wall time.  The alphas are the table's, fixed before any
-seed runs; a rate above its alpha is reported as it is.  ``--jobs`` runs that
-many worker processes, one job (a group of verdicts) at a time each.
+Writes one JSON object (default ``CALIBRATION.json``): the commit, whether
+``src`` or ``tools`` had uncommitted changes, the SHA-256 of ``src/ssilab/*.py``,
+``ALPHA``, the seeds, the environment, the wall time, and per row its rule,
+alpha, counts, FAIL rate among claimed verdicts with its Wilson 95% interval,
+failing seeds and job wall time.
 """
 
 from __future__ import annotations
@@ -33,16 +31,13 @@ import platform
 import subprocess
 import time
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):  # one BLAS thread per worker
-    os.environ.setdefault(_var, "1")
+import numpy as np
 
-import numpy as np  # noqa: E402
-
-from ssilab import (InversionConfig, TimeGrid, VE_KARRAS, chi_square_bound,
+from ssilab import (InversionConfig, TimeGrid, VE_KARRAS, build_oracle, chi_square_bound,
                     circle_point_cloud, gaussian_on_axis, karras_grid,
                     projection_concentration, reconstruct, resolve_config,
                     run_command, singularity_trace, ssi_invert_ve, toy_image_subspace)
-from ssilab.experiments import ALPHA
+from ssilab.experiments import _VERDICTS, ALPHA
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 AXIS = {"kind": "gaussian_on_axis"}
@@ -54,68 +49,59 @@ CRITERION_5 = {"trials": 300, "method": "both", "schedule": "vp_linear_beta", "o
                "t_ssi": 0.1, "perturbation": 1e-3}
 CRITERION_6 = {"oracle": TOY, "perturbation": 1e-3}
 
-# verdict name -> (the rule it applies, its design alpha or None)
-_SINGULARITY = ("decade mean within a two-sided z band at alpha on a subspace; "
-                "decade spread < 0.25", ALPHA)
-_SPREAD = ("decade spread < 0.25 (a point cloud has no band)", None)
-VERDICTS = {
-    "verify-singularity/circle": _SPREAD,
-    "verify-singularity/gaussian_on_axis": _SINGULARITY,
-    "verify-singularity/toy_image": _SINGULARITY,
-    "verify-projection/circle": ("Holm's first step over the judged KS tests", ALPHA),
-    "verify-projection/toy_image": ("Holm's first step over the judged KS tests", ALPHA),
-    "invert/toy_image": ("Holm's first step over three one-sided excess tests", ALPHA),
-    "sweep-tssi/circle": ("interior minimum; none claimed on a point cloud", None),
-    "interpolate/circle": ("every frame within 0.1 of the manifold", None),
-    "reconstruct/circle": ("fraction within the error bound >= 1 - delta", 0.05),
-    "criterion-2/circle": _SPREAD,
-    "criterion-2/gaussian_on_axis": _SINGULARITY,
-    "criterion-2 assertion": ("spread < 0.25 on the circle and deviation < 0.10 on the axis",
-                              None),
-    "criterion-3 assertion": ("each KS p > 0.01 over three oracles and the scale test", None),
-    **{f"criterion-4/{name}/delta={delta}": ("fraction within the error bound >= 1 - delta",
-                                            delta)
-       for name in ("gaussian_on_axis", "subspace-8", "toy_image") for delta in (0.05, 0.2)},
-    "criterion-5": ("Holm's first step over three one-sided excess tests; baseline > 5 SE",
-                    ALPHA),
-    "criterion-5 assertion": ("every |excess| <= 2 SE, baseline > 5 SE, verdict PASS", None),
-    "criterion-6": ("interior minimum", None),
-    "criterion-6 assertion": ("interior minimum at steps 200 and t_ssi 0.1", None),
-    "criterion-7 assertion": ("mean |cos| < 3 / sqrt(d) and every error ratio within the bound",
-                              None),
+# the command each criterion's verdict rows run; any other row names its own
+CRITERIA = {"criterion-2": "verify-singularity", "criterion-4": "reconstruct",
+            "criterion-5": "invert", "criterion-6": "sweep-tssi"}
+# each acceptance test's own assertion, which has no design alpha
+ASSERTIONS = {
+    "criterion-2 assertion": "spread < 0.25 on the circle and deviation < 0.10 on the axis",
+    "criterion-3 assertion": "each KS p > 0.01 over three oracles and the scale test",
+    "criterion-5 assertion": "every |excess| <= 2 SE, baseline > 5 SE, verdict PASS",
+    "criterion-6 assertion": "interior minimum at steps 200 and t_ssi 0.1",
+    "criterion-7 assertion": "mean |cos| < 3 / sqrt(d) and every error ratio within the bound",
 }
 
 
-def _run(command: str, raw: dict, seed: int) -> dict:
-    return run_command(resolve_config(command, {**raw, "seed": seed}))
+def command(row: str) -> str:
+    """The command a verdict row runs, read off its name."""
+    head = row.split("/")[0]
+    return CRITERIA.get(head, head)
 
 
-def _outcome(ok: bool) -> str:
-    return "PASS" if ok else "FAIL"
+def rule(row: str) -> str:
+    """A row's rule: its test's assertion, or its command's ``_VERDICTS`` text."""
+    return ASSERTIONS[row] if row in ASSERTIONS else _VERDICTS[command(row)][0]
+
+
+def _run(row: str, raw: dict, seed: int) -> dict:
+    return run_command(resolve_config(command(row), {**raw, "seed": seed}))
+
+
+def _claim(report: dict) -> tuple:
+    """A report's verdict and design alpha: ``reconstruct``'s delta, ALPHA for tests, or None."""
+    if report["verdict"] is None or report["command"] == "reconstruct":
+        return report["verdict"], report["verdict"] and report["config"]["delta"]
+    tested = _VERDICTS[report["command"]][1](report["aggregates"], build_oracle(report["config"]))
+    return report["verdict"], ALPHA if tested else None
 
 
 def commands(seed: int) -> dict:
-    rows = {"verify-singularity/circle": ("verify-singularity", {}),
-            "verify-singularity/gaussian_on_axis": ("verify-singularity", {"oracle": AXIS}),
-            "verify-singularity/toy_image": ("verify-singularity", {"oracle": TOY}),
-            "verify-projection/circle": ("verify-projection", {}),
-            "verify-projection/toy_image": ("verify-projection", {"oracle": TOY}),
-            "invert/toy_image": ("invert", {"oracle": TOY}),
-            "sweep-tssi/circle": ("sweep-tssi", {}),
-            "interpolate/circle": ("interpolate", {}),
-            "reconstruct/circle": ("reconstruct", {})}
-    return {name: _run(command, raw, seed)["verdict"] for name, (command, raw) in rows.items()}
+    rows = {"verify-singularity/circle": {},
+            "verify-singularity/gaussian_on_axis": {"oracle": AXIS},
+            "verify-singularity/toy_image": {"oracle": TOY}, "verify-projection/circle": {},
+            "verify-projection/toy_image": {"oracle": TOY}, "invert/toy_image": {"oracle": TOY},
+            "sweep-tssi/circle": {}, "interpolate/circle": {}, "reconstruct/circle": {}}
+    return {row: _run(row, raw, seed) for row, raw in rows.items()}
 
 
 def criterion_2(seed: int) -> dict:
-    circle = _run("verify-singularity", {"trials": 200}, seed)
-    axis = _run("verify-singularity", {"trials": 200, "oracle": AXIS}, seed)
+    circle = _run("criterion-2/circle", {"trials": 200}, seed)
+    axis = _run("criterion-2/gaussian_on_axis", {"trials": 200, "oracle": AXIS}, seed)
     ok = (math.isfinite(circle["aggregates"]["trace_max"])
           and circle["aggregates"]["decade_rel_spread"] < 0.25
           and axis["aggregates"]["target_rel_deviation"] < 0.10)
-    return {"criterion-2/circle": circle["verdict"],
-            "criterion-2/gaussian_on_axis": axis["verdict"],
-            "criterion-2 assertion": _outcome(ok)}
+    return {"criterion-2/circle": circle, "criterion-2/gaussian_on_axis": axis,
+            "criterion-2 assertion": ok}
 
 
 def criterion_3(seed: int) -> dict:
@@ -129,31 +115,31 @@ def criterion_3(seed: int) -> dict:
     r1 = projection_concentration(gaussian_on_axis(), 0.01, 10_000, (seed, 10))
     r2 = projection_concentration(gaussian_on_axis(), 0.001, 10_000, (seed, 11))
     ok &= stats.ks_2samp(r1["ratios"], r2["ratios"]).pvalue > 0.01
-    return {"criterion-3 assertion": _outcome(ok)}
+    return {"criterion-3 assertion": ok}
 
 
 def criterion_4(seed: int) -> dict:
     oracles = {"gaussian_on_axis": AXIS, "subspace-8": {"kind": "subspace", "dim": 8,
                                                         "latent_dim": 3}, "toy_image": TOY}
-    return {f"criterion-4/{name}/delta={delta}":
-            _run("reconstruct", {**CRITERION_4, "delta": delta, "oracle": oracle}, seed)["verdict"]
+    rows = {f"criterion-4/{name}/delta={delta}": {**CRITERION_4, "delta": delta, "oracle": oracle}
             for name, oracle in oracles.items() for delta in (0.05, 0.2)}
+    return {row: _run(row, raw, seed) for row, raw in rows.items()}
 
 
 def criterion_5(seed: int) -> dict:
-    rep = _run("invert", CRITERION_5, seed)
+    rep = _run("criterion-5", CRITERION_5, seed)
     ssi, base = rep["aggregates"]["ssi_excess_se"], rep["aggregates"]["baseline_excess_se"]
     ok = (all(abs(v) <= 2.0 for v in ssi.values()) and max(base.values()) > 5.0
           and rep["verdict"] == "PASS")
-    return {"criterion-5": rep["verdict"], "criterion-5 assertion": _outcome(ok)}
+    return {"criterion-5": rep, "criterion-5 assertion": ok}
 
 
 def criterion_6(seed: int) -> dict:
-    rep = _run("sweep-tssi", CRITERION_6, seed)
+    rep = _run("criterion-6", CRITERION_6, seed)
     best = rep["aggregates"]["best_cell"]
     ok = (rep["aggregates"]["interior_minimum"] is True and best["steps"] == 200
           and best["t_ssi"] == 0.1)
-    return {"criterion-6": rep["verdict"], "criterion-6 assertion": _outcome(ok)}
+    return {"criterion-6": rep, "criterion-6 assertion": ok}
 
 
 def criterion_7(seed: int) -> dict:
@@ -172,20 +158,21 @@ def criterion_7(seed: int) -> dict:
     bound = float(ratios.max()) + np.sqrt(chi_square_bound(d, 0.05))
     x_hat = reconstruct(oracle, VE_KARRAS, res, TimeGrid(grid.times[::-1]))
     err_ratio = np.linalg.norm(x_hat - x0, axis=-1) / 0.1
-    return {"criterion-7 assertion": _outcome(mean_cos < 3 / np.sqrt(d)
-                                              and bool(np.all(err_ratio <= bound)))}
+    return {"criterion-7 assertion": mean_cos < 3 / np.sqrt(d)
+            and bool(np.all(err_ratio <= bound))}
 
 
 JOBS = (criterion_4, criterion_5, commands, criterion_6, criterion_2, criterion_3, criterion_7)
 
 
 def _run_job(job, seeds) -> tuple[dict, float]:
-    """Every seed through one job: ``{verdict: [outcome per seed]}`` and the wall time."""
+    """Every seed through one job: ``{row: [(outcome, alpha) per seed]}`` and the wall time."""
     t0 = time.perf_counter()
     outcomes: dict = {}
     for seed in seeds:
-        for name, outcome in job(seed).items():
-            outcomes.setdefault(name, []).append(outcome)
+        for name, got in job(seed).items():
+            claim = _claim(got) if isinstance(got, dict) else ("PASS" if got else "FAIL", None)
+            outcomes.setdefault(name, []).append(claim)
     return outcomes, time.perf_counter() - t0
 
 
@@ -209,12 +196,14 @@ def _git(*args) -> str | None:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", type=int, default=200, help="seeds 0 .. N-1 (default 200)")
+    parser.add_argument("--seeds", type=int, default=1000, help="seeds 0 .. N-1 (default 1000)")
     parser.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
     parser.add_argument("--out", type=pathlib.Path, default=ROOT / "CALIBRATION.json")
     args = parser.parse_args(argv)
     if args.seeds < 1 or args.jobs < 1:
         parser.error("--seeds and --jobs must be at least 1")
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):  # inherited by each worker
+        os.environ.setdefault(var, "1")
     seeds = list(range(args.seeds))
     t0 = time.perf_counter()
     with concurrent.futures.ProcessPoolExecutor(
@@ -222,13 +211,13 @@ def main(argv=None) -> int:
         done = list(pool.map(_run_job, JOBS, [seeds] * len(JOBS)))
     verdicts = {}
     for outcomes, wall in done:
-        for name, seen in outcomes.items():
-            rule, alpha = VERDICTS[name]
+        for name, claims in outcomes.items():
+            seen = [v for v, _ in claims]
             fails = [s for s, v in zip(seeds, seen) if v == "FAIL"]
             claimed = sum(v is not None for v in seen)
             verdicts[name] = {
-                "rule": rule, "alpha": alpha, "fail": len(fails),
-                "pass": seen.count("PASS"), "unclaimed": seen.count(None),
+                "rule": rule(name), "alpha": next((a for _, a in claims if a is not None), None),
+                "fail": len(fails), "pass": seen.count("PASS"), "unclaimed": seen.count(None),
                 "fail_rate": len(fails) / claimed if claimed else None,
                 "wilson95": wilson(len(fails), claimed), "fail_seeds": fails,
                 "job_wall_seconds": round(wall, 1)}
@@ -238,11 +227,11 @@ def main(argv=None) -> int:
         "commit": _git("rev-parse", "HEAD"),
         "uncommitted_changes": bool(_git("status", "--porcelain", "--", "src", "tools")),
         "source_sha256": source.hexdigest(),
-        "seeds": {"first": 0, "count": args.seeds},
+        "alpha": ALPHA, "seeds": {"first": 0, "count": args.seeds},
         "environment": {"python": platform.python_version(), "numpy": np.__version__,
                         "machine": platform.machine(), "jobs": args.jobs},
         "wall_seconds": round(time.perf_counter() - t0, 1),
-        "verdicts": {name: verdicts[name] for name in VERDICTS},
+        "verdicts": verdicts,
     }
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     above = [name for name, v in report["verdicts"].items()
