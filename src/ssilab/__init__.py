@@ -1,6 +1,6 @@
 """Numerical laboratory for singularity-skipping inversion of diffusion flows."""
 
-__version__ = "0.13.0"
+__version__ = "0.14.0"
 
 from .errors import (ConfigError, IntegrationDivergedError, InvalidArgumentError,
                      UndefinedCorrelationError)
@@ -12,9 +12,8 @@ from .oracles import (PerturbedScoreOracle, PointCloudScore, ScoreOracle,
 from .flow import (Method, Trajectory, denoise_to_mean, gaussian_exact,
                    integrate, sample)
 from .inversion import (InversionConfig, InversionResult, ddim_coefficients,
-                        ddim_invert_baseline, ddim_sample,
-                        pf_ode_sigma_euler_step, reconstruct, ssi_invert_ve,
-                        ssi_invert_vp)
+                        ddim_invert_baseline, ddim_sample, reconstruct,
+                        ssi_invert_ve, ssi_invert_vp)
 from .interp import interpolate_and_decode, slerp
 from .diagnostics import (chi_square_bound, correlation_metrics, mse,
                           projection_concentration, singularity_trace, ssim,

@@ -160,17 +160,6 @@ def ddim_sample(oracle, schedule: NoiseSchedule, x_start, grid_descending: TimeG
     return _run_plan(oracle, x_start, plan)
 
 
-def pf_ode_sigma_euler_step(oracle, u, sigma_a: float, sigma_b: float):
-    """One forward-Euler step of the flow ODE parametrised by sigma.
-
-    ``du/dsigma = -sigma * score(u, sigma)``; equivalent to the explicit DDIM
-    update via the Tweedie identity, kept as an independent code path.
-    """
-    if sigma_a <= 0:
-        raise InvalidArgumentError("sigma must be positive")
-    return u - sigma_a * oracle.score(u, sigma_a) * (sigma_b - sigma_a)
-
-
 def ddim_invert_baseline(oracle, schedule: NoiseSchedule, x0,
                          grid_ascending: TimeGrid) -> InversionResult:
     """Explicit DDIM inversion with the one-step-lagged denoiser input.

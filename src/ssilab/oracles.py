@@ -7,8 +7,6 @@ Every oracle exposes the same surface:
   conditional mean, related to the score by the Tweedie identity
   ``E[x0 | x] = x + sigma^2 * score(x, sigma)``,
 * ``nearest_manifold_point(x)`` -- Euclidean projection onto the data support,
-* ``log_density(x, sigma)`` -- on the exact oracles only, closed-form log of
-  the smoothed density (used by finite-difference cross-checks),
 * ``sample_data(seed, count)`` -- i.i.d. draws from the clean distribution.
 
 States are plain numpy arrays of shape ``(..., d)``; all operations are
@@ -46,7 +44,6 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 
-_LOG_2PI = float(np.log(2.0 * np.pi))
 _UNIT_ROUNDOFF = 2.0 ** -53  # u of float64
 _LOGIT_TOL = 1e-11  # tau of PointCloudScore: largest logit error left unrefined
 _SCREEN_MARGIN = 60.0  # L of PointCloudScore: how far below a row's top an atom is dropped
@@ -121,8 +118,8 @@ class _OracleBase:
 class PointCloudScore(_OracleBase):
     """Mixture of point masses; smoothed density is an isotropic Gaussian mixture.
 
-    ``score``, ``softmax_weights`` and ``log_density`` take the logits
-    ``log w_k - |x - p_k|^2 / (2 sigma^2)`` from one path, ``_logits``:
+    ``score`` takes the logits ``log w_k - |x - p_k|^2 / (2 sigma^2)``, each
+    row up to a constant that cancels in the softmax, from ``_logits``:
 
     * Screen: ``log w_k + (x.p_k - |p_k|^2 / 2) / sigma^2`` for every atom,
       the logit plus ``|x|^2 / (2 sigma^2)``, which cancels in the softmax.
@@ -230,30 +227,29 @@ class PointCloudScore(_OracleBase):
         return math.sqrt(best)
 
     def _screen(self, x, s2):
-        """Unchecked ``x.p_k - |p_k|^2 / 2``, ``(..., K)``, ``beta`` and ``|x|^2``."""
+        """Unchecked ``x.p_k - |p_k|^2 / 2``, ``(..., K)``, and ``beta``."""
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             g = x @ self.points.T
             g -= self._half_sq_norms
             sq_x = np.einsum("...d,...d->...", x, x)
             p = self._max_norm
             beta = (self.dim + 3) * _UNIT_ROUNDOFF * p * (2.0 * np.sqrt(sq_x) + p) / (2.0 * s2)
-        return g, beta, sq_x
+        return g, beta
 
     def _refine(self, x, g, margin):
-        """Unchecked candidate (row, atom) pairs of ``g``, their direct sums, and
-        each row's ``d_min``: 0 unless every sum of the row overflows, when
-        its sums become ``d_k^2 - d_min^2``, from the screen where it is finite."""
+        """Unchecked candidate (row, atom) pairs of ``g`` and their direct sums;
+        a row whose every sum overflows takes ``d_k^2 - d_min^2`` instead,
+        from the screen where it is finite."""
         with np.errstate(invalid="ignore"):
             cut = g.max(axis=1) - margin
         rows, atoms = np.nonzero((g >= cut[:, None]) | ~np.isfinite(cut)[:, None])
         sq = self._direct_sq_dist(x, rows, atoms)
-        d_min = np.zeros(len(g))
         far = np.ones(len(g), dtype=bool)
         far[rows[np.isfinite(sq)]] = False
         if far.any():
             pick = far[rows]
             r, a = rows[pick], atoms[pick]
-            d_min[far] = np.inf
+            d_min = np.full(len(g), np.inf)
             with np.errstate(over="ignore", invalid="ignore"):  # past about 1.8e308
                 d = _by_pairs(lambda diff: np.hypot.reduce(diff, axis=1), x, self.points, r, a)
                 np.minimum.at(d_min, r, d)
@@ -267,7 +263,7 @@ class PointCloudScore(_OracleBase):
                 by_screen = np.isfinite(top)
                 by_screen[r[~np.isfinite(screen)]] = False
                 sq[pick] = np.where(by_screen[r], 2.0 * (top[r] - screen), by_dist)
-        return rows, atoms, sq, d_min
+        return rows, atoms, sq
 
     def _direct_sq_dist(self, x, rows, atoms):
         """Unchecked ``sum_j (x_rj - p_aj)^2`` for each index pair ``(r, a)``."""
@@ -275,35 +271,28 @@ class PointCloudScore(_OracleBase):
                          x, self.points, rows, atoms)
 
     def _logits(self, x, sigma):
-        """Unchecked logits plus a per-row constant, and that constant (0 if
-        refined, unless every candidate's direct sum overflowed)."""
+        """Unchecked logits, each row up to a constant."""
         s2 = sigma * sigma
-        g, beta, sq_x = self._screen(x, s2)
+        g, beta = self._screen(x, s2)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             g /= s2
             g += self._log_weights
             refine = ~(beta <= _LOGIT_TOL)  # a NaN bound refines too
-            offset = np.where(refine, 0.0, sq_x / (2.0 * s2))
             if refine.any():
                 logits = g[refine]
-                rows, atoms, sq, d_min = self._refine(x[refine], logits,
-                                                      _SCREEN_MARGIN + 2.0 * beta[refine])
+                rows, atoms, sq = self._refine(x[refine], logits,
+                                               _SCREEN_MARGIN + 2.0 * beta[refine])
                 logits[:] = -np.inf
                 logits[rows, atoms] = self._log_weights[atoms] - sq / (2.0 * s2)
                 g[refine] = logits
-                offset[refine] = 0.5 * (d_min / sigma) ** 2
-            return g, offset
+            return g
 
     def _responsibilities(self, x, sigma):
-        w, _ = self._logits(x, sigma)
+        w = self._logits(x, sigma)
         # divide by the sum: exp(logits - logsumexp) leaves rows summing to
         # 1 +- eps |logit|, about 1e-8 once a state is 1e4 sigma from the atoms
         w = np.exp(w - w.max(axis=-1, keepdims=True))
         return w / w.sum(axis=-1, keepdims=True)
-
-    def softmax_weights(self, x, sigma):
-        """Posterior responsibilities over atoms, max-shifted and summing to one."""
-        return self._responsibilities(_check_state(x, self.dim), _check_sigma(sigma))
 
     def score(self, x, sigma):
         return self._score(_check_state(x, self.dim), _check_sigma(sigma))
@@ -312,18 +301,11 @@ class PointCloudScore(_OracleBase):
         w = self._responsibilities(x, sigma)  # (..., K)
         return (w @ self.points - x) / (sigma * sigma)
 
-    def log_density(self, x, sigma):
-        x, sigma = _check_state(x, self.dim), _check_sigma(sigma)
-        logits, offset = self._logits(x, sigma)
-        top = logits.max(axis=-1)
-        log_norm = 0.5 * self.dim * (_LOG_2PI + 2.0 * np.log(sigma))
-        return top + np.log(np.exp(logits - top[..., None]).sum(axis=-1)) - offset - log_norm
-
     def nearest_manifold_point(self, x):
         x = _check_state(x, self.dim)
-        g, beta, _ = self._screen(x, 1.0)  # (|x|^2 - |x - p_k|^2) / 2
+        g, beta = self._screen(x, 1.0)  # (|x|^2 - |x - p_k|^2) / 2
         g = g.reshape(-1, g.shape[-1])
-        rows, atoms, sq, _ = self._refine(x.reshape(-1, self.dim), g, 2.0 * np.reshape(beta, -1))
+        rows, atoms, sq = self._refine(x.reshape(-1, self.dim), g, 2.0 * np.reshape(beta, -1))
         g[:] = np.inf
         g[rows, atoms] = sq
         return self.points[np.argmin(g, axis=-1)].reshape(x.shape)  # first of tied minima
@@ -444,18 +426,6 @@ class SubspaceGaussianScore(_OracleBase):
         with np.errstate(over="ignore"):
             var = self._lam + s2
             return np.where(var * s2 < np.inf, self._lam / (var * s2), self._lam / var / s2)
-
-    def log_density(self, x, sigma):
-        x, sigma = _check_state(x, self.dim), _check_sigma(sigma)
-        coef = x @ self.basis  # (..., n)
-        normal = x - coef @ self.basis.T
-        var_t = self._lam + sigma * sigma
-        d, n = self.dim, self.manifold_dim
-        quad = np.sum(coef * coef / var_t, axis=-1) + np.sum(normal * normal, axis=-1) / (
-            sigma * sigma
-        )
-        logdet = np.sum(np.log(var_t)) + 2.0 * (d - n) * np.log(sigma)
-        return -0.5 * (quad + logdet + d * _LOG_2PI)
 
     def nearest_manifold_point(self, x):
         return _check_state(x, self.dim) @ self.basis @ self.basis.T

@@ -14,7 +14,7 @@ import ssilab
 from ssilab import (COMMANDS, ConfigError, InvalidArgumentError, PerturbedScoreOracle,
                     TimeGrid, VP_LINEAR_BETA, build_oracle, circle_point_cloud,
                     config_hash, correlation_metrics, ddim_coefficients,
-                    random_subspace, replay, resolve_config, run_command,
+                    gaussian_on_axis, random_subspace, replay, resolve_config, run_command,
                     toy_image_subspace)
 from ssilab.cli import main
 from ssilab.experiments import _pairwise_abs_cosine
@@ -911,7 +911,12 @@ def _config_refused(tmp, command, data, message) -> bool:
     lambda tmp: _refused(TypeError, correlation_metrics, np.ones((4, 48)), grid_shape=(3, 4, 4)),
     lambda tmp: _refused(InvalidArgumentError, ddim_coefficients, VP_LINEAR_BETA,
                          TimeGrid(np.linspace(0.9, 0.1, 5))),
-    lambda tmp: not hasattr(PerturbedScoreOracle(base=circle_point_cloud()), "log_density"),
+    # the oracles have one surface, and the test-only cross-checks live in the tests
+    lambda tmp: not any(hasattr(make(), name)
+                        for make in (circle_point_cloud, gaussian_on_axis,
+                                     lambda: PerturbedScoreOracle(base=circle_point_cloud()))
+                        for name in ("log_density", "softmax_weights"))
+    and not hasattr(ssilab, "pf_ode_sigma_euler_step"),
     # the config alone names a run: its seed and trials are no flags, interpolate's
     # endpoints are draws 1 and 2 of its seed and its bound a constant, and invert
     # runs the DDIM baseline only beside SSI
@@ -925,7 +930,7 @@ def _config_refused(tmp, command, data, message) -> bool:
                                 "config error: unknown method"),
 ], ids=["random_subspace-dim-and-grid_shape", "config-dim-and-grid_shape",
         "config-latent_stddevs-list", "correlation_metrics-flat", "ddim_coefficients-descending",
-        "perturbed-log_density", "flag-seed", "flag-trials", "config-data_seed_a",
+        "oracle-log_density-softmax_weights-pf_ode_step", "flag-seed", "flag-trials", "config-data_seed_a",
         "config-manifold_threshold", "config-method-baseline_ddim"])
 def test_removed_second_form_is_refused(tmp_path, refused):
     assert refused(tmp_path)

@@ -46,7 +46,6 @@ cloud = ssilab.circle_point_cloud()
 x = np.array([[0.5, 0.25], [3.0, -1.0]])
 codes["score_finite"] = bool(np.isfinite(cloud.score(x, 0.1)).all())
 codes["refined_score_finite"] = bool(np.isfinite(cloud.score(x, 0.002)).all())
-codes["log_density_finite"] = bool(np.isfinite(cloud.log_density(x, 0.002)).all())
 codes["nearest_is_an_atom"] = bool(np.isin(cloud.nearest_manifold_point(x),
                                            cloud.points).all())
 codes["feature_scale_positive"] = bool(cloud.feature_scale > 0)
@@ -68,15 +67,15 @@ def test_toy_image_commands_load_no_scipy(tmp_path):
     codes, seen = result["codes"], result["seen"]
     assert codes == {"interpolate": 0, "invert": 0, "sweep-tssi": codes["sweep-tssi"],
                      "score_finite": True,
-                     "refined_score_finite": True, "log_density_finite": True,
+                     "refined_score_finite": True,
                      "nearest_is_an_atom": True, "feature_scale_positive": True,
                      "verify-projection": 0}
     assert seen["import"] == []
     assert codes["sweep-tssi"] in (0, 4)  # PASS or FAIL: the verdict reads no scipy
     assert seen["toy_image"] == []
     # the circle oracle loads no scipy module: its score at sigma 0.1 keeps
-    # the GEMM logits, at sigma 0.002 it refines them, and its projection,
-    # log-density and feature scale run on numpy alone ...
+    # the GEMM logits, at sigma 0.002 it refines them, and its projection
+    # and feature scale run on numpy alone ...
     assert seen["point_cloud"] == []
     # ... and verify-projection's KS tests load scipy.stats
     assert "scipy.stats" in seen["projection"]

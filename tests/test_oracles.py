@@ -25,6 +25,19 @@ def fd_gradient(f, x, h=1e-6):
     return g
 
 
+def cloud_log_density(oracle, v, sigma):
+    """Log density of a point cloud at one state ``v``, by the direct formula."""
+    return direct_reference(oracle.points, oracle.weights, v[None], sigma)[2][0]
+
+
+def subspace_log_density(oracle, v, sigma):
+    """``-v^T C^-1 v / 2`` with the dense covariance ``C = A diag(lam) A^T +
+    sigma^2 I``: the log density of one state ``v`` up to a constant."""
+    cov = (oracle.basis * oracle.latent_stddevs**2) @ oracle.basis.T \
+        + sigma**2 * np.eye(oracle.dim)
+    return -0.5 * v @ np.linalg.solve(cov, v)
+
+
 @pytest.fixture
 def circle():
     return circle_point_cloud()
@@ -64,7 +77,7 @@ class TestPointCloud:
         rng = np.random.default_rng(3)
         x = rng.normal(size=(50, 2)) * 3
         for sigma in (1e-4, 0.01, 1.0, 100.0):
-            w = circle.softmax_weights(x, sigma)
+            w = circle._responsibilities(x, sigma)
             np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-12)
             assert np.all(w >= 0)
 
@@ -75,7 +88,7 @@ class TestPointCloud:
     def test_score_matches_log_density_gradient(self, circle):
         x = np.array([0.7, -1.2])
         for sigma in (0.3, 1.0, 5.0):
-            fd = fd_gradient(lambda v: circle.log_density(v, sigma), x)
+            fd = fd_gradient(lambda v: cloud_log_density(circle, v, sigma), x)
             np.testing.assert_allclose(circle.score(x, sigma), fd, rtol=1e-5, atol=1e-5)
 
     def test_tweedie_identity(self, circle):
@@ -139,7 +152,7 @@ class TestSubspaceGaussian:
     def test_score_matches_log_density_gradient(self, axis):
         x = np.array([0.9, -0.4])
         for sigma in (0.1, 1.0, 3.0):
-            fd = fd_gradient(lambda v: axis.log_density(v, sigma), x)
+            fd = fd_gradient(lambda v: subspace_log_density(axis, v, sigma), x)
             np.testing.assert_allclose(axis.score(x, sigma), fd, rtol=1e-5, atol=1e-6)
 
     def test_score_matches_dense_covariance(self):
@@ -263,7 +276,7 @@ class TestPerturbed:
 def test_score_gradient_property(sigma, xs):
     oracle = circle_point_cloud()
     x = np.array(xs)
-    fd = fd_gradient(lambda v: oracle.log_density(v, sigma), x)
+    fd = fd_gradient(lambda v: cloud_log_density(oracle, v, sigma), x)
     np.testing.assert_allclose(oracle.score(x, sigma), fd, rtol=2e-4, atol=2e-4)
 
 
@@ -272,8 +285,7 @@ _ORACLES = {
     "subspace": gaussian_on_axis,
     "perturbed": lambda: PerturbedScoreOracle(base=circle_point_cloud()),
 }
-_SIGMA_METHODS = ("score", "posterior_mean", "denoise", "log_density",
-                  "softmax_weights")
+_SIGMA_METHODS = ("score", "posterior_mean", "denoise")
 _BAD_STATES = {"nan_state": [np.nan, 0.0], "inf_state": [0.0, np.inf],
                "wrong_dim": [0.0, 0.0, 0.0]}
 _BAD_SIGMAS = {"sigma_zero": 0.0, "sigma_negative": -1.0, "sigma_nan": np.nan}
@@ -283,8 +295,6 @@ def _invalid_calls():
     for kind, make in _ORACLES.items():
         oracle = make()
         for method in _SIGMA_METHODS + ("nearest_manifold_point",):
-            if not hasattr(oracle, method):
-                continue
             takes_sigma = method != "nearest_manifold_point"
             for label, state in _BAD_STATES.items():
                 args = (np.array(state), 0.5) if takes_sigma else (np.array(state),)
@@ -312,6 +322,8 @@ _AXIS_BASIS = np.array([[1.0], [0.0]])
     lambda: SubspaceGaussianScore(basis=_AXIS_BASIS, latent_stddevs=np.array([np.inf])),
     # finite, with a variance past the largest float: kappa would be NaN
     lambda: SubspaceGaussianScore(basis=_AXIS_BASIS, latent_stddevs=np.array([1e155])),
+    # just past 1.3e154, the largest stddev that the domain sweep scores
+    lambda: random_subspace(dim=8, latent_dim=3, latent_stddevs=1.35e154),
     lambda: SubspaceGaussianScore(basis=np.array([[np.nan], [0.0]]), latent_stddevs=np.ones(1)),
     lambda: PerturbedScoreOracle(base=circle_point_cloud(), magnitude=np.nan),
     lambda: PerturbedScoreOracle(base=circle_point_cloud(), magnitude=np.inf),
@@ -319,7 +331,7 @@ _AXIS_BASIS = np.array([[1.0], [0.0]])
     lambda: toy_image_subspace(smoothness=-1.0),
     lambda: toy_image_subspace(smoothness=np.inf),
 ], ids=["weights-nan", "weights-nan-and-1", "stddevs-nan", "stddevs-inf",
-        "stddevs-square-inf", "basis-nan",
+        "stddevs-square-inf", "stddevs-square-inf-1.35e154", "basis-nan",
         "magnitude-nan", "magnitude-inf", "smoothness-nan", "smoothness-negative",
         "smoothness-inf"])
 def test_parameter_outside_its_domain_is_refused(make):
@@ -432,7 +444,7 @@ def test_state_check_matches_the_converting_check(label):
 # -- the per-sigma kappa memo of the subspace score ------------------------
 
 
-@pytest.mark.parametrize("sigma", [0.002, 0.1, 1.0, 80.0])
+@pytest.mark.parametrize("sigma", [0.001, 0.002, 0.1, 1.0, 80.0])
 def test_memoised_kappa_leaves_the_score_bits(sigma):
     oracle = toy_image_subspace()
     x = np.random.default_rng(4).standard_normal((3, oracle.dim))
@@ -441,9 +453,8 @@ def test_memoised_kappa_leaves_the_score_bits(sigma):
     again = oracle.score(x, sigma)
     fresh = toy_image_subspace().score(x, sigma)
     assert np.array_equal(first, fresh) and np.array_equal(again, fresh)
-    lam = oracle.latent_stddevs**2
-    assert np.array_equal(oracle._kappa_rows[oracle._kappa[sigma]],
-                          lam / ((lam + sigma * sigma) * sigma * sigma))
+    lam, s2 = oracle.latent_stddevs**2, sigma * sigma
+    assert np.array_equal(oracle._kappa_rows[oracle._kappa[sigma]], lam / ((lam + s2) * s2))
     assert not np.shares_memory(again, oracle._kappa_rows)
 
 
@@ -620,15 +631,22 @@ def test_posterior_mean_is_x_plus_sigma_squared_score_to_the_bit(make):
     assert np.array_equal(x, x_before)
 
 
-def longdouble_score_references(p, x, sigma):
-    """Two-projection subspace score, and it plus the field, in ``np.longdouble``."""
+def longdouble_subspace_score(base, x, sigma):
+    """Two-projection subspace score in ``np.longdouble``."""
     ld = np.longdouble
-    base, x, sigma = p.base, x.astype(ld), ld(sigma)
+    x, sigma = x.astype(ld), ld(sigma)
     basis = base.basis.astype(ld)
     coef = x @ basis
     normal = x - coef @ basis.T
     tang = (coef / (base.latent_stddevs.astype(ld) ** 2 + sigma**2)) @ basis.T
-    exact = -(tang + normal / sigma**2)
+    return -(tang + normal / sigma**2)
+
+
+def longdouble_score_references(p, x, sigma):
+    """Two-projection subspace score, and it plus the field, in ``np.longdouble``."""
+    ld = np.longdouble
+    exact = longdouble_subspace_score(p.base, x, sigma)
+    x, sigma = x.astype(ld), ld(sigma)
     phase = x @ p._weights.T.astype(ld) + p._phases.astype(ld) + np.log(sigma)
     err = ld(p.magnitude) * (1 + ld(oracles._SIGMA_FLOOR) / sigma) / sigma**2
     return exact, exact + err * (np.sin(phase) @ p._proj_t.astype(ld))
@@ -652,14 +670,39 @@ def test_subspace_and_perturbed_scores_match_a_longdouble_reference(random_toy_i
         assert np.all(err <= 1e-9 * np.linalg.norm(want, axis=1).astype(float))
 
 
+# ROUNDING_MULTIPLE u (|x| / sigma^2 + |score|) bounds each subspace score row's
+# error over the accepted domain; 2.8 u is the most this grid has shown
+ROUNDING_MULTIPLE = 8.0
+
+
+@pytest.mark.parametrize("sigma", [0.002, 1.0, 80.0, 1e10, 1e150])
+@pytest.mark.parametrize("stddev", [1e-3, 1.0, 1e50, 1e152, 1e153, 1.3e154])
+def test_subspace_score_is_right_up_to_the_edges_of_its_domain(stddev, sigma):
+    """Latent stddevs up to the square-overflow refusal and sigma up to 1e150:
+    states on the subspace, sigma from it, and unit normal, each row within a
+    fixed multiple of its rounding bound of the longdouble score.  The bound
+    scales with ``|x| / sigma^2``, so it holds on ill-conditioned rows too.
+    Norms are taken in longdouble: at stddev 1.3e154 they overflow float64."""
+    oracle = random_subspace(dim=8, latent_dim=3, latent_stddevs=stddev)
+    rng = np.random.default_rng(0)
+    on = oracle.sample_data(5, 4)
+    x = np.concatenate([on, on + sigma * rng.standard_normal(on.shape),
+                        rng.standard_normal(on.shape)])
+    want = longdouble_subspace_score(oracle, x, sigma)
+    ld = np.longdouble
+    err = np.linalg.norm(oracle.score(x, sigma).astype(ld) - want, axis=1)
+    scale = np.linalg.norm(x.astype(ld), axis=1) / ld(sigma) ** 2 + np.linalg.norm(want, axis=1)
+    assert np.all(err <= ROUNDING_MULTIPLE * oracles._UNIT_ROUNDOFF * scale)
+
+
 # -- point-cloud precision against the direct (B, K, d) formula -------------
 
 PRECISION = 1e-8  # relative row-norm error; the benchmark's score probe uses the same
 
 
 def direct_reference(points, weights, x, sigma):
-    """Score, weights, log-density, its normaliser and squared distances,
-    each by direct log-sum-exp over an explicit ``(B, K, d)`` difference."""
+    """Score, weights, log-density and squared distances, each by direct
+    log-sum-exp over an explicit ``(B, K, d)`` difference."""
     diff = points[None, :, :] - x[:, None, :]
     sq = np.sum(diff * diff, axis=-1)
     with np.errstate(divide="ignore"):
@@ -670,7 +713,7 @@ def direct_reference(points, weights, x, sigma):
     resp = e / total
     score = np.einsum("bk,bkd->bd", resp, diff) / (sigma * sigma)
     log_norm = 0.5 * x.shape[-1] * (np.log(2.0 * np.pi) + 2.0 * np.log(sigma))
-    return score, resp, (top + np.log(total))[:, 0] - log_norm, log_norm, sq
+    return score, resp, (top + np.log(total))[:, 0] - log_norm, sq
 
 
 def _unit(rng, shape):
@@ -696,17 +739,13 @@ def clouds(draw):
 
 
 def _assert_matches_reference(oracle, x, sigma, compare_weights):
-    score, resp, log_density, log_norm, sq = direct_reference(
-        oracle.points, oracle.weights, x, sigma)
+    score, resp, _, sq = direct_reference(oracle.points, oracle.weights, x, sigma)
 
     def rel(got, want):
         return np.linalg.norm(got - want, axis=-1) / np.linalg.norm(want, axis=-1)
 
     assert rel(oracle.score(x, sigma), score).max() <= PRECISION
-    # relative to the size of its two terms, log-sum-exp and normaliser
-    err = np.abs(oracle.log_density(x, sigma) - log_density)
-    assert np.all(err <= PRECISION * (np.abs(log_density) + abs(log_norm)))
-    w = oracle.softmax_weights(x, sigma)
+    w = oracle._responsibilities(x, sigma)
     np.testing.assert_allclose(w.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
     if compare_weights:
         assert rel(w, resp).max() <= PRECISION
@@ -828,7 +867,7 @@ def test_point_cloud_responsibilities_are_never_subnormal(benchmark_cloud):
     # atoms more than L + 2 beta below a row's top logit get weight exactly 0,
     # so no responsibility is left in subnormal range (slow arithmetic)
     oracle, x0, rng = benchmark_cloud
-    w = oracle.softmax_weights(x0 + 0.1 * rng.standard_normal(x0.shape), 0.1)
+    w = oracle._responsibilities(x0 + 0.1 * rng.standard_normal(x0.shape), 0.1)
     assert not np.any((w > 0) & (w < np.finfo(float).tiny))
 
 
@@ -836,7 +875,7 @@ def test_point_cloud_responsibilities_are_never_subnormal(benchmark_cloud):
 def test_point_cloud_scores_states_where_every_direct_sum_overflows():
     # |x - p_k|^2 overflows for every atom, so the logits come from distances;
     # at (1e308, -1e308) the distance sum d_k + d_min overflows as well, and
-    # at sigma 1e75 the log-density is finite and the rows still refine
+    # at sigma 1e75 the rows still refine
     pair = PointCloudScore(points=np.array([[0.0, 0.0], [1.0, 0.0]]), weights=np.full(2, 0.5))
     circle = circle_point_cloud(radius=1.0)
     for oracle, x, sigma in ((pair, [1e160, 0.0], 1.0), (circle, [1e156, 1e156], 1.0),
@@ -851,11 +890,6 @@ def test_point_cloud_scores_states_where_every_direct_sum_overflows():
         assert np.linalg.norm(score - want) <= PRECISION * np.linalg.norm(want)
         # the projection takes the same refine; no warning, and an atom
         assert (oracle.points == oracle.nearest_manifold_point(x)).all(axis=1).any()
-        if sigma > 1.0:
-            log_density = (-0.5 * (np.hypot.reduce(x[0] - nearest) / sigma) ** 2
-                           - np.log(2.0 * np.pi * sigma * sigma))
-            assert abs(oracle.log_density(x, sigma)[0] - log_density) <= \
-                PRECISION * abs(log_density)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -867,7 +901,7 @@ def test_point_cloud_weights_and_projection_far_from_every_atom_follow_the_scree
     nearest = np.argmax(circle.points @ x[0])
     assert np.allclose(circle.points[nearest], np.sqrt(0.5))
     assert np.array_equal(circle.nearest_manifold_point(x), circle.points[[nearest]])
-    assert circle.softmax_weights(x, 1.0)[0, nearest] >= 1.0 - 1e-12
+    assert circle._responsibilities(x, 1.0)[0, nearest] >= 1.0 - 1e-12
 
 
 @st.composite
@@ -921,8 +955,7 @@ def test_point_cloud_outputs_do_not_depend_on_the_block_size(monkeypatch, benchm
     cases.append((circle_point_cloud(), np.zeros((3, 2)), 0.002))
 
     def outputs():
-        return [getattr(o, m)(x, s) for o, x, s in cases
-                for m in ("score", "softmax_weights", "log_density")] + [
+        return [f(x, s) for o, x, s in cases for f in (o.score, o._responsibilities)] + [
             o.nearest_manifold_point(x) for o, x, _ in cases]
 
     want = outputs()
@@ -937,7 +970,7 @@ def test_point_cloud_matches_direct_formula_far_from_the_atoms(case, log_ratio):
     # |x| / sigma up to 1.4e4 puts logits near 1e8 or beyond; the weights of
     # two near-tied atoms there move by eps |logit| ~ 1e-8 with the order in
     # which any float64 code sums a squared distance, so the weights are only
-    # checked to sum to one; the score and log-density are checked in full
+    # checked to sum to one; the score is checked in full
     oracle, sigma, rng = case
     d = oracle.dim
     x = 10.0**log_ratio * sigma * _unit(rng, (8, d))
