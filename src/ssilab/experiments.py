@@ -39,17 +39,21 @@ from .config import (_ssi_grid, build_grid, build_method, build_oracle,
                      build_schedule, config_hash)
 from .diagnostics import (chi_square_bound, correlation_metrics,
                           projection_concentration, singularity_trace, trace_rms)
-from .flow import sample
+from .errors import IntegrationDivergedError
+from .flow import Method, Trajectory, integrate, sample
 from .interp import interpolate_and_decode
-from .inversion import (InversionConfig, ddim_invert_baseline, reconstruct,
-                        ssi_invert_ve, ssi_invert_vp)
+from .inversion import (InversionConfig, InversionResult, ddim_invert_baseline,
+                        reconstruct, ssi_invert_ve, ssi_invert_vp)
 from .oracles import SubspaceGaussianScore, _rng
-from .schedules import Family
+from .schedules import Family, TimeGrid
 
 _TAG_DATA = 0xD0
 _TAG_NOISE = 0x55
 _TAG_REFERENCE = 0x60D
 _TAG_INIT = 0x5A
+
+# inversion states a roundtrip holds at a time (see _roundtrip_batch)
+_KEPT_BYTES = 1 << 20
 
 # regime guard: the projection law is asymptotic in sigma / atom spacing
 _REGIME_FRACTION = 0.1
@@ -224,16 +228,45 @@ def cmd_invert(cfg: dict, report: dict, oracle, schedule) -> None:
 
 
 def _roundtrip_batch(oracle, schedule, cfg, grid, x0, noise):
-    """Invert a batch on ``grid``, reconstruct it; return errors and the trace max."""
-    res = _ssi_invert_batch(oracle, schedule, grid, x0, noise,
-                            keep_trajectory=True)
-    _, ratios = singularity_trace(oracle, res.trajectory)
+    """Invert a batch on ``grid``, reconstruct it; return errors and the trace max.
+
+    The Euler inversion runs in pieces of ``max(2, _KEPT_BYTES // x0.nbytes)``
+    steps or more, as many as make every piece at least 2 steps (a shorter
+    grid runs whole), so the roundtrip holds about ``_KEPT_BYTES`` of states
+    plus the batch, not all ``len(grid)``.  A piece's states are traced once
+    the kernel has scored them: all but its last, which starts the next
+    piece, and every state of the last piece.  The bits, and a divergence's
+    step index on the whole grid, are those of one run over ``grid``.
+    """
+    times = grid.times
+    steps = times.size - 1
+    pieces = max(1, steps // max(2, _KEPT_BYTES // x0.nbytes))
+    trace_max, start = -np.inf, 0
+    for k in range(1, pieces + 1):
+        end = steps * k // pieces
+        piece = TimeGrid(times[start:end + 1])
+        if start == 0:
+            states = _ssi_invert_batch(oracle, schedule, piece, x0, noise,
+                                       keep_trajectory=True).trajectory.states
+        else:
+            try:
+                states = integrate(schedule, oracle, Method.EULER, x, piece).states
+            except IntegrationDivergedError as exc:
+                raise IntegrationDivergedError(start + exc.step_index, exc.sigma,
+                                               exc.t) from exc.__cause__
+        traced = states if end == steps else states[:-1]
+        _, ratios = singularity_trace(oracle, Trajectory(
+            traced, TimeGrid(times[start:start + len(traced)]), schedule))
+        trace_max = np.maximum(trace_max, ratios.max())
+        x, start = states[-1].copy(), end
+        del states, traced  # hold one piece at a time
+    res = InversionResult(noise=x / float(schedule.scale(float(times[-1]))), grid=grid)
     x_hat = reconstruct(oracle, schedule, res, grid.reversed(), method=build_method(cfg))
     err = np.linalg.norm(x_hat - x0, axis=-1)
     per_trial_mse = np.mean((x_hat - x0) ** 2, axis=-1)
     return {
         "x_hat": x_hat, "errors": err, "mse": per_trial_mse,
-        "trace_max": float(ratios.max()),
+        "trace_max": float(trace_max),
         "sigma_ssi": float(schedule.sigma(float(grid.times[0]))),
     }
 
