@@ -7,9 +7,9 @@ Configs are flat JSON objects with two nested sections, ``oracle`` and
 - ``_COMMANDS`` maps each command to the ``(default, check)`` entries it adds
   or overrides, and to ``None`` for each ``_COMMON`` key it does not read;
 - ``_ORACLES`` maps each oracle kind to ``(factory, {key: check})``; a key the
-  section leaves out is filled in from the factory's default, unless ``None``
-  (a subspace gives one of ``dim`` and ``grid_shape``, and one positive
-  ``latent_stddevs`` that every latent shares);
+  section leaves out is filled in from the factory's default, and one whose
+  factory argument has none must be given (a subspace's ``dim``; it gives one
+  positive ``latent_stddevs`` that every latent shares);
 - ``_GRIDS`` maps each grid kind to ``{key: check}``; a grid gives every key
   of its kind but those its command sets (``_grid``): an SSI grid starts at
   ``t_ssi`` (no ``t_min``), the sweep's ladders also set ``steps``, and
@@ -36,12 +36,13 @@ import numpy as np
 
 from .errors import ConfigError, InvalidArgumentError
 from .flow import Method
-from .oracles import (PerturbedScoreOracle, circle_point_cloud, gaussian_on_axis,
-                      random_subspace, toy_image_subspace)
+from .oracles import (_TOY_IMAGE_SHAPE, PerturbedScoreOracle, circle_point_cloud,
+                      gaussian_on_axis, random_subspace, toy_image_subspace)
 from .schedules import NoiseSchedule, TimeGrid, VE_KARRAS, VP_LINEAR_BETA, karras_grid
 
 _FLOAT_MAX = float(np.finfo(float).max)
-_REQUIRED = object()  # default of a key the config must give
+# default of a key the config must give, as of a factory argument without one
+_REQUIRED = inspect.Parameter.empty
 
 
 def _number(lo=None, hi=None, integer=False, open_=False):
@@ -82,22 +83,16 @@ def _one_of(*choices):
     return check
 
 
-def _boolean(value, name):
-    if not isinstance(value, bool):
-        raise ConfigError(f"{name} must be a boolean")
-    return value
-
-
 def _checked(section: dict, table: dict, where: str, prefix="") -> dict:
     """Fill ``section`` from ``table``, ``{key: (default, check)}``, and check it;
-    a default of ``_REQUIRED`` must be given, one of ``None`` is left out."""
+    a default of ``_REQUIRED`` must be given."""
     unknown = section.keys() - table.keys()
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
     missing = {k for k, (d, _) in table.items() if d is _REQUIRED} - section.keys()
     if missing:
         raise ConfigError(f"missing keys in {where}: {sorted(missing)}")
-    full = {k: d for k, (d, _) in table.items() if d is not _REQUIRED and d is not None}
+    full = {k: d for k, (d, _) in table.items() if d is not _REQUIRED}
     return {k: table[k][1](v, prefix + k) for k, v in (full | section).items()}
 
 
@@ -121,14 +116,11 @@ _NONNEGATIVE = _number(lo=0)
 _ANY = _number()
 _INTEGRATOR = _one_of("euler", "heun")
 
-_TOY_IMAGE_SHAPE = inspect.signature(toy_image_subspace).parameters["grid_shape"].default
-
 _ORACLES = {
     "circle": (circle_point_cloud, {"radius": _POSITIVE, "count": _COUNT}),
     "gaussian_on_axis": (gaussian_on_axis, {}),
     "subspace": (random_subspace, {
-        "dim": _COUNT, "grid_shape": _list_of(_COUNT), "latent_dim": _COUNT,
-        "latent_stddevs": _POSITIVE,
+        "dim": _COUNT, "latent_dim": _COUNT, "latent_stddevs": _POSITIVE,
         "basis_seed": _SEED}),
     # past the image's side the filter leaves only rounding, at a cost linear in it
     "toy_image": (toy_image_subspace, {
@@ -153,7 +145,7 @@ def _grid(unset=(), default=_VE_GRID):
 
 # the resolved config keeps this key order, then the command's own keys, then "command"
 _COMMON = {
-    # an omitted oracle key takes the factory's default, if that is not None
+    # an omitted oracle key takes the factory's default, if it has one
     "oracle": ({"kind": "circle"}, _section({
         kind: {k: (inspect.signature(factory).parameters[k].default, check)
                for k, check in checks.items()} for kind, (factory, checks) in _ORACLES.items()})),
@@ -182,7 +174,6 @@ _COMMANDS = {
                                            "perturbation"])},
     # correlation standard errors and excesses need two noises
     "invert": {"method": ("ssi", _one_of(*_INVERT_METHODS)),
-               "shared_input": (False, _boolean),
                "trials": (100, _number(lo=2, integer=True)), "integrator": None},
     "sweep-tssi": {"t_ssi_ladder": ([0.001, 0.01, 0.1, 0.2],
                                     _list_of(_POSITIVE, ascending=True)),
@@ -214,10 +205,8 @@ def resolve_config(command: str, raw: dict) -> dict:
                    {k: entry for k, entry in table.items() if entry is not None}, "config")
     cfg["command"] = command
     oracle = cfg["oracle"]
-    if oracle["kind"] == "subspace" and ("dim" in oracle) == ("grid_shape" in oracle):
-        raise ConfigError("oracle must give exactly one of dim and grid_shape")
     if "latent_dim" in oracle:  # a subspace or toy image, whose factory relates the keys
-        d = oracle.get("dim", int(np.prod(oracle.get("grid_shape", _TOY_IMAGE_SHAPE))))
+        d = oracle.get("dim", int(np.prod(_TOY_IMAGE_SHAPE)))
         if not oracle["latent_dim"] < d:
             raise ConfigError(f"oracle latent_dim must be below the dimension {d}")
     grid = cfg.get("grid")

@@ -10,7 +10,8 @@ class IntegrationDivergedError(RuntimeError):
 
     The step kernel checks the caller's start state once (a bad one is an
     :class:`InvalidArgumentError`, exit 2).  After that, a non-finite state
-    the kernel made, or any rejection by ``score`` inside the loop, is
+    the kernel made, any rejection by ``score`` inside the loop, or a
+    floating-point overflow, invalid operation or division by zero there, is
     divergence.  Carries the index of the failing step, its noise level
     ``sigma`` (the ``sigma_hat`` of the step's plan row) and the time ``t`` of
     that level, so the caller can report where the blow-up happened instead

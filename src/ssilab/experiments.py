@@ -70,22 +70,18 @@ def _table(rows, columns) -> dict:
     return {"columns": columns, "rows": [[row[c] for c in columns] for row in rows]}
 
 
-def _trial_batch(cfg: dict, report: dict, oracle, shared: bool = False):
+def _trial_batch(cfg: dict, report: dict, oracle):
     """The command's one trial batch: clean data ``x0`` and injected noise.
 
     Data comes from ``(seed, _TAG_DATA)`` and trial ``i``'s noise row from
     ``(seed, i, _TAG_NOISE)``; both seeds go into the ledger as ``data`` and
-    ``trial_i``.  With ``shared`` every trial starts from one data draw.
+    ``trial_i``.
     """
     trials = cfg["trials"]
     data_seed = _ledger_seed(report, "data", (cfg["seed"], _TAG_DATA))
     noise_seeds = [_ledger_seed(report, f"trial_{i}", (cfg["seed"], i, _TAG_NOISE))
                    for i in range(trials)]
-    if shared:
-        x0 = np.broadcast_to(oracle.sample_data(data_seed, 1),
-                             (trials, oracle.dim)).copy()
-    else:
-        x0 = oracle.sample_data(data_seed, trials)
+    x0 = oracle.sample_data(data_seed, trials)
     noise = np.stack([_rng(s).standard_normal(oracle.dim) for s in noise_seeds])
     return x0, noise
 
@@ -205,7 +201,7 @@ _INVERSIONS = {"ssi": ("ssi",), "both": ("ssi", "baseline")}
 def cmd_invert(cfg: dict, report: dict, oracle, schedule) -> None:
     """Invert oracle samples and measure how Gaussian the noise looks."""
     labels = _INVERSIONS[cfg["method"]]
-    x0, noise = _trial_batch(cfg, report, oracle, shared=cfg["shared_input"])
+    x0, noise = _trial_batch(cfg, report, oracle)
     aggregates = report["aggregates"]
     for label in labels:
         res = (_ssi_invert_batch(oracle, schedule, _ssi_grid(cfg), x0, noise) if label == "ssi"

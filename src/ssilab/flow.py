@@ -74,6 +74,12 @@ def _rows(plan):
     return zip(*(v.tolist() for v in np.broadcast_arrays(*plan)))
 
 
+def _scaled(c, x):
+    """``c x`` with an overflow left ``inf``, for ``score`` to refuse."""
+    with np.errstate(over="ignore"):
+        return c * x
+
+
 def _run_plan(oracle, x, plan, corrector=None, keep_states=False):
     """Step ``x`` through ``plan`` and, for Heun, ``corrector``; return the end state.
 
@@ -85,8 +91,11 @@ def _run_plan(oracle, x, plan, corrector=None, keep_states=False):
     scaled copies and Heun predictions, so a non-finite state made by step
     ``i``, or any ``InvalidArgumentError`` from ``score`` during it, is
     :class:`IntegrationDivergedError` (exit 3) with ``i`` and the
-    ``sigma_hat`` and ``t`` of its plan row.  Floating-point warnings are
-    silenced: that check is the whole contract.  Each state is written once,
+    ``sigma_hat`` and ``t`` of its plan row.  So is a floating-point
+    overflow, invalid operation or division by zero during step ``i`` that
+    the oracle does not handle itself (numpy raises them in the loop;
+    underflow is ignored), but not one in the score's input ``c x``: that
+    stays ``inf``, which ``score`` refuses.  Each state is written once,
     into its kept slot, a fresh array or the one ``score`` returned; a
     product by exactly 1 (VE's and DDIM's ``a`` and ``c``) is skipped; ``x``
     and the arrays given to ``score`` are never written.
@@ -98,24 +107,24 @@ def _run_plan(oracle, x, plan, corrector=None, keep_states=False):
         out[0] = x
     score = oracle.score
     fixes = _rows(corrector) if corrector is not None else repeat(None)
-    with np.errstate(all="ignore"):
+    with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
         for i, ((a, b, c, sigma, t), fix) in enumerate(zip(_rows(plan), fixes)):
             # x_next = a x + b score(c x, sigma); a Heun prediction keeps out of the slot
             slot = out[i + 1] if out is not None and fix is None else None
             try:
-                step = score(x if c == 1.0 else c * x, sigma)
+                step = score(x if c == 1.0 else _scaled(c, x), sigma)
                 step *= b
                 ax = x if a == 1.0 else np.multiply(a, x, out=slot)
                 x_next = np.add(ax, step, out=step if slot is None else slot)
                 if fix is not None:
                     # x_next = x/2 + fa pred + fb score(fc pred, fsigma), pred = x_next
                     fa, fb, fc, fsigma = fix
-                    fixed = score(x_next if fc == 1.0 else fc * x_next, fsigma)
+                    fixed = score(x_next if fc == 1.0 else _scaled(fc, x_next), fsigma)
                     fixed *= fb
                     x_next = np.multiply(fa, x_next, out=None if out is None else out[i + 1])
                     x_next += 0.5 * x
                     x_next += fixed
-            except InvalidArgumentError as exc:
+            except (InvalidArgumentError, FloatingPointError) as exc:
                 raise IntegrationDivergedError(i, sigma, t) from exc
             if not _all_finite(x_next):
                 raise IntegrationDivergedError(i, sigma, t)

@@ -52,6 +52,7 @@ _FIELD_SEED = (0, 0xF1E1D)  # PerturbedScoreOracle: the one frozen random-featur
 _SIGMA_FLOOR = 1.0  # PerturbedScoreOracle: below this sigma its denoiser error grows
 _KAPPA_MEMO_CAP = 1024  # SubspaceGaussianScore: first kappa vectors kept; a 200-step grid's fit
 _KAPPA_ROWS = tuple(range(_KAPPA_MEMO_CAP))  # the memo's row numbers, made once
+_TOY_IMAGE_SHAPE = (3, 8, 8)  # (C, H, W) of toy_image_subspace's states
 
 
 def _rng(seed) -> np.random.Generator:
@@ -461,29 +462,20 @@ def gaussian_on_axis() -> SubspaceGaussianScore:
     )
 
 
-def random_subspace(dim: int | None = None, latent_dim: int = 1,
-                    latent_stddevs=1.0, basis_seed=0,
-                    grid_shape=None) -> SubspaceGaussianScore:
-    """Subspace oracle with a seeded random orthonormal basis.
+def random_subspace(dim: int, latent_dim: int = 1, latent_stddevs=1.0,
+                    basis_seed=0) -> SubspaceGaussianScore:
+    """Subspace oracle in dimension ``dim`` with a seeded random orthonormal basis.
 
-    Give exactly one of ``dim`` and ``grid_shape`` (C, H, W), whose product
-    is then the dimension; with a grid shape the oracle's states reshape
-    into toy images for the correlation metrics.
+    Its white-noise basis has no image shape; :func:`toy_image_subspace` is
+    the subspace whose states the correlation metrics can see.
     """
-    if (dim is None) == (grid_shape is None):
-        raise InvalidArgumentError("give exactly one of dim and grid_shape")
-    if grid_shape is not None:
-        grid_shape = tuple(int(v) for v in grid_shape)
-    d = int(dim if grid_shape is None else np.prod(grid_shape))
-    if not 0 < latent_dim < d:
+    if not 0 < latent_dim < dim:
         raise InvalidArgumentError("latent dimension must lie in [1, ambient)")
     rng = _rng((basis_seed, 0x5B5))
-    raw = rng.standard_normal((d, latent_dim))
+    raw = rng.standard_normal((dim, latent_dim))
     q, r = np.linalg.qr(raw)
     q = q * np.sign(np.diag(r))  # deterministic sign convention
-    return SubspaceGaussianScore(
-        basis=q, latent_stddevs=latent_stddevs, grid_shape=grid_shape,
-    )
+    return SubspaceGaussianScore(basis=q, latent_stddevs=latent_stddevs)
 
 
 def _gaussian_filter_wrap(images: np.ndarray, sigma: float) -> np.ndarray:
@@ -512,13 +504,13 @@ def _gaussian_filter_wrap(images: np.ndarray, sigma: float) -> np.ndarray:
 
 
 def toy_image_subspace(latent_dim: int = 8, basis_seed=0,
-                       smoothness: float = 1.5,
-                       grid_shape=(3, 8, 8)) -> SubspaceGaussianScore:
+                       smoothness: float = 1.5) -> SubspaceGaussianScore:
     """Subspace oracle whose basis vectors look like tiny natural images.
 
-    Each mode is a Gaussian-smoothed spatial pattern shared across channels
-    with random channel weights, so tangential directions carry both spatial
-    and inter-channel correlation.  A residue that lives in this subspace is
+    Its states are ``(C, H, W) = (3, 8, 8)`` images, ``d = 192``.  Each mode
+    is a Gaussian-smoothed spatial pattern shared across channels with random
+    channel weights, so tangential directions carry both spatial and
+    inter-channel correlation.  A residue that lives in this subspace is
     therefore visible to the correlation diagnostics, unlike one spanned by
     white-noise basis vectors.
 
@@ -529,8 +521,7 @@ def toy_image_subspace(latent_dim: int = 8, basis_seed=0,
     down to 1, ``(x_{i-j} + x_{i+j}) w_j``.  This equals
     ``scipy.ndimage.gaussian_filter(pattern, s, mode="wrap")`` bit for bit.
     """
-    grid_shape = tuple(int(v) for v in grid_shape)
-    c, h, w = grid_shape
+    c, h, w = _TOY_IMAGE_SHAPE
     d = c * h * w
     if not 0 < latent_dim < d:
         raise InvalidArgumentError("latent dimension must lie in [1, ambient)")
@@ -548,7 +539,7 @@ def toy_image_subspace(latent_dim: int = 8, basis_seed=0,
     q, r = np.linalg.qr(modes.reshape(latent_dim, d).T)
     q = q * np.sign(np.diag(r))
     return SubspaceGaussianScore(basis=q, latent_stddevs=np.ones(latent_dim),
-                                 grid_shape=grid_shape)
+                                 grid_shape=_TOY_IMAGE_SHAPE)
 
 
 @dataclass(frozen=True, eq=False)

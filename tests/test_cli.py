@@ -118,7 +118,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("command,tail", [
         ("verify-singularity", []),
         ("verify-projection", [("sigma_ladder", [0.1, 0.01, 0.001])]),
-        ("invert", [("method", "ssi"), ("shared_input", False)]),
+        ("invert", [("method", "ssi")]),
         ("sweep-tssi", [("t_ssi_ladder", [0.001, 0.01, 0.1, 0.2]),
                         ("steps_ladder", [40, 100, 200])]),
         ("interpolate", [("lambdas", [0.1, 0.3, 0.5, 0.7, 0.9])]),
@@ -646,16 +646,6 @@ def test_sweep_cells_share_one_trial_batch():
     assert roles == ["data"] + [f"trial_{i}" for i in range(trials)]
 
 
-def test_shared_input_mode():
-    cfg = resolve_config("invert", {
-        "seed": 5, "trials": 6, "shared_input": True,
-        "oracle": {"kind": "toy_image"},
-        "grid": {"kind": "karras", "t_max": 80.0, "rho": 7.0, "steps": 40}})
-    rep = run_command(cfg)
-    # different seeds on one input still give near-orthogonal noises
-    assert rep["aggregates"]["ssi_mean_abs_cosine"] < 3 / np.sqrt(192)
-
-
 def test_invert_both_builds_each_gaussianity_report_once(monkeypatch):
     import ssilab.experiments as experiments
     calls = []
@@ -804,12 +794,12 @@ _EVERY_LEAF = {
     "invert-ssi": ("invert", {"trials": 3, "grid": {
         k: v for k, v in _KARRAS.items() if k not in _SSI}}, {
         "schedule": _VP, "grid.t_max": 0.5, "grid.rho": 5.0, "grid.steps": 12,
-        "t_ssi": 0.2, "shared_input": True}),
+        "t_ssi": 0.2}),
     # the baseline runs 0.01 -> 0.91 and SSI from t_ssi to the same end
     "invert-both": ("invert", {"trials": 3, "method": "both", "schedule": _VP, "grid": {
         "kind": "uniform", "t_min": 0.01, "t_max": 0.91, "steps": 9}, "t_ssi": 0.02}, {
         "schedule": "ve_karras", "grid.t_min": 0.03, "grid.t_max": 0.5, "grid.steps": 12,
-        "t_ssi": 0.05, "shared_input": True}),
+        "t_ssi": 0.05}),
     "sweep-tssi": ("sweep-tssi", {"trials": 2, "t_ssi_ladder": [0.1, 0.2], "steps_ladder": [10],
                                   "grid": {"kind": "uniform", "t_max": 0.9}}, {
         "schedule": _VP, "integrator": "heun", "grid.t_max": 0.5,
@@ -902,10 +892,17 @@ def _config_refused(tmp, command, data, message) -> bool:
 
 # each input has one form, so one experiment has one hash
 @pytest.mark.parametrize("refused", [
-    lambda tmp: _refused(InvalidArgumentError, random_subspace, dim=48, grid_shape=(3, 4, 4)),
-    lambda tmp: main(["invert", "--quiet", "--config", str(write_config(tmp, {
-        "seed": 1, "trials": 4,
-        "oracle": {"kind": "subspace", "dim": 48, "grid_shape": [3, 4, 4]}}))]) == 2,
+    # a subspace has its dimension, the toy image its shape, and invert one data draw
+    # per trial (criterion 7 inverts one image under many noises)
+    lambda tmp: _refused(TypeError, random_subspace, dim=48, grid_shape=(3, 4, 4)),
+    lambda tmp: _refused(TypeError, toy_image_subspace, grid_shape=(3, 32, 32)),
+    lambda tmp: _config_refused(tmp, "invert", {
+        "seed": 1, "oracle": {"kind": "subspace", "dim": 48, "grid_shape": [3, 4, 4]}},
+        "config error: unknown keys in oracle: ['grid_shape']"),
+    lambda tmp: _config_refused(tmp, "invert", {"seed": 1, "oracle": {"kind": "subspace"}},
+                                "config error: missing keys in oracle: ['dim']"),
+    lambda tmp: _config_refused(tmp, "invert", {"seed": 1, "shared_input": True},
+                                "config error: unknown keys in config: ['shared_input']"),
     lambda tmp: _refused(ConfigError, resolve_config, "invert", {
         "seed": 1, "oracle": {"kind": "subspace", "dim": 8, "latent_stddevs": [1.0]}}),
     lambda tmp: _refused(TypeError, correlation_metrics, np.ones((4, 48)), grid_shape=(3, 4, 4)),
@@ -928,26 +925,24 @@ def _config_refused(tmp, command, data, message) -> bool:
                                 "config error: unknown keys"),
     lambda tmp: _config_refused(tmp, "invert", {"seed": 1, "method": "baseline_ddim"},
                                 "config error: unknown method"),
-], ids=["random_subspace-dim-and-grid_shape", "config-dim-and-grid_shape",
-        "config-latent_stddevs-list", "correlation_metrics-flat", "ddim_coefficients-descending",
-        "oracle-log_density-softmax_weights-pf_ode_step", "flag-seed", "flag-trials", "config-data_seed_a",
-        "config-manifold_threshold", "config-method-baseline_ddim"])
+], ids=["random_subspace-dim-and-grid_shape", "toy_image_subspace-grid_shape",
+        "config-dim-and-grid_shape", "config-subspace-without-dim", "config-shared_input",
+        "config-latent_stddevs-list", "correlation_metrics-flat",
+        "ddim_coefficients-descending", "oracle-log_density-softmax_weights-pf_ode_step",
+        "flag-seed", "flag-trials", "config-data_seed_a", "config-manifold_threshold",
+        "config-method-baseline_ddim"])
 def test_removed_second_form_is_refused(tmp_path, refused):
     assert refused(tmp_path)
 
 
 @pytest.mark.parametrize("section,message", [
-    ({"kind": "subspace"}, "oracle must give exactly one of dim and grid_shape"),
-    ({"kind": "subspace", "dim": 48, "grid_shape": [3, 4, 4]},
-     "oracle must give exactly one of dim and grid_shape"),
     ({"kind": "subspace", "dim": 8, "latent_dim": 8},
      "oracle latent_dim must be below the dimension 8"),
-    ({"kind": "subspace", "grid_shape": [2, 2, 2], "latent_dim": 9},
+    ({"kind": "subspace", "dim": 8, "latent_dim": 9},
      "oracle latent_dim must be below the dimension 8"),
     ({"kind": "toy_image", "latent_dim": 192},
      "oracle latent_dim must be below the dimension 192"),
-], ids=["neither-dim-nor-grid_shape", "dim-and-grid_shape", "latent_dim-equals-dim",
-        "latent_dim-past-grid_shape", "toy_image-latent_dim-192"])
+], ids=["latent_dim-equals-dim", "latent_dim-past-given-dim", "toy_image-latent_dim-192"])
 def test_subspace_section_the_factory_refuses_is_refused_by_resolution(tmp_path, capsys,
                                                                        section, message):
     # each section resolves to no oracle, so resolve_config refuses it, not build_oracle

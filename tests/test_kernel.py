@@ -19,8 +19,8 @@ from ssilab import (Family, IntegrationDivergedError, InvalidArgumentError,
                     Method, PerturbedScoreOracle, TimeGrid, VE_KARRAS,
                     VP_LINEAR_BETA,
                     ddim_coefficients, ddim_invert_baseline, ddim_sample,
-                    gaussian_on_axis, integrate, karras_grid,
-                    toy_image_subspace)
+                    gaussian_on_axis, integrate, karras_grid, resolve_config,
+                    run_command, toy_image_subspace)
 from ssilab.cli import main
 from ssilab.flow import _drift_coefficients, _rows
 from ssilab.oracles import PointCloudScore, SubspaceGaussianScore, _OracleBase
@@ -312,6 +312,24 @@ def test_overflowing_score_input_diverges(method, value):
     assert exc.value.sigma == VP_LINEAR_BETA.sigma(0.5)
     assert exc.value.t == 0.5
     assert isinstance(exc.value.__cause__, InvalidArgumentError)
+
+
+@pytest.mark.parametrize("command,step,sigma", [
+    ("reconstruct", 127, 13.73), ("sweep-tssi", 29, 16.01)])
+def test_overflow_inside_the_score_diverges(monkeypatch, command, step, sigma):
+    # without its guard, kappa's (lam + sigma^2) sigma^2 overflows once sigma^2
+    # passes about 180 at lam = 1e306: an overflow that numpy would only warn
+    # of, and that would leave kappa 0, is divergence at that step
+    monkeypatch.setattr(SubspaceGaussianScore, "_kappa_at",
+                        lambda self, s2: self._lam / ((self._lam + s2) * s2))
+    cfg = resolve_config(command, {"oracle": {"kind": "subspace", "dim": 8,
+                                              "latent_stddevs": 1e153},
+                                   "seed": 1, "trials": 8})
+    with pytest.raises(IntegrationDivergedError) as exc:
+        run_command(cfg)
+    assert exc.value.step_index == step
+    assert round(exc.value.sigma, 2) == sigma
+    assert isinstance(exc.value.__cause__, FloatingPointError)
 
 
 @pytest.mark.parametrize("schedule", [VE_KARRAS, VP_LINEAR_BETA], ids=["ve", "vp"])

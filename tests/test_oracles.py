@@ -221,11 +221,6 @@ class TestSubspaceGaussian:
         b = random_subspace(dim=12, latent_dim=3, basis_seed=9)
         assert np.array_equal(a.basis, b.basis)
 
-    def test_grid_shape_roundtrip(self):
-        oracle = random_subspace(grid_shape=(3, 8, 8), latent_dim=8)
-        assert oracle.dim == 192
-        assert oracle.grid_shape == (3, 8, 8)
-
 
 class TestPerturbed:
     def test_zero_magnitude_is_exact(self, circle):
@@ -997,12 +992,11 @@ def test_wrap_filter_equals_scipy_bit_for_bit(shape, sigma):
     assert np.array_equal(images, before)
 
 
-def scipy_toy_image_basis(latent_dim=8, basis_seed=0, smoothness=1.5,
-                          grid_shape=(3, 8, 8)):
+def scipy_toy_image_basis(latent_dim=8, basis_seed=0, smoothness=1.5):
     """The toy-image basis as built one pattern at a time with scipy.ndimage."""
     from scipy.ndimage import gaussian_filter
 
-    c, h, w = grid_shape
+    c, h, w = 3, 8, 8
     d = c * h * w
     rng = oracles._rng((basis_seed, 0x731))
     modes = np.empty((d, latent_dim))
@@ -1016,9 +1010,9 @@ def scipy_toy_image_basis(latent_dim=8, basis_seed=0, smoothness=1.5,
     return q * np.sign(np.diag(r))
 
 
-@pytest.mark.parametrize("kwargs", [{}, {"grid_shape": (3, 32, 32)}, {"smoothness": 0},
+@pytest.mark.parametrize("kwargs", [{}, {"smoothness": 0},
                                     {"latent_dim": 3, "basis_seed": 7, "smoothness": 2.5}],
-                         ids=["default", "3x32x32", "unsmoothed", "seed7-s2.5"])
+                         ids=["default", "unsmoothed", "seed7-s2.5"])
 def test_toy_image_basis_equals_the_scipy_construction(kwargs):
     assert np.array_equal(toy_image_subspace(**kwargs).basis,
                           scipy_toy_image_basis(**kwargs))
