@@ -1,6 +1,6 @@
 """Numerical laboratory for singularity-skipping inversion of diffusion flows."""
 
-__version__ = "0.15.0"
+__version__ = "0.16.0"
 
 from .errors import (ConfigError, IntegrationDivergedError, InvalidArgumentError,
                      UndefinedCorrelationError)

@@ -3,7 +3,7 @@
 ``experiments._roundtrip_batch`` inverts in pieces of at least
 ``max(2, _KEPT_BYTES // x0.nbytes)`` steps and traces each piece as it goes.
 The reference here is the whole-grid path: SSI keeping its trajectory, the
-singularity trace over all of it, then ``reconstruct``.  Every output must
+singularity trace of the exact score over all of it, then ``reconstruct``.  Every output must
 equal it bit for bit, and a divergence must name the same step, sigma and t.
 The trial counts are chosen so that a piece is 2 or 3 steps long.
 """
@@ -39,11 +39,13 @@ def _batch(oracle, trials):
 
 
 def _whole_grid(oracle, schedule, grid, x0, noise):
-    """The roundtrip with the whole inversion trajectory kept, then traced."""
+    """The roundtrip with the whole inversion trajectory kept, then traced by the
+    exact score: a perturbed oracle's base, else the oracle itself."""
     invert = ssi_invert_ve if schedule is VE_KARRAS else ssi_invert_vp
     cfg = InversionConfig(t_ssi=float(grid.times[0]), grid=grid, noise_seed=None)
     res = invert(oracle, schedule, x0, cfg, keep_trajectory=True, injected_noise=noise)
-    _, ratios = singularity_trace(oracle, res.trajectory)
+    exact = oracle.base if isinstance(oracle, PerturbedScoreOracle) else oracle
+    _, ratios = singularity_trace(exact, res.trajectory)
     x_hat = reconstruct(oracle, schedule, res, grid.reversed())
     return {"x_hat": x_hat, "errors": np.linalg.norm(x_hat - x0, axis=-1),
             "mse": np.mean((x_hat - x0) ** 2, axis=-1), "trace_max": float(ratios.max())}

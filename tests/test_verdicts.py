@@ -17,6 +17,7 @@ from hypothesis import given, strategies as st
 from ssilab import (COMMANDS, build_oracle, build_schedule, circle_point_cloud,
                     gaussian_on_axis, resolve_config, run_command, toy_image_subspace)
 from ssilab import experiments
+from ssilab.cli import main
 from ssilab.experiments import _VERDICTS, ALPHA, verdict
 
 _CIRCLE = circle_point_cloud()
@@ -125,6 +126,51 @@ def test_invert_without_ssi_correlations_claims_no_verdict(raw):
     report = run_command(resolve_config("invert", {"seed": 1, **raw}))
     assert report["verdict"] is None
     assert report["notes"] == ["correlations need an image grid; no verdict claimed"]
+
+
+# -- what reconstruct's verdict catches ---------------------------------------
+# C is the exact score's trace, so a wrong score cannot widen the bound it is
+# judged against.  At perturbation 0.1 the toy image's largest error ratio is
+# about 167 against bounds of 95-97, and 61-67% of the circle's trials lie within
+# theirs; when C was the tested score's trace, all six configs PASSed
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("oracle", ["toy_image", "circle"])
+def test_reconstruct_fails_a_score_perturbed_by_a_tenth(tmp_path, oracle, seed):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"seed": seed, "oracle": {"kind": oracle}, "perturbation": 0.1}))
+    assert main(["reconstruct", "--config", str(path), "--quiet"]) == 4
+
+
+def test_reconstruct_passes_the_toy_image_perturbed_by_a_thousandth():
+    for seed in range(3):
+        report = run_command(resolve_config("reconstruct", {
+            "seed": seed, "oracle": {"kind": "toy_image"}, "perturbation": 1e-3}))
+        assert report["verdict"] == "PASS"
+        assert report["aggregates"]["fraction_within"] == 1.0
+
+
+@pytest.mark.parametrize("oracle,c", [("toy_image", 15.343116357805878),
+                                      ("circle", 3.4906595621847822)])
+def test_an_exact_score_keeps_its_reconstruct_bound(oracle, c):
+    report = run_command(resolve_config("reconstruct", {"seed": 1, "oracle": {"kind": oracle}}))
+    assert report["aggregates"]["score_bound_c"] == pytest.approx(c, rel=1e-12)
+    assert report["verdict"] == "PASS"
+
+
+def test_reconstruct_judges_one_roundtrip_at_any_delta():
+    # the calibration runner judges criterion 4's deltas from one roundtrip
+    raw = {"seed": 4, "trials": 50, "oracle": {"kind": "subspace", "dim": 8, "latent_dim": 3}}
+    oracle = build_oracle(resolve_config("reconstruct", raw))
+    first = run_command(resolve_config("reconstruct", raw))
+    for delta in (0.05, 0.2, 0.5):
+        report = run_command(resolve_config("reconstruct", raw | {"delta": delta}))
+        agg = first["aggregates"]
+        judged = experiments.judge_reconstruct(first["trials"], agg["score_bound_c"],
+                                               agg["mean_mse"], oracle.dim, delta)
+        assert judged == report["aggregates"]
+        assert verdict("reconstruct", judged, oracle)[0] == report["verdict"]
 
 
 # -- the committed calibration record against the rules the code states -----

@@ -11,17 +11,16 @@ or its test's assertion (``ASSERTIONS``) with no alpha.  ``--jobs`` runs that
 many workers, each on one BLAS thread and one job (a group of rows) at a time.
 
 Writes one JSON object (default ``CALIBRATION.json``): the commit, whether
-``src`` or ``tools`` had uncommitted changes, the SHA-256 of ``src/ssilab/*.py``,
-``ALPHA``, the seeds, the environment, the wall time, and per row its rule,
-alpha, counts, FAIL rate among claimed verdicts with its Wilson 95% interval,
-failing seeds and job wall time.
+``src`` or ``tools`` had uncommitted changes (the commit names the source only
+when they had none), ``ALPHA``, the seeds, the environment, the wall time, and
+per row its rule, alpha, counts, FAIL rate among claimed verdicts with its
+Wilson 95% interval, failing seeds and job wall time.
 """
 
 from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import hashlib
 import json
 import math
 import multiprocessing
@@ -37,7 +36,7 @@ from ssilab import (InversionConfig, TimeGrid, VE_KARRAS, build_oracle, chi_squa
                     circle_point_cloud, gaussian_on_axis, karras_grid,
                     projection_concentration, reconstruct, resolve_config,
                     run_command, singularity_trace, ssi_invert_ve, toy_image_subspace)
-from ssilab.experiments import _VERDICTS, ALPHA
+from ssilab.experiments import _VERDICTS, ALPHA, judge_reconstruct, verdict
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 AXIS = {"kind": "gaussian_on_axis"}
@@ -80,7 +79,7 @@ def _run(row: str, raw: dict, seed: int) -> dict:
 def _claim(report: dict) -> tuple:
     """A report's verdict and design alpha: ``reconstruct``'s delta, ALPHA for tests, or None."""
     if report["verdict"] is None or report["command"] == "reconstruct":
-        return report["verdict"], report["verdict"] and report["config"]["delta"]
+        return report["verdict"], report["verdict"] and report["aggregates"]["delta"]
     tested = _VERDICTS[report["command"]][1](report["aggregates"], build_oracle(report["config"]))
     return report["verdict"], ALPHA if tested else None
 
@@ -119,11 +118,20 @@ def criterion_3(seed: int) -> dict:
 
 
 def criterion_4(seed: int) -> dict:
+    """Each oracle's roundtrip once, judged at both deltas by ``reconstruct``'s judgement."""
     oracles = {"gaussian_on_axis": AXIS, "subspace-8": {"kind": "subspace", "dim": 8,
                                                         "latent_dim": 3}, "toy_image": TOY}
-    rows = {f"criterion-4/{name}/delta={delta}": {**CRITERION_4, "delta": delta, "oracle": oracle}
-            for name, oracle in oracles.items() for delta in (0.05, 0.2)}
-    return {row: _run(row, raw, seed) for row, raw in rows.items()}
+    rows = {}
+    for name, raw in oracles.items():
+        report = _run("criterion-4", {**CRITERION_4, "oracle": raw}, seed)
+        oracle, agg = build_oracle(report["config"]), report["aggregates"]
+        for delta in (0.05, 0.2):
+            judged = judge_reconstruct(report["trials"], agg["score_bound_c"], agg["mean_mse"],
+                                       oracle.dim, delta)
+            rows[f"criterion-4/{name}/delta={delta}"] = {
+                **report, "aggregates": judged,
+                "verdict": verdict("reconstruct", judged, oracle)[0]}
+    return rows
 
 
 def criterion_5(seed: int) -> dict:
@@ -221,12 +229,9 @@ def main(argv=None) -> int:
                 "fail_rate": len(fails) / claimed if claimed else None,
                 "wilson95": wilson(len(fails), claimed), "fail_seeds": fails,
                 "job_wall_seconds": round(wall, 1)}
-    source = hashlib.sha256(b"".join(p.read_bytes()
-                                     for p in sorted((ROOT / "src/ssilab").glob("*.py"))))
     report = {
         "commit": _git("rev-parse", "HEAD"),
         "uncommitted_changes": bool(_git("status", "--porcelain", "--", "src", "tools")),
-        "source_sha256": source.hexdigest(),
         "alpha": ALPHA, "seeds": {"first": 0, "count": args.seeds},
         "environment": {"python": platform.python_version(), "numpy": np.__version__,
                         "machine": platform.machine(), "jobs": args.jobs},
