@@ -164,9 +164,9 @@ def test_reconstruct_judges_one_roundtrip_at_any_delta():
     raw = {"seed": 4, "trials": 50, "oracle": {"kind": "subspace", "dim": 8, "latent_dim": 3}}
     oracle = build_oracle(resolve_config("reconstruct", raw))
     first = run_command(resolve_config("reconstruct", raw))
+    agg = first["aggregates"]
     for delta in (0.05, 0.2, 0.5):
         report = run_command(resolve_config("reconstruct", raw | {"delta": delta}))
-        agg = first["aggregates"]
         judged = experiments.judge_reconstruct(first["trials"], agg["score_bound_c"],
                                                agg["mean_mse"], oracle.dim, delta)
         assert judged == report["aggregates"]
